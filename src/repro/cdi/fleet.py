@@ -18,6 +18,10 @@ generators with an index-based event core over numpy job-state columns
   the sorted demand columns turn "admit every satisfiable queued job"
   into two bisections plus a slice, instead of one DES grant cascade
   per job.
+* Uncontended stretches skip the heap altogether: a chunk of whole
+  arrival timestamps that provably never exceeds either pool when every
+  job starts at its arrival is admitted in numpy (one sort and one
+  ``cumsum`` per pool); any other chunk hands off to the heap drain.
 
 The scalar twins :func:`repro.cdi.simulation.simulate_traditional` /
 :func:`simulate_cdi` are retained as references, and
@@ -43,6 +47,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -161,6 +166,11 @@ class FleetJobs:
             if len(col) != n:
                 raise ValueError("job columns must align")
         if n:
+            if not (
+                np.isfinite(self.arrival_s).all()
+                and np.isfinite(self.duration_s).all()
+            ):
+                raise ValueError("invalid job timing")
             if float(self.arrival_s.min()) < 0:
                 raise ValueError("invalid job timing")
             if float(self.duration_s.min()) <= 0:
@@ -329,56 +339,98 @@ def _flap_windows(faults: Optional[FaultPlan]) -> List[Tuple[float, float]]:
     )
 
 
-def _fleet_core(
-    arr: List[float],
-    dur: List[float],
-    amt: List[int],
-    gamt: List[int],
+#: Jobs per certified-admission chunk. A chunk is extended to the end of
+#: its last arrival timestamp, so it always holds whole timestamp groups.
+_CHUNK_JOBS = 4096
+
+
+def _certify(
+    lo: int,
+    hi: int,
+    arr: np.ndarray,
+    end: np.ndarray,
+    amt: np.ndarray,
+    gamt: np.ndarray,
     cap: int,
     gcap: int,
+    run: np.ndarray,
+    run_end: np.ndarray,
     freeze: List[Tuple[float, float]],
-) -> Tuple[List[float], List[float], List[int]]:
-    """Run the pointer-FIFO drain over jobs sorted by arrival.
+) -> bool:
+    """Whether every job of ``[lo, hi)`` may start at its arrival.
 
-    Returns ``(grant_s, start_s, gpu_grant_order)`` in sorted order:
-    ``grant_s[i]`` is when job ``i``'s primary allocation (cores or
-    nodes) was granted, ``start_s[i]`` when it actually started
-    (after its GPUs, for two-stage jobs), and ``gpu_grant_order`` the
-    GPU-stage admission sequence (for placement replay).
+    ``run`` holds the jobs still running when the chunk begins (both
+    queues empty), ``run_end`` their end times. Each chunk job is
+    admitted at its arrival on top of them, releases at an instant
+    applied before admissions at it, and the check is that neither pool
+    ever exceeds its capacity. If it holds, the FIFO drain admits every
+    job at its arrival too, by induction over the sorted order: the
+    queue ahead of each job is empty and its demand fits. One sort of
+    the end times and one ``cumsum`` per pool decide it.
+    """
+    first = arr[lo]
+    last = arr[hi - 1]
+    for w_start, w_end in freeze:
+        if w_start <= last and w_end > first:
+            return False  # a flap window may hold back a GPU admission
+    arr_c = arr[lo:hi]
+    end_c = end[lo:hi]
+    if not (end_c > arr_c).all():
+        return False  # a job would release before its own admission
+    idx = np.concatenate((run, np.arange(lo, hi)))
+    ends = np.concatenate((run_end, end_c))
+    by_end = np.argsort(ends)
+    released_upto = np.searchsorted(ends[by_end], arr_c, side="right")
+    for demand, capacity in ((amt, cap), (gamt, gcap)):
+        chunk = demand[lo:hi]
+        if not chunk.any():
+            continue
+        held = demand[run].sum()
+        released = np.concatenate(([0], np.cumsum(demand[idx[by_end]])))
+        usage = held + np.cumsum(chunk) - released[released_upto]
+        if int(usage.max()) > capacity:
+            return False
+    return True
+
+
+def _drain(
+    lists: Tuple[list, ...],
+    grant: List[float],
+    start: List[float],
+    heap: List[Tuple[float, int]],
+    level: int,
+    glevel: int,
+    p: int,
+    q: int,
+    now: float,
+    freeze: List[Tuple[float, float]],
+    stop: int,
+) -> Tuple[int, float]:
+    """Run the pointer-FIFO drain from a seeded state.
+
+    ``heap`` holds ``(end_time, job)`` for every running job plus
+    ``(window_end, -1)`` thaw decision points; ``level``/``glevel``
+    are the free primary/GPU capacity, ``p``/``q`` the queue heads.
+    Runs until the primary queue has passed ``stop`` and both queues
+    are empty at a decision point, then returns ``(p, now)``;
+    ``heap`` is left holding the running set. ``grant``/``start`` are
+    written for every job admitted on the way.
 
     The drain reproduces the reference DES exactly: completions at a
     timestamp apply before admissions, both queues are head-of-line
     FIFO in ``(arrival, submission)`` order, and every satisfiable
     queued job is admitted per decision point (the DES grant cascade
     is confluent, so batch order does not change the outcome).
+    Static integer prefix sums (``csum`` over primary demand, ``gsum``
+    over the GPU subsequence) make the batch capacity bisections exact.
     """
+    arr, dur, amt, gamt, csum, gpu_idx, gsum = lists
     n = len(arr)
-    grant = [0.0] * n
-    start = [0.0] * n
-
-    # Static integer prefix sums: csum over primary demand, gsum over
-    # the GPU subsequence. Exact (ints), so capacity bisections below
-    # are exact too.
-    amt_arr = np.asarray(amt, dtype=np.int64)
-    gamt_arr = np.asarray(gamt, dtype=np.int64)
-    csum = np.concatenate(([0], np.cumsum(amt_arr))).tolist()
-    gpu_idx_arr = np.flatnonzero(gamt_arr)
-    gpu_idx = gpu_idx_arr.tolist()
     m = len(gpu_idx)
-    gsum = np.concatenate(([0], np.cumsum(gamt_arr[gpu_idx_arr]))).tolist()
-
-    heap: List[Tuple[float, int]] = []
-    for _, w_end in freeze:
-        heapq.heappush(heap, (w_end, -1))  # thaw decision points
     push = heapq.heappush
     pop = heapq.heappop
-    level = cap
-    glevel = gcap
-    p = 0  # primary pointer into sorted order
-    q = 0  # GPU pointer into gpu_idx
     w = 0  # first freeze window not yet ended
     n_freeze = len(freeze)
-    now = 0.0
 
     while p < n or q < m:
         # -- admission drain at `now` ------------------------------------
@@ -428,12 +480,17 @@ def _fleet_core(
             break
 
         # -- advance to the next decision point --------------------------
+        # The hand-back test sits where the queue head is known not to
+        # have arrived, so a backlogged drain never pays for it.
         if heap:
             t = heap[0][0]
             if p < n:
                 ta = arr[p]
-                if now < ta < t:
-                    t = ta
+                if now < ta:
+                    if p >= stop and (q == m or gpu_idx[q] >= p):
+                        break  # past `stop`, both queues empty
+                    if ta < t:
+                        t = ta
             now = t
             while heap and heap[0][0] == now:
                 i = pop(heap)[1]
@@ -443,9 +500,109 @@ def _fleet_core(
         else:
             # Empty heap means nothing is running or pending thaw, so
             # the blocked head must simply not have arrived yet.
+            if p >= stop and (q == m or gpu_idx[q] >= p):
+                break
             now = arr[p]
 
-    return grant, start, gpu_idx
+    return p, now
+
+
+def _fleet_core(
+    arr: np.ndarray,
+    dur: np.ndarray,
+    amt: np.ndarray,
+    gamt: np.ndarray,
+    cap: int,
+    gcap: int,
+    freeze: List[Tuple[float, float]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Admit jobs sorted by arrival; columns in, columns out.
+
+    Returns ``(grant_s, start_s, gpu_grant_order, certified, handoffs)``
+    in sorted order: ``grant_s[i]`` is when job ``i``'s primary
+    allocation (cores or nodes) was granted, ``start_s[i]`` when it
+    actually started (after its GPUs, for two-stage jobs),
+    ``gpu_grant_order`` the GPU-stage admission sequence (for placement
+    replay), ``certified`` how many jobs were admitted by the
+    certificate and ``handoffs`` how many times the drain took over.
+
+    The stream is walked in chunks of whole arrival timestamps. A chunk
+    that :func:`_certify` accepts is admitted in numpy, every job at its
+    arrival. A chunk it refuses (a pool would overflow, a flap window
+    intersects it, or a job is too short to outlast its own arrival
+    instant) hands off to :func:`_drain`, seeded with the running
+    set, which runs until it is past the chunk with both queues empty.
+    Either way the result is the one the drain alone would produce.
+    """
+    n = len(arr)
+    grant = np.empty(n, dtype=np.float64)
+    start = np.empty(n, dtype=np.float64)
+    end = arr + dur  # a job's end if it starts at its arrival
+    gpu_idx = np.flatnonzero(gamt)
+    run = np.empty(0, dtype=np.int64)  # running jobs
+    run_end = np.empty(0, dtype=np.float64)  # and their end times
+    now = 0.0
+    lo = 0
+    certified = 0
+    handoffs = 0
+    lists: Optional[Tuple[list, ...]] = None
+    grant_l: List[float] = []
+    start_l: List[float] = []
+
+    while lo < n:
+        hi = int(
+            np.searchsorted(arr, arr[min(lo + _CHUNK_JOBS, n) - 1], "right")
+        )
+        if _certify(
+            lo, hi, arr, end, amt, gamt, cap, gcap, run, run_end, freeze
+        ):
+            grant[lo:hi] = arr[lo:hi]
+            start[lo:hi] = arr[lo:hi]
+            now = float(arr[hi - 1])
+            ends = np.concatenate((run_end, end[lo:hi]))
+            keep = ends > now
+            run = np.concatenate((run, np.arange(lo, hi)))[keep]
+            run_end = ends[keep]
+            certified += hi - lo
+            lo = hi
+            continue
+
+        handoffs += 1
+        if lists is None:
+            lists = (
+                arr.tolist(),
+                dur.tolist(),
+                amt.tolist(),
+                gamt.tolist(),
+                np.concatenate(([0], np.cumsum(amt))).tolist(),
+                gpu_idx.tolist(),
+                np.concatenate(([0], np.cumsum(gamt[gpu_idx]))).tolist(),
+            )
+            grant_l = [0.0] * n
+            start_l = [0.0] * n
+        heap = list(zip(run_end.tolist(), run.tolist()))
+        heap += [(w_end, -1) for _, w_end in freeze if w_end > now]
+        heapq.heapify(heap)
+        p, now = _drain(
+            lists,
+            grant_l,
+            start_l,
+            heap,
+            cap - int(amt[run].sum()),
+            gcap - int(gamt[run].sum()),
+            lo,
+            int(np.searchsorted(gpu_idx, lo)),
+            now,
+            freeze,
+            hi,
+        )
+        grant[lo:p] = grant_l[lo:p]
+        start[lo:p] = start_l[lo:p]
+        run = np.array([i for _, i in heap if i >= 0], dtype=np.int64)
+        run_end = np.array([e for e, i in heap if i >= 0], dtype=np.float64)
+        lo = p
+
+    return grant, start, gpu_idx, certified, handoffs
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +628,13 @@ class TenantStats:
 
 @dataclass
 class FleetResult:
-    """One fleet run: per-job columns (input order) plus aggregates."""
+    """One fleet run: per-job columns (input order) plus aggregates.
+
+    ``certified_jobs`` counts the jobs the engine admitted through the
+    uncontended-chunk certificate and ``handoffs`` the times it handed a
+    chunk to the scalar FIFO drain; neither changes any per-job column.
+    ``rack_of_gpus`` is built from the placement replay on first read.
+    """
 
     mode: str
     cluster: ClusterSpec
@@ -490,6 +653,8 @@ class FleetResult:
     slack_s: Optional[np.ndarray] = None
     penalty: Optional[np.ndarray] = None
     penalty_refusals: int = 0
+    certified_jobs: int = 0
+    handoffs: int = 0
 
     def __len__(self) -> int:
         return len(self.start_s)
@@ -593,6 +758,27 @@ class FleetResult:
         return RunReport.collect(reg, kind="fleet", meta=doc_meta)
 
 
+def _get_rack_of_gpus(
+    self: FleetResult,
+) -> Optional[List[List[Tuple[int, int]]]]:
+    racks = self._rack_of_gpus
+    if callable(racks):  # a pending replay: materialize once
+        racks = self._rack_of_gpus = racks()
+    return racks
+
+
+def _set_rack_of_gpus(self: FleetResult, racks: object) -> None:
+    self._rack_of_gpus = racks
+
+
+# Per job, the ``(rack, gpus)`` pairs its GPUs were placed on (``[]`` for
+# CPU-only jobs); ``None`` without a placement replay. A replay stores a
+# builder here, and the list of lists is built on first read.
+FleetResult.rack_of_gpus = property(  # type: ignore[assignment]
+    _get_rack_of_gpus, _set_rack_of_gpus
+)
+
+
 # ---------------------------------------------------------------------------
 # The engine entry point
 # ---------------------------------------------------------------------------
@@ -663,13 +849,11 @@ def run_fleet(
         )
 
     order = np.argsort(jobs.arrival_s, kind="stable")
-    arr = jobs.arrival_s[order].tolist()
-    dur = jobs.duration_s[order].tolist()
 
     if mode == "traditional":
         need = _traditional_needs(jobs, cluster)
-        amt = need[order].tolist()
-        gamt = [0] * n
+        amt = need[order]
+        gamt = np.zeros(n, dtype=np.int64)
         cap, gcap = cluster.nodes, 0
     else:
         if len(jobs) and (
@@ -683,19 +867,25 @@ def run_fleet(
                 )
             )
             raise ValueError(f"job {bad} larger than the machine")
-        amt = jobs.cores[order].tolist()
-        gamt = jobs.gpus[order].tolist()
+        amt = jobs.cores[order]
+        gamt = jobs.gpus[order]
         cap, gcap = cluster.total_cores, cluster.total_gpus
 
-    grant_sorted, start_sorted, gpu_idx = _fleet_core(
-        arr, dur, amt, gamt, cap, gcap, _flap_windows(faults)
+    grant_sorted, start_sorted, gpu_idx, certified, handoffs = _fleet_core(
+        jobs.arrival_s[order],
+        jobs.duration_s[order],
+        amt.astype(np.int64),
+        gamt.astype(np.int64),
+        cap,
+        gcap,
+        _flap_windows(faults),
     )
 
     # Scatter back to input order.
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.arange(n)
-    grant = np.asarray(grant_sorted, dtype=np.float64)[inv]
-    start = np.asarray(start_sorted, dtype=np.float64)[inv]
+    grant = grant_sorted[inv]
+    start = start_sorted[inv]
     end = start + jobs.duration_s
     wait = start - jobs.arrival_s
 
@@ -724,6 +914,8 @@ def run_fleet(
         makespan_s=float(end.max()),
         core_busy_s=float((jobs.cores * jobs.duration_s).sum()),
         gpu_busy_s=float((jobs.gpus * jobs.duration_s).sum()),
+        certified_jobs=certified,
+        handoffs=handoffs,
     )
 
     if topology is not None and mode == "cdi":
@@ -745,7 +937,7 @@ def run_fleet(
 def _replay_placement(
     result: FleetResult,
     order: np.ndarray,
-    gpu_idx: List[int],
+    gpu_idx: np.ndarray,
     topology: FleetTopology,
     placement: str,
 ) -> None:
@@ -753,43 +945,56 @@ def _replay_placement(
 
     Placement never feeds back into admission (the engine schedules
     against total pool capacity, like the reference twins), so this is
-    a pure post-pass in grant order.
+    a pure post-pass in grant order. State is kept per GPU job, in
+    grant order (``seq``); ``rack_of_gpus`` is built on first read.
     """
     policy = PLACEMENT_POLICIES[placement]
-    jobs = result.jobs
-    n = len(jobs)
-    order_l = order.tolist()
-    start_sorted = result.start_s[order].tolist()
-    end_sorted = result.end_s[order].tolist()
-    gpus_sorted = jobs.gpus[order].tolist()
-
+    rows = order[gpu_idx]  # input row of each GPU job, in grant order
+    m = len(rows)
+    need = result.jobs.gpus[rows].tolist()
+    rack_slack = topology.rack_slack_s
     slack_rank = sorted(
-        range(topology.racks), key=lambda r: (topology.rack_slack_s[r], r)
+        range(topology.racks), key=lambda r: (rack_slack[r], r)
     )
     free = [topology.gpus_per_rack] * topology.racks
-    slack = np.full(n, np.nan)
-    rack_of: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    placed: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    slack = [0.0] * m
 
-    # Grants already come out of the core in chronological FIFO order
-    # (gpu_idx is the admission sequence); merge with releases.
-    events: List[Tuple[float, int, int]] = []
-    for seq, i in enumerate(gpu_idx):
-        events.append((start_sorted[i], 1, seq))
-        events.append((end_sorted[i], 0, seq))
-    events.sort()
-    for _, kind, seq in events:
-        i = gpu_idx[seq]
-        job = order_l[i]
-        if kind == 0:
-            for rack, cnt in rack_of[job]:
+    # Event e < m grants GPU job e, e >= m releases job e - m; releases
+    # at an instant come before grants at it, ties in grant order.
+    seq = np.arange(m)
+    events = np.lexsort((
+        np.concatenate((seq, seq)),
+        np.repeat([1, 0], m),
+        np.concatenate((result.start_s[rows], result.end_s[rows])),
+    ))
+    for e in events.tolist():
+        if e >= m:
+            for rack, cnt in placed[e - m]:
                 free[rack] += cnt
         else:
-            placed = policy(free, gpus_sorted[i], slack_rank)
-            rack_of[job] = placed
-            slack[job] = max(topology.rack_slack_s[r] for r, _ in placed)
+            got = policy(free, need[e], slack_rank)
+            placed[e] = got
+            slack[e] = (
+                rack_slack[got[0][0]]
+                if len(got) == 1
+                else max(rack_slack[r] for r, _ in got)
+            )
+    slack_s = np.full(len(result.jobs), np.nan)
+    slack_s[rows] = slack
     result.placement = placement
-    result.rack_of_gpus = rack_of
-    result.slack_s = slack
+    result.rack_of_gpus = partial(_rack_lists, len(result.jobs), rows, placed)
+    result.slack_s = slack_s
+
+
+def _rack_lists(
+    n: int, rows: np.ndarray, placed: List[List[Tuple[int, int]]]
+) -> List[List[Tuple[int, int]]]:
+    """The per-job ``rack_of_gpus`` lists from the per-GPU-job replay."""
+    racks: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for row, got in zip(rows.tolist(), placed):
+        racks[row] = got
+    return racks
 
 
 def _evaluate_penalties(

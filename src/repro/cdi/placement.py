@@ -158,11 +158,18 @@ def place_pack(
     ``free`` is mutated in place (GPUs are taken). Returns
     ``[(rack, count), ...]``; raises if the pool cannot satisfy.
     """
-    full_fit = [r for r in range(len(free)) if free[r] >= need]
-    if full_fit:
-        rack = min(full_fit, key=lambda r: (free[r], r))
-        free[rack] -= need
-        return [(rack, need)]
+    # One pass for the best fit: least free, then lowest rack index. An
+    # exact fit cannot be beaten by a later rack, so it ends the scan.
+    best = -1
+    best_free = float("inf")
+    for rack, avail in enumerate(free):
+        if need <= avail < best_free:
+            best, best_free = rack, avail
+            if avail == need:
+                break
+    if best >= 0:
+        free[best] -= need
+        return [(best, need)]
     placements: List[Tuple[int, int]] = []
     remaining = need
     for rack in sorted(range(len(free)), key=lambda r: (-free[r], r)):

@@ -43,6 +43,10 @@ class SimJob:
     gpus: int
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.arrival_s) and math.isfinite(self.duration_s)
+        ):
+            raise ValueError("invalid job timing")
         if self.arrival_s < 0 or self.duration_s <= 0:
             raise ValueError("invalid job timing")
         if self.cores <= 0 or self.gpus < 0:

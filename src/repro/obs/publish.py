@@ -230,8 +230,9 @@ def publish_fleet(
     """Publish one fleet run under ``fleet.*``.
 
     ``result`` is a :class:`repro.cdi.fleet.FleetResult`. Counters
-    accumulate job counts, busy and trapped resource-seconds and
-    surrogate refusals across runs; per-tenant queue-wait and penalty
+    accumulate job counts, busy and trapped resource-seconds,
+    surrogate refusals and the admission core's certified jobs and
+    drain hand-offs across runs; per-tenant queue-wait and penalty
     percentiles land in histograms (one observation per tenant per
     run, never per job — a million-job run publishes a handful of
     scalars); utilizations and the makespan max-merge into gauges.
@@ -250,6 +251,8 @@ def publish_fleet(
     )
     reg.counter("fleet.trapped_gpu_s").inc(result.trapped_gpu_hours * 3600.0)
     reg.counter("fleet.penalty_refusals").inc(result.penalty_refusals)
+    reg.counter("fleet.core.certified_jobs").inc(result.certified_jobs)
+    reg.counter("fleet.core.handoffs").inc(result.handoffs)
     wait_p50 = reg.histogram("fleet.tenant_wait_p50_s")
     wait_p99 = reg.histogram("fleet.tenant_wait_p99_s")
     pen_p50 = reg.histogram("fleet.tenant_penalty_p50")

@@ -8,6 +8,8 @@ on top (placement, penalties, traces, metrics) must never perturb the
 schedule.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.cdi import (
     run_fleet,
     synthetic_job_mix,
 )
+from repro.cdi import fleet as fleet_engine
 from repro.cdi.placement import place_locality, place_pack, place_spread
 from repro.des import quantize
 from repro.faults import FaultPlan
@@ -69,6 +72,22 @@ class TestFleetJobs:
             FleetJobs(one, one, np.ones(1, dtype=np.int64),
                       np.zeros(1, dtype=np.int64),
                       np.ones(1, dtype=np.int64), ("t",))
+
+    @pytest.mark.parametrize("arrival, duration", [
+        (np.nan, 10.0), (np.inf, 10.0), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_non_finite_timing_rejected(self, arrival, duration):
+        # A NaN slipped past `< 0` and hung run_fleet; inf gave an
+        # infinite makespan. Both columns and SimJob refuse them.
+        with pytest.raises(ValueError, match="invalid job timing"):
+            FleetJobs(np.array([0.0, arrival, 2.0]),
+                      np.array([5.0, duration, 5.0]),
+                      np.ones(3, dtype=np.int64),
+                      np.zeros(3, dtype=np.int64),
+                      np.zeros(3, dtype=np.int64), ("t",))
+        with pytest.raises(ValueError, match="invalid job timing"):
+            SimJob("t-0", arrival_s=arrival, duration_s=duration,
+                   cores=1, gpus=0)
 
 
 class TestGeneration:
@@ -364,3 +383,186 @@ class TestObservability:
         assert rep.meta["jobs"] == 60
         assert rep.meta["extra"] == 1
         assert rep.metrics["fleet"]["jobs"] == 60.0
+
+
+# ---------------------------------------------------------------------------
+# Certified admission: the numpy path for uncontended chunks must give
+# exactly what the pointer-FIFO drain gives, whatever the chunking.
+# ---------------------------------------------------------------------------
+
+GRID = ClusterSpec(nodes=2)  # 96 cores, 8 GPUs
+
+
+def columns(arrival, duration, cores, gpus):
+    n = len(arrival)
+    return FleetJobs(
+        np.asarray(arrival, dtype=np.float64),
+        np.asarray(duration, dtype=np.float64),
+        np.asarray(cores, dtype=np.int64),
+        np.asarray(gpus, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+        ("t",),
+    )
+
+
+@st.composite
+def grid_streams(draw):
+    """Arrivals and durations on a 10 s grid: arrivals tie, and ends land
+    exactly on later arrivals (release-before-admission matters)."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    max_cores = draw(st.sampled_from([4, 24, 96]))
+    max_gpus = draw(st.sampled_from([0, 2, 8]))
+    ints = lambda lo, hi: st.lists(  # noqa: E731
+        st.integers(min_value=lo, max_value=hi), min_size=n, max_size=n
+    )
+    ticks = sorted(draw(ints(0, 30)))
+    return columns(
+        [10.0 * t for t in ticks],
+        [10.0 * d for d in draw(ints(1, 12))],
+        draw(ints(1, max_cores)),
+        draw(ints(0, max_gpus)),
+    )
+
+
+def bursty_stream():
+    """Contended bursts between idle stretches of light, spaced jobs."""
+    arrival, duration, cores, gpus = [], [], [], []
+    t = 0.0
+    for burst in range(4):
+        for k in range(12):  # light and spaced: certifiable
+            arrival.append(t + 500.0 * k)
+            duration.append(300.0)
+            cores.append(8)
+            gpus.append(k % 3)
+        t += 12 * 500.0
+        for k in range(20):  # one instant, far over capacity
+            arrival.append(t)
+            duration.append(100.0 + 10.0 * k)
+            cores.append(24 + burst)
+            gpus.append(k % 4)
+        t += 20_000.0
+    return columns(arrival, duration, cores, gpus)
+
+
+class TestCertifiedAdmission:
+    @settings(max_examples=60, deadline=None)
+    @given(jobs=grid_streams(), chunk=st.integers(min_value=1, max_value=16))
+    def test_grid_streams_match_reference(self, jobs, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fleet_engine, "_CHUNK_JOBS", chunk)
+            for mode in ("traditional", "cdi"):
+                assert_fleet_parity(jobs, GRID, mode)
+
+    @pytest.mark.parametrize("chunk", list(range(1, 17)) + [4096])
+    def test_bursts_between_idle_stretches(self, monkeypatch, chunk):
+        monkeypatch.setattr(fleet_engine, "_CHUNK_JOBS", chunk)
+        jobs = bursty_stream()
+        for mode in ("traditional", "cdi"):
+            result, _ = assert_fleet_parity(jobs, GRID, mode)
+            assert result.wait_s.max() > 0  # the bursts queue
+            if chunk <= 12:
+                # Idle stretches certify; every burst hands off.
+                assert 0 < result.certified_jobs < len(jobs)
+                assert result.handoffs >= 4
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 4096])
+    def test_flap_windows_match_the_drain_alone(self, monkeypatch, chunk):
+        jobs = fleet_jobs(300, seed=43, mean_gap=900.0)
+        horizon = float(jobs.arrival_s.max())
+        plan = FaultPlan.from_spec(";".join(
+            ["seed=1"] + [
+                f"flap:start={horizon * f:.0f},down={down:.0f}"
+                for f, down in ((0.1, 5000.0), (0.4, 200.0), (0.7, 20000.0))
+            ]
+        ))
+        roomy = ClusterSpec(nodes=16)
+        monkeypatch.setattr(fleet_engine, "_CHUNK_JOBS", chunk)
+        hybrid = run_fleet(jobs, roomy, "cdi", faults=plan)
+        # The oracle: a certificate that refuses every chunk leaves the
+        # whole stream to the pointer-FIFO drain.
+        monkeypatch.setattr(fleet_engine, "_certify", lambda *a: False)
+        drain = run_fleet(jobs, roomy, "cdi", faults=plan)
+        assert drain.certified_jobs == 0 and drain.handoffs >= 1
+        # Chunks away from the windows certify; one chunk holding the
+        # whole stream meets a window and is refused.
+        assert (hybrid.certified_jobs > 0) == (chunk < len(jobs))
+        for name in ("start_s", "cores_start_s", "end_s", "trapped_core_s"):
+            assert (getattr(hybrid, name) == getattr(drain, name)).all(), name
+        assert (hybrid.start_s > hybrid.cores_start_s).any()  # flaps bit
+
+    def test_uncontended_stream_is_fully_certified(self):
+        jobs = fleet_jobs(200, seed=47, mean_gap=5000.0)
+        for mode in ("traditional", "cdi"):
+            result, _ = assert_fleet_parity(jobs, ClusterSpec(nodes=64), mode)
+            assert result.certified_jobs == len(jobs)
+            assert result.handoffs == 0
+            assert (result.wait_s == 0).all()
+
+    def test_congested_stream_hands_off_once(self):
+        jobs = fleet_jobs(400, seed=11, mean_gap=60.0)
+        result, _ = assert_fleet_parity(jobs, CLUSTER, "cdi")
+        assert result.certified_jobs == 0 and result.handoffs == 1
+
+
+def _spanning_reference(free, need):
+    """The spanning fallback as first written: fullest racks first."""
+    placements, remaining = [], need
+    for rack in sorted(range(len(free)), key=lambda r: (-free[r], r)):
+        if remaining == 0:
+            break
+        take = min(free[rack], remaining)
+        if take > 0:
+            free[rack] -= take
+            placements.append((rack, take))
+            remaining -= take
+    return placements, remaining
+
+
+class TestPackProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        free=st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                      max_size=24),
+        need=st.integers(min_value=1, max_value=40),
+    )
+    def test_pack_is_brute_force_best_fit(self, free, need):
+        got_free = list(free)
+        fits = [(f, r) for r, f in enumerate(free) if f >= need]
+        if fits:
+            _, rack = min(fits)
+            assert place_pack(got_free, need, []) == [(rack, need)]
+            want_free = list(free)
+            want_free[rack] -= need
+            assert got_free == want_free
+            return
+        want_free = list(free)
+        placements, remaining = _spanning_reference(want_free, need)
+        if remaining:
+            with pytest.raises(ValueError, match="cannot place"):
+                place_pack(got_free, need, [])
+        else:
+            assert place_pack(got_free, need, []) == placements
+            assert got_free == want_free
+
+
+class TestLazyRacks:
+    def test_rack_lists_built_on_first_read(self):
+        jobs = fleet_jobs(120, seed=53, mean_gap=60.0)
+        topo = FleetTopology.uniform(4, CLUSTER.total_gpus // 4)
+        result = run_fleet(jobs, CLUSTER, "cdi", topology=topo)
+        assert callable(result.__dict__["_rack_of_gpus"])  # pending
+        racks = result.rack_of_gpus
+        assert result.rack_of_gpus is racks  # built once
+        assert [bool(r) for r in racks] == (jobs.gpus > 0).tolist()
+        gpu_job = int(np.flatnonzero(jobs.gpus > 0)[0])
+        result.rack_of_gpus[gpu_job] = [(3, 1)]
+        assert result.rack_of_gpus[gpu_job] == [(3, 1)]
+
+    def test_given_value_kept(self):
+        base = run_fleet(fleet_jobs(10, seed=59), CLUSTER, "cdi")
+        assert base.rack_of_gpus is None
+        racks = [[(0, 1)]] * 10
+        given = dataclasses.replace(base, rack_of_gpus=racks)
+        assert given.rack_of_gpus == racks
+        base.rack_of_gpus = racks
+        assert base.rack_of_gpus is racks
