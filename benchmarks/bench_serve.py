@@ -1,6 +1,6 @@
 """Benchmark: penalty serving — parity first, then throughput.
 
-Three legs, mirroring the serving layer's contract
+Four legs, mirroring the serving layer's contract
 (:mod:`repro.serve`, docs/serving.md):
 
 * **parity** — the surrogate must agree with
@@ -16,6 +16,11 @@ Three legs, mirroring the serving layer's contract
   (100k predictions/s) on the first two; the per-request path is
   recorded without a floor (it measures asyncio future overhead, not
   the evaluation engine).
+* **closed loop** — ``CLOSED_CLIENTS`` client coroutines, each
+  awaiting :meth:`~repro.serve.PenaltyService.predict` before sending
+  its next query, the way schedulers call the service. Every answer
+  is checked against the raw ``evaluate`` before the per-request
+  latency (median, p99) and rate are recorded; no floor.
 * **cold path** — one out-of-domain query falls back to a real DES
   measurement, refines the surrogate online, and the same query is
   then answered warm.
@@ -55,6 +60,9 @@ SLACKS = tuple(np.logspace(-6, -3, 9))
 
 #: Warm-path query count (in-domain, mixed series).
 N_QUERIES = 200_000
+
+#: Concurrent closed-loop clients (one outstanding query each).
+CLOSED_CLIENTS = 64
 
 #: Sections accumulated by the tests and flushed at module teardown.
 _SECTIONS = {}
@@ -189,6 +197,49 @@ def test_bench_serve_warm_throughput(fitted, queries):
         f"batched service {service_rate:,.0f}/s below the "
         f"{WARM_FLOOR:,}/s floor"
     )
+
+
+def test_bench_serve_closed_loop(fitted, queries):
+    """64 clients each awaiting their answer: per-request latency."""
+    assert "parity" in _SECTIONS, "parity must pass before timing"
+    _, _, model = fitted
+    sizes, threads, slacks = queries
+    expected, _, reason = model.evaluate(sizes, threads, slacks)
+    assert (reason == 0).all()
+    triples = list(zip(sizes.tolist(), slacks.tolist(), threads.tolist()))
+    n = len(triples)
+    answers = [0.0] * n
+    latency = [0.0] * n
+
+    async def _closed():
+        async with PenaltyService(surrogate=model) as svc:
+            predict = svc.predict
+
+            async def client(first):
+                for i in range(first, n, CLOSED_CLIENTS):
+                    size, slack, thr = triples[i]
+                    t0 = time.perf_counter()
+                    answers[i] = (await predict(size, slack, thr)).penalty
+                    latency[i] = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            await asyncio.gather(
+                *(client(c) for c in range(CLOSED_CLIENTS))
+            )
+            return time.perf_counter() - t0, svc.stats()
+
+    wall, stats = asyncio.run(_closed())
+    assert answers == expected.tolist(), "service answers differ"
+    lat_us = np.asarray(latency) * 1e6
+    _SECTIONS["closed_loop"] = {
+        "clients": CLOSED_CLIENTS,
+        "queries": n,
+        "per_s": n / wall,
+        "latency_median_us": float(np.median(lat_us)),
+        "latency_p99_us": float(np.percentile(lat_us, 99)),
+        "batches": stats["batches"],
+        "batch_size_mean": stats["requests"] / stats["batches"],
+    }
 
 
 def test_bench_serve_cold_path(fitted):

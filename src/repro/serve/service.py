@@ -4,17 +4,19 @@
 into a serving component an application scheduler (or a capacity
 planner's inner loop) can query at production rates:
 
-* **Bounded intake.** Requests enter a bounded :class:`asyncio.Queue`;
-  when it is full the caller gets a typed
+* **Bounded intake.** A request is appended to a plain pending list
+  together with its answer future; when ``max_queue`` requests are
+  already pending the caller gets a typed
   :class:`ServiceOverloadedError` immediately instead of unbounded
   buffering — overload is a signal, not a memory leak.
-* **Micro-batching.** One batcher task drains whatever is queued (up
-  to ``max_batch``) and answers the whole batch with a *single*
-  vectorized :meth:`~repro.serve.SurrogateModel.evaluate` call. The
-  per-request Python work is one future resolution; everything else
-  is numpy over the packed series arrays. This is what sustains the
-  serving benchmark's ≥100k predictions/s warm-path target in one
-  process.
+* **Micro-batching.** One batcher task takes up to ``max_batch``
+  pending requests at a time and answers them with a *single*
+  vectorized :meth:`~repro.serve.SurrogateModel.evaluate` call. It
+  parks on a wake-up future only when the list runs dry, so a busy
+  service pays one future per batch, not one queue hand-off per
+  request. The per-request Python work is one list append and one
+  future resolution; everything else is numpy over the packed series
+  arrays.
 * **Cold path.** Queries the surrogate refuses (unknown series, slack
   beyond the grid, too-short series) fall back — when a
   :class:`ColdPathConfig` is given — to a *real* DES measurement
@@ -24,8 +26,9 @@ planner's inner loop) can query at production rates:
   The measurement is :meth:`~repro.serve.SurrogateModel.observe`-d
   back into the surrogate, so the region is warm for every later
   query; concurrent misses on the same quantized point share one
-  in-flight measurement. Negative slack is never measured — it is a
-  caller error and raises through.
+  in-flight measurement. Negative or non-finite slack, and a
+  ``(matrix_size, threads)`` pair no series can carry, are caller
+  errors: they are never measured and raise through.
 
 Telemetry follows the repo's snapshot idiom: the hot path counts into
 plain ints, :meth:`PenaltyService.publish` folds them into the active
@@ -46,7 +49,12 @@ from ..obs import RunReport, get_registry
 from ..obs.publish import publish_service
 from ..proxy.options import SweepOptions
 from ..proxy.quantize import slack_bucket
-from .surrogate import Prediction, SurrogateDomainError, SurrogateModel
+from .surrogate import (
+    Prediction,
+    SurrogateDomainError,
+    SurrogateModel,
+    _series_in_range,
+)
 
 __all__ = [
     "ColdPathConfig",
@@ -58,6 +66,11 @@ __all__ = [
 
 class ServiceOverloadedError(RuntimeError):
     """The bounded request queue is full; the caller should back off."""
+
+
+#: Refusals that are the caller's mistake: the cold path never
+#: measures them.
+_CALLER_ERRORS = frozenset({"negative-slack", "non-finite-slack"})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -148,17 +161,26 @@ class PenaltyService:
         self.max_batch = max_batch
         self.cold_path = cold_path
         self.stats_counters = ServiceStats()
-        self._queue: Optional[asyncio.Queue] = None
+        # Pending (size, threads, slack, future) items; None while the
+        # service is not running. predict/predict_batch append, the
+        # batcher takes from the front.
+        self._pending: Optional[List[Tuple[Any, Any, Any, Any]]] = None
+        # Set only while the batcher is parked on an empty list.
+        self._wakeup: Optional[asyncio.Future] = None
+        self._stopping = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._batcher: Optional[asyncio.Task] = None
         self._cold_sem: Optional[asyncio.Semaphore] = None
         self._inflight: Dict[Tuple[int, int, str], asyncio.Task] = {}
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> "PenaltyService":
-        """Create the request queue and launch the batcher task."""
+        """Open the intake and launch the batcher task."""
         if self._batcher is not None:
             return self
-        self._queue = asyncio.Queue(maxsize=self.max_queue)
+        self._loop = asyncio.get_running_loop()
+        self._pending = []
+        self._stopping = False
         if self.cold_path is not None:
             self._cold_sem = asyncio.Semaphore(self.cold_path.max_concurrent)
         self._batcher = asyncio.create_task(
@@ -167,11 +189,15 @@ class PenaltyService:
         return self
 
     async def stop(self) -> None:
-        """Drain in-flight work and stop the batcher."""
+        """Answer everything queued, stop the batcher, close the intake.
+
+        Requests submitted while the batcher drains are answered too;
+        once it has exited, :meth:`predict` raises ``RuntimeError``.
+        """
         if self._batcher is None:
             return
-        assert self._queue is not None
-        await self._queue.put(None)  # sentinel: drain then exit
+        self._stopping = True
+        self._wake()
         await self._batcher
         self._batcher = None
         for task in list(self._inflight.values()):
@@ -199,8 +225,8 @@ class PenaltyService:
         full, and :class:`~repro.serve.SurrogateDomainError` when the
         query is refused and no cold path can answer it.
         """
-        return await self._submit(
-            (int(matrix_size), int(threads), float(slack_s))
+        return await self._enqueue(
+            int(matrix_size), int(threads), float(slack_s)
         )
 
     async def predict_many(
@@ -239,101 +265,118 @@ class PenaltyService:
             if threads is None
             else np.asarray(threads, dtype=np.int64)
         )
-        return await self._submit((n, t, s))
+        if not (n.ndim == 1 and n.shape == s.shape == t.shape):
+            raise ValueError(
+                "matrix_sizes, slack_values_s, threads must be aligned 1-D"
+            )
+        return await self._enqueue(n, t, s)
 
-    async def _submit(self, work: Tuple[Any, Any, Any]) -> Any:
-        if self._queue is None:
+    def _enqueue(self, size: Any, threads: Any, slack: Any) -> asyncio.Future:
+        """Append one item to the pending list; the future answers it."""
+        pending = self._pending
+        if pending is None:
             raise RuntimeError(
                 "PenaltyService is not running; use 'async with' or start()"
             )
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((*work, fut))
-        except asyncio.QueueFull:
+        if len(pending) >= self.max_queue:
             self.stats_counters.overloads += 1
             raise ServiceOverloadedError(
                 f"request queue full ({self.max_queue}); back off"
-            ) from None
-        return await fut
+            )
+        fut = self._loop.create_future()  # type: ignore[union-attr]
+        pending.append((size, threads, slack, fut))
+        self._wake()
+        return fut
+
+    def _wake(self) -> None:
+        wakeup = self._wakeup
+        if wakeup is not None:
+            self._wakeup = None
+            if not wakeup.done():
+                wakeup.set_result(None)
 
     # -- batcher --------------------------------------------------------------
     async def _batch_loop(self) -> None:
-        assert self._queue is not None
+        pending = self._pending
+        assert pending is not None and self._loop is not None
+        st = self.stats_counters
+        max_batch = self.max_batch
         while True:
-            item = await self._queue.get()
-            batch: List[Tuple[int, int, float, asyncio.Future]] = []
-            stop = item is None
-            if item is not None:
-                batch.append(item)
-            while len(batch) < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            if batch:
-                depth = len(batch) + self._queue.qsize()
-                if depth > self.stats_counters.queue_high_water:
-                    self.stats_counters.queue_high_water = depth
-                self._process(batch)
-            if stop:
-                return
+            if not pending:
+                if self._stopping:
+                    # Close the intake in the same step that saw it
+                    # empty, so no request can slip in unanswered.
+                    self._pending = None
+                    return
+                self._wakeup = self._loop.create_future()
+                await self._wakeup
+                continue
+            batch = pending[:max_batch]
+            del pending[:max_batch]
+            depth = len(batch) + len(pending)
+            if depth > st.queue_high_water:
+                st.queue_high_water = depth
+            self._process(batch)
 
     def _process(
         self, batch: List[Tuple[Any, Any, Any, asyncio.Future]]
     ) -> None:
         """Answer one drained batch with a single vectorized evaluate.
 
-        Queue items are either scalar requests (``predict``) or whole
-        array batches (``predict_batch``); both concatenate into one
-        evaluation, then each item reads back its own slice.
+        Items are either scalar requests (``predict``) or whole array
+        batches (``predict_batch``); both concatenate into one
+        evaluation, then each item reads back its own slice. Scalar
+        answers come from plain lists, never numpy scalars.
         """
         st = self.stats_counters
         st.batches += 1
-        # Expand: (start, count) slice of the concatenated arrays per item.
-        spans: List[Tuple[int, int]] = []
-        sizes: List[Any] = []
-        thrs: List[Any] = []
-        slacks: List[Any] = []
-        cursor = 0
+        sizes: List[int] = []
+        thrs: List[int] = []
+        slacks: List[float] = []
         for size, threads, slack, _fut in batch:
-            count = 1 if isinstance(size, int) else len(size)
-            spans.append((cursor, count))
-            cursor += count
-            if count == 1 and isinstance(size, int):
+            if type(size) is int:
                 sizes.append(size)
                 thrs.append(threads)
                 slacks.append(slack)
             else:
-                sizes.extend(size)
-                thrs.extend(threads)
-                slacks.extend(slack)
-        st.requests += cursor
-        st.max_batch = max(st.max_batch, cursor)
+                sizes.extend(size.tolist())
+                thrs.extend(threads.tolist())
+                slacks.extend(slack.tolist())
+        rows = len(sizes)
+        st.requests += rows
+        if rows > st.max_batch:
+            st.max_batch = rows
         pen, bound, reason = self.surrogate.evaluate(sizes, thrs, slacks)
-        for (size, threads, slack, fut), (start, count) in zip(batch, spans):
+        pens = pen.tolist()
+        bounds = bound.tolist()
+        reasons = reason.tolist()
+        start = 0
+        for size, threads, slack, fut in batch:
+            if type(size) is int:
+                if not fut.cancelled():
+                    code = reasons[start]
+                    if code == 0:
+                        st.answered_warm += 1
+                        fut.set_result(
+                            Prediction(pens[start], bounds[start])
+                        )
+                    else:
+                        self._refuse_one(size, threads, slack, fut, code)
+                start += 1
+                continue
+            sl = slice(start, start + len(size))
+            start = sl.stop
             if fut.cancelled():
                 continue
-            if isinstance(size, int):
-                self._answer_one(
-                    size, threads, slack, fut,
-                    float(pen[start]), float(bound[start]),
-                    int(reason[start]),
-                )
-                continue
-            sl = slice(start, start + count)
             refused = np.flatnonzero(reason[sl])
             if len(refused) == 0:
-                st.answered_warm += count
+                st.answered_warm += len(size)
                 fut.set_result((pen[sl].copy(), bound[sl].copy()))
             else:
-                st.refused += count
+                st.refused += len(size)
                 i = int(refused[0])
                 name = (
-                    self.surrogate.reason_name(int(reason[start + i]))
+                    self.surrogate.reason_name(reasons[sl.start + i])
                     or "unknown"
                 )
                 query = (int(size[i]), int(threads[i]), float(slack[i]))
@@ -347,24 +390,24 @@ class PenaltyService:
                     )
                 )
 
-    def _answer_one(
+    def _refuse_one(
         self,
         size: int,
         threads: int,
         slack: float,
         fut: asyncio.Future,
-        pen: float,
-        bound: float,
-        reason: int,
+        code: int,
     ) -> None:
-        st = self.stats_counters
-        if reason == 0:
-            st.answered_warm += 1
-            fut.set_result(Prediction(pen, bound))
-            return
-        name = self.surrogate.reason_name(reason) or "unknown"
-        if self.cold_path is None or name == "negative-slack":
-            st.refused += 1
+        name = self.surrogate.reason_name(code) or "unknown"
+        # A negative slack on an unknown series is refused as
+        # unknown-series, but it is still the caller's mistake.
+        if (
+            self.cold_path is None
+            or name in _CALLER_ERRORS
+            or slack < 0
+            or not _series_in_range(size, threads)
+        ):
+            self.stats_counters.refused += 1
             fut.set_exception(
                 SurrogateDomainError(
                     name,

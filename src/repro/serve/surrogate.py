@@ -20,9 +20,10 @@ table:
   declines everything else with a typed
   :class:`SurrogateDomainError` whose ``reason`` is recorded:
   unknown ``(matrix_size, threads)`` series, series too short to
-  interpolate, negative slack, slack beyond the measured grid. A
-  refused query is the signal for the service's cold path to measure
-  the real point and :meth:`~SurrogateModel.observe` it back in.
+  interpolate, negative or non-finite slack, slack beyond the measured
+  grid. A refused unknown, short or above-grid query is the signal for
+  the service's cold path to measure the real point and
+  :meth:`~SurrogateModel.observe` it back in.
 
 Parity contract: at measured grid points (up to the shared slack
 quantization tolerance) predictions equal
@@ -58,30 +59,37 @@ __all__ = [
     "assert_parity",
 ]
 
-#: Reason codes a :class:`SurrogateDomainError` can carry.
+#: Reason codes a :class:`SurrogateDomainError` can carry. The
+#: vectorized path reports them as ``index + 1`` (0 = answered).
+#: ``non-finite-slack`` (NaN or ±inf) and ``negative-slack`` are caller
+#: errors the service's cold path never measures.
 REFUSAL_REASONS = (
     "unknown-series",
     "degenerate-series",
     "negative-slack",
     "above-grid",
+    "non-finite-slack",
 )
 
-# Refusal reason codes as small ints for the vectorized path; 0 = ok.
 _OK = 0
 _UNKNOWN_SERIES = 1
 _DEGENERATE_SERIES = 2
 _NEGATIVE_SLACK = 3
 _ABOVE_GRID = 4
-_REASON_NAMES = {
-    _UNKNOWN_SERIES: "unknown-series",
-    _DEGENERATE_SERIES: "degenerate-series",
-    _NEGATIVE_SLACK: "negative-slack",
-    _ABOVE_GRID: "above-grid",
-}
+_NON_FINITE_SLACK = 5
+_REASON_NAMES = dict(enumerate(REFUSAL_REASONS, start=1))
 
-# Threads share the packed int64 series key with the matrix size;
-# 16 bits is orders beyond any measured thread count.
+# Threads share the packed int64 series key with the matrix size: a
+# series is representable when 1 <= threads < 2**16 and
+# 1 <= matrix_size < 2**47. Anything else is an unknown series.
 _THREAD_BITS = 16
+_THREAD_MASK = (1 << _THREAD_BITS) - 1
+_MAX_SIZE = 1 << (63 - _THREAD_BITS)
+
+#: Rows :meth:`SurrogateModel.evaluate` computes per pass. Larger
+#: inputs are walked block by block, so its temporaries stay a few
+#: hundred kB however many rows a caller sends.
+_ROW_BLOCK = 4096
 
 
 class SurrogateDomainError(LookupError):
@@ -125,6 +133,11 @@ def _pack_key(matrix_size: int, threads: int) -> int:
     return (int(matrix_size) << _THREAD_BITS) | int(threads)
 
 
+def _series_in_range(matrix_size: int, threads: int) -> bool:
+    """Whether ``(matrix_size, threads)`` can name a series at all."""
+    return 1 <= threads <= _THREAD_MASK and 1 <= matrix_size < _MAX_SIZE
+
+
 class SurrogateModel:
     """Bounded-error penalty surrogate over cached sweep points.
 
@@ -165,6 +178,13 @@ class SurrogateModel:
         # Mutable training store: (size, threads) -> bucket -> (s, pen).
         self._points: Dict[Tuple[int, int], Dict[str, Tuple[float, float]]] = {}
         for ts in series:
+            if not _series_in_range(ts.matrix_size, ts.threads):
+                raise ValueError(
+                    f"series ({ts.matrix_size}, {ts.threads}) is outside "
+                    f"1 <= matrix_size < 2**47, 1 <= threads < 2**16"
+                )
+            if len(ts.slacks) == 0:
+                continue
             store = self._points.setdefault(
                 (ts.matrix_size, ts.threads), {}
             )
@@ -244,6 +264,18 @@ class SurrogateModel:
                 + idx * self._span
             )
         self._log_min = log_min
+        # Per-series columns the batch path gathers by series index,
+        # and the owning series of every packed point (the snap's
+        # same-series test). Every stored series holds >= 1 point.
+        first = self._offsets
+        self._s_min = self._slacks[first]
+        self._s_max = self._slacks[first + self._counts - 1]
+        self._pen_first = self._pen[first]
+        self._ibound_first = self._ibound[first]
+        self._degenerate = self._counts < 2
+        self._series_of = np.repeat(
+            np.arange(len(keys), dtype=np.int64), self._counts
+        )
         if self.method == "pchip":
             for idx, key in enumerate(keys):
                 off = int(self._offsets[idx])
@@ -322,124 +354,128 @@ class SurrogateModel:
         if not (n.shape == t.shape == s.shape):
             raise ValueError("matrix_sizes, threads, slacks must align")
         m = n.shape[0]
-        pen = np.full(m, np.nan)
-        bound = np.full(m, np.nan)
-        reason = np.zeros(m, dtype=np.int64)
-        if m == 0:
-            return pen, bound, reason
+        if m <= _ROW_BLOCK:
+            pen, bound, reason = self._evaluate_rows(n, t, s)
+        else:
+            pen = np.empty(m)
+            bound = np.empty(m)
+            reason = np.empty(m, dtype=np.int64)
+            for lo in range(0, m, _ROW_BLOCK):
+                rows = slice(lo, lo + _ROW_BLOCK)
+                pen[rows], bound[rows], reason[rows] = self._evaluate_rows(
+                    n[rows], t[rows], s[rows]
+                )
+        tally = np.bincount(reason, minlength=len(REFUSAL_REASONS) + 1)
+        for code, hits in enumerate(tally.tolist()):
+            if code and hits:
+                self.refusals[_REASON_NAMES[code]] += hits
+        return pen, bound, reason
+
+    def _evaluate_rows(
+        self, n: np.ndarray, t: np.ndarray, s: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One straight-line pass over a block of at most ``_ROW_BLOCK``.
+
+        Every row goes through every formula; each row's answer is
+        picked at the end by precedence (refusal, zero slack, snap to
+        the lower then the upper neighbour, below-grid ramp, interior
+        interpolation). Rows whose answer comes from another branch
+        compute throwaway values, hence the silenced FP warnings.
+        """
+        if not len(self._keys):
+            reason = np.where(
+                np.isfinite(s), _UNKNOWN_SERIES, _NON_FINITE_SLACK
+            )
+            return np.full(len(s), np.nan), np.full(len(s), np.nan), reason
 
         # Series resolution: packed keys against the sorted key table.
+        # Stored series are all in range, and an in-range pair unpacks
+        # back to itself, so the unpack test refuses exactly the
+        # out-of-range pairs that could alias a stored key.
         q_keys = (n << _THREAD_BITS) | t
-        if len(self._keys):
-            sidx = np.searchsorted(self._keys, q_keys)
-            sidx = np.minimum(sidx, len(self._keys) - 1)
-            known = self._keys[sidx] == q_keys
-        else:
-            sidx = np.zeros(m, dtype=np.int64)
-            known = np.zeros(m, dtype=bool)
-        reason[~known] = _UNKNOWN_SERIES
-
-        degenerate = known & (self._counts[sidx] < 2)
-        reason[degenerate] = _DEGENERATE_SERIES
-        negative = (reason == _OK) & (s < 0)
-        reason[negative] = _NEGATIVE_SLACK
-
-        live = reason == _OK
-        zero = live & (s == 0)
-        pen[zero] = 0.0
-        bound[zero] = 0.0
-        live &= ~zero
-        if not live.any():
-            self._tally(reason)
-            return pen, bound, reason
-
-        off = self._offsets[sidx]
-        cnt = self._counts[sidx]
-        last = off + cnt - 1
-        s_min = np.where(live, self._slacks[np.where(live, off, 0)], 1.0)
-        s_max = np.where(live, self._slacks[np.where(live, last, 0)], 1.0)
+        sidx = self._keys.searchsorted(q_keys)
+        np.minimum(sidx, len(self._keys) - 1, out=sidx)
+        known = (
+            (self._keys[sidx] == q_keys)
+            & ((q_keys >> _THREAD_BITS) == n)
+            & ((q_keys & _THREAD_MASK) == t)
+        )
+        s_min = self._s_min[sidx]
+        s_max = self._s_max[sidx]
         tol = 1e-12 + 1e-9 * np.abs(s)
 
-        above = live & (s > s_max + tol)
-        reason[above] = _ABOVE_GRID
-        live &= ~above
-        if not live.any():
-            self._tally(reason)
-            return pen, bound, reason
+        # Refusals, lowest precedence first.
+        reason = np.where(s > s_max + tol, _ABOVE_GRID, _OK)
+        np.copyto(reason, _NEGATIVE_SLACK, where=s < 0)
+        np.copyto(reason, _DEGENERATE_SERIES, where=self._degenerate[sidx])
+        np.copyto(reason, _UNKNOWN_SERIES, where=~known)
+        np.copyto(reason, _NON_FINITE_SLACK, where=~np.isfinite(s))
 
-        # One global bracket over the shifted per-series coordinates.
-        safe_s = np.where(live, np.maximum(s, 1e-300), 1.0)
-        q = np.log(safe_s) - self._log_min + sidx * self._span
-        pos = np.searchsorted(self._shifted, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # One global bracket over the shifted per-series coordinates.
+            q = (
+                np.log(np.maximum(s, 1e-300)) - self._log_min
+                + sidx * self._span
+            )
+            pos = self._shifted.searchsorted(q)
+            lo = np.maximum(pos - 1, 0)
+            hi = np.minimum(pos, len(self._shifted) - 1)
+            x_lo = self._shifted[lo]
+            p_lo = self._pen[lo]
+            p_hi = self._pen[hi]
+            # Interior: lo/hi bracket the query within its series.
+            pen = p_lo + (q - x_lo) / (self._shifted[hi] - x_lo) * (
+                p_hi - p_lo
+            )
+            bound = self._ibound[lo]
+            if self._pchips:
+                interior = reason == _OK
+                self._apply_pchip(pen, interior, sidx, s)
+            # Below the measured grid: the surface's linear ramp to
+            # zero, certified only as far as the first interval's bound.
+            below = s < s_min
+            np.copyto(pen, self._pen_first[sidx] * s / s_min, where=below)
+            np.copyto(bound, self._ibound_first[sidx], where=below)
 
         # Quantization snap: a query within tolerance of a measured
-        # neighbour answers with that point exactly, bound 0 — the
-        # shared near-miss rule of SweepResult.get and the surface.
-        snapped = np.zeros(m, dtype=bool)
-        for nb in (pos - 1, pos):
-            g = np.clip(nb, 0, max(0, len(self._slacks) - 1))
-            in_series = (g >= off) & (g <= last)
-            hit = (
-                live
-                & ~snapped
-                & in_series
-                & (np.abs(self._slacks[g] - s) <= tol)
+        # neighbour in its own series answers with that point exactly,
+        # bound 0 — the shared near-miss rule of SweepResult.get and
+        # the surface. The lower neighbour wins a tie.
+        for g, p_g in ((hi, p_hi), (lo, p_lo)):
+            hit = (self._series_of[g] == sidx) & (
+                np.abs(self._slacks[g] - s) <= tol
             )
-            pen[hit] = self._pen[g[hit]]
-            bound[hit] = 0.0
-            snapped |= hit
-        live &= ~snapped
+            np.copyto(pen, p_g, where=hit)
+            np.copyto(bound, 0.0, where=hit)
 
-        # Below the measured grid: the surface's linear ramp to zero,
-        # certified only as far as the first interval's bound.
-        below = live & (s < s_min)
-        if below.any():
-            o = off[below]
-            pen[below] = self._pen[o] * s[below] / self._slacks[o]
-            bound[below] = self._ibound[o]
-            live &= ~below
-
-        if live.any():
-            hi = np.clip(pos, 0, max(0, len(self._slacks) - 1))
-            lo = np.clip(pos - 1, 0, max(0, len(self._slacks) - 1))
-            # Interior by construction: not below s_min, not above
-            # s_max, not snapped — lo/hi bracket within the series.
-            t_frac = (q[live] - self._shifted[lo[live]]) / (
-                self._shifted[hi[live]] - self._shifted[lo[live]]
-            )
-            pen[live] = self._pen[lo[live]] + t_frac * (
-                self._pen[hi[live]] - self._pen[lo[live]]
-            )
-            bound[live] = self._ibound[lo[live]]
-            if self._pchips:
-                self._apply_pchip(pen, live, sidx, s)
-
-        self._tally(reason)
+        zero = s == 0
+        np.copyto(pen, 0.0, where=zero)
+        np.copyto(bound, 0.0, where=zero)
+        refused = reason != _OK
+        np.copyto(pen, np.nan, where=refused)
+        np.copyto(bound, np.nan, where=refused)
         return pen, bound, reason
 
     def _apply_pchip(
         self,
         pen: np.ndarray,
-        live: np.ndarray,
+        rows: np.ndarray,
         sidx: np.ndarray,
         s: np.ndarray,
     ) -> None:
-        """Overwrite interior predictions with the per-series PCHIP fit."""
+        """Overwrite ``rows`` with the per-series PCHIP fit.
+
+        Called before the ramp, snap and zero overrides, which take
+        precedence on the rows they claim; outside its fit range PCHIP
+        yields NaN and the log-linear value stays.
+        """
         for idx, fitted in self._pchips.items():
-            sel = live & (sidx == idx)
+            sel = rows & (sidx == idx)
             if sel.any():
                 values = fitted(np.log(s[sel]))  # type: ignore[operator]
-                # Outside the fit range PCHIP yields NaN; those were
-                # already handled by ramp/clamp logic upstream.
                 ok = ~np.isnan(values)
                 target = np.flatnonzero(sel)[ok]
                 pen[target] = np.maximum(0.0, values[ok])
-
-    def _tally(self, reason: np.ndarray) -> None:
-        for code, name in _REASON_NAMES.items():
-            hits = int((reason == code).sum())
-            if hits:
-                self.refusals[name] += hits
 
     def reason_name(self, code: int) -> Optional[str]:
         """Human-readable refusal reason for a nonzero code."""
@@ -484,9 +520,18 @@ class SurrogateModel:
         its ``(matrix_size, threads)`` series (new series are
         created), bucket-deduplicated like any training point, and the
         packed arrays plus that series' cross-validated bounds are
-        rebuilt.
+        rebuilt. A pair no series can carry (see :data:`REFUSAL_REASONS`)
+        raises :class:`SurrogateDomainError` ``unknown-series``; a
+        non-positive or non-finite slack is ignored.
         """
-        if slack_s <= 0:
+        if not _series_in_range(matrix_size, threads):
+            raise SurrogateDomainError(
+                "unknown-series",
+                f"no series can hold matrix_size={matrix_size} "
+                f"threads={threads}",
+                (matrix_size, threads, slack_s),
+            )
+        if not 0 < slack_s < math.inf:
             return
         store = self._points.setdefault((matrix_size, threads), {})
         store.setdefault(

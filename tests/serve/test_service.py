@@ -5,6 +5,7 @@ Plain synchronous tests driving the event loop with ``asyncio.run``
 """
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,3 +256,226 @@ def test_report_is_a_serve_runreport(model):
     assert doc["meta"]["origin"] == "test"
     assert doc["meta"]["surrogate_method"] == "loglinear"
     assert doc["meta"]["series"] == len(SIZES) * 2
+
+
+# -- intake semantics ---------------------------------------------------------
+
+def test_mixed_batch_answers_each_item_from_its_own_slice(model):
+    sizes_a = np.array([512, 2048, 512])
+    slacks_a = np.array([1e-5, 2e-4, 7e-4])
+    threads_a = np.array([1, 2, 2])
+    calls = []
+    evaluate = model.evaluate
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return evaluate(*args)
+
+    svc = PenaltyService(surrogate=model)
+
+    async def _run():
+        async with svc:
+            with mock.patch.object(model, "evaluate", counting):
+                return await asyncio.gather(
+                    svc.predict(2048, 3e-5, 1),
+                    svc.predict_batch(sizes_a, slacks_a, threads_a),
+                    svc.predict(512, 4e-4, 2),
+                    svc.predict_batch([2048], [1e-6], [2]),
+                )
+
+    one, arrays, two, single = asyncio.run(_run())
+    assert calls == [6]  # one drained batch, one evaluation
+    assert one == model.predict(2048, 3e-5, 1)
+    assert two == model.predict(512, 4e-4, 2)
+    pen, bound, _ = model.evaluate(sizes_a, threads_a, slacks_a)
+    np.testing.assert_array_equal(arrays[0], pen)
+    np.testing.assert_array_equal(arrays[1], bound)
+    assert single[0][0] == model.predict(2048, 1e-6, 2).penalty
+    assert type(one.penalty) is float and type(one.bound) is float
+    assert svc.stats()["batches"] == 1
+    assert svc.stats()["requests"] == 6
+
+
+def test_cancelled_requests_are_skipped(model):
+    svc = PenaltyService(surrogate=model)
+
+    async def _run():
+        async with svc:
+            tasks = [
+                asyncio.create_task(svc.predict(512, 1e-4, 1)),
+                asyncio.create_task(svc.predict(2048, 1e-4, 1)),
+                asyncio.create_task(svc.predict_batch([512], [1e-5])),
+                asyncio.create_task(svc.predict(512, 1e-5, 2)),
+            ]
+            await asyncio.sleep(0)  # all four enqueued, batcher not run
+            tasks[1].cancel()
+            tasks[2].cancel()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+    first, second, third, fourth = asyncio.run(_run())
+    assert isinstance(second, asyncio.CancelledError)
+    assert isinstance(third, asyncio.CancelledError)
+    assert first == model.predict(512, 1e-4, 1)
+    assert fourth == model.predict(512, 1e-5, 2)
+    stats = svc.stats()
+    assert stats["batches"] == 1
+    assert stats["answered_warm"] == 2
+
+
+def test_overload_is_immediate_at_max_queue(model):
+    svc = PenaltyService(surrogate=model, max_queue=4)
+
+    async def _run():
+        async with svc:
+            tasks = [
+                asyncio.create_task(svc.predict(512, 1e-4, 1))
+                for _ in range(4)
+            ]
+            await asyncio.sleep(0)  # four pending, batcher not run yet
+            with pytest.raises(ServiceOverloadedError):
+                await svc.predict(512, 1e-4, 1)
+            with pytest.raises(ServiceOverloadedError):
+                await svc.predict_batch([512], [1e-4])
+            return await asyncio.gather(*tasks)
+
+    answers = asyncio.run(_run())
+    assert len(answers) == 4
+    stats = svc.stats()
+    assert stats["overloads"] == 2
+    assert stats["queue_high_water"] == 4
+
+
+def test_queue_high_water_counts_batch_plus_backlog(model):
+    svc = PenaltyService(surrogate=model, max_batch=2)
+
+    async def _run():
+        async with svc:
+            return await svc.predict_many([(512, 1e-4, 1)] * 5)
+
+    assert len(asyncio.run(_run())) == 5
+    stats = svc.stats()
+    assert stats["max_batch"] == 2
+    assert stats["batches"] == 3
+    assert stats["queue_high_water"] == 5
+
+
+def test_batches_equal_evaluate_calls(model):
+    calls = []
+    evaluate = model.evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    svc = PenaltyService(surrogate=model, max_batch=7)
+
+    async def _run():
+        async with svc:
+            with mock.patch.object(model, "evaluate", counting):
+
+                async def client(c):
+                    for j in range(20):
+                        await svc.predict(512, float(SLACKS[(c + j) % 7]), 1)
+
+                await asyncio.gather(*(client(c) for c in range(9)))
+
+    asyncio.run(_run())
+    stats = svc.stats()
+    assert stats["requests"] == 180
+    assert stats["batches"] == len(calls) > 1
+
+
+def test_stop_answers_everything_queued_before_it(model):
+    svc = PenaltyService(surrogate=model, max_batch=3)
+
+    async def _run():
+        await svc.start()
+        tasks = [
+            asyncio.create_task(svc.predict(512, float(s), 1))
+            for s in SLACKS
+        ]
+        tasks.append(asyncio.create_task(svc.predict_batch([2048], [1e-4])))
+        await asyncio.sleep(0)  # all queued, batcher not run yet
+        await svc.stop()
+        assert all(task.done() for task in tasks)
+        return [task.result() for task in tasks]
+
+    answers = asyncio.run(_run())
+    assert answers[0] == model.predict(512, float(SLACKS[0]), 1)
+    assert svc.stats()["answered_warm"] == len(SLACKS) + 1
+
+
+def test_request_enqueued_while_stop_drains_is_answered(model):
+    svc = PenaltyService(surrogate=model)
+
+    async def _run():
+        await svc.start()
+        await asyncio.sleep(0)  # the batcher parks on an empty intake
+        stopper = asyncio.create_task(svc.stop())
+        # Runs after stop() has begun waiting for the batcher.
+        late = asyncio.create_task(svc.predict(512, 1e-4, 1))
+        answer = await asyncio.wait_for(late, 5.0)
+        await stopper
+        return answer
+
+    assert asyncio.run(_run()) == model.predict(512, 1e-4, 1)
+
+
+def test_predict_after_stop_raises_not_running(model):
+    svc = PenaltyService(surrogate=model)
+
+    async def _run():
+        async with svc:
+            await svc.predict(512, 1e-4, 1)
+        with pytest.raises(RuntimeError, match="not running"):
+            await asyncio.wait_for(svc.predict(512, 1e-4, 1), 5.0)
+        with pytest.raises(RuntimeError, match="not running"):
+            await asyncio.wait_for(svc.predict_batch([512], [1e-4]), 5.0)
+        # ... and a restarted service serves again.
+        async with svc:
+            return await svc.predict(512, 1e-4, 1)
+
+    assert asyncio.run(_run()) == model.predict(512, 1e-4, 1)
+
+
+def test_predict_batch_rejects_misaligned_columns(model):
+    async def _run():
+        async with PenaltyService(surrogate=model) as svc:
+            with pytest.raises(ValueError, match="aligned"):
+                await svc.predict_batch([512, 2048], [1e-4])
+            return await svc.predict(512, 1e-4, 1)
+
+    assert asyncio.run(_run()) == model.predict(512, 1e-4, 1)
+
+
+# -- caller errors never reach the cold path ------------------------------------
+
+@pytest.mark.parametrize(
+    "size, slack, threads, reason",
+    [
+        (512, float("nan"), 1, "non-finite-slack"),
+        (512, float("inf"), 1, "non-finite-slack"),
+        (256, float("nan"), 1, "non-finite-slack"),  # unknown series too
+        (256, float("-inf"), 1, "non-finite-slack"),
+        (256, -1e-5, 1, "unknown-series"),  # negative, unknown series
+        (512, 1e-4, (512 << 16) | 1, "unknown-series"),
+        (512, 1e-4, 1 << 16, "unknown-series"),
+        (0, 1e-4, 1, "unknown-series"),
+    ],
+)
+def test_caller_errors_are_never_measured(size, slack, threads, reason):
+    svc = PenaltyService(surrogate=fresh_model(), cold_path=FAST_COLD)
+
+    async def _run():
+        async with svc:
+            await svc.predict(size, slack, threads)
+
+    with mock.patch.object(
+        svc, "_measure_sync", side_effect=AssertionError("DES ran")
+    ):
+        with pytest.raises(SurrogateDomainError) as exc:
+            asyncio.run(_run())
+    assert exc.value.reason == reason
+    stats = svc.stats()
+    assert stats["cold_misses"] == 0
+    assert stats["refused"] == 1
