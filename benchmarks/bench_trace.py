@@ -13,6 +13,12 @@ reference implementations before reporting a speedup:
   columnar traces vs. :func:`repro.model.reference.predict_sweep_reference`
   on scalar copies. This is the PR's acceptance path and must show at
   least a 5x speedup.
+* **profilecache** — put/get of the quick LAMMPS and CosmoFlow
+  profiles through :class:`repro.apps.AppProfileCache` (one ``.npz``
+  per entry), after asserting the loaded profiles' canonical
+  ``_profile_doc`` equals the originals'. Records put/get ms and entry
+  bytes next to the same profiles' canonical JSON document (the former
+  on-disk format); no floor.
 
 Results land in ``BENCH_trace.json`` at the repo root, next to
 ``BENCH_sweep.json`` (see docs/performance.md for methodology).
@@ -27,10 +33,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps import AppProfileCache
+from repro.apps.profilecache import _profile_doc
 from repro.model import CDIProfiler
 from repro.model.reference import predict_sweep_reference
 from repro.proxy import PAPER_SLACK_VALUES_S
 from repro.trace import (
+    ColumnarTrace,
     EventKind,
     Trace,
     TraceEvent,
@@ -195,3 +204,48 @@ def test_bench_table4_pipeline(ctx):
         f"table4 pipeline speedup {speedup:.1f}x below the "
         f"{TABLE4_SPEEDUP_FLOOR:.0f}x floor"
     )
+
+
+def test_bench_profilecache(ctx, tmp_path):
+    profiles = {name: ctx.app_profile(name) for name in ("lammps", "cosmoflow")}
+    configs = {name: ctx.app_config(name) for name in profiles}
+    cache = AppProfileCache(tmp_path / "profiles")
+    # Parity first: every loaded profile is the stored one.
+    for name, profile in profiles.items():
+        cache.put(name, configs[name], profile)
+        loaded = cache.get(name, configs[name])
+        assert json.dumps(_profile_doc(loaded)) == json.dumps(
+            _profile_doc(profile)
+        )
+
+    put_s, _ = _best_of(
+        lambda: [cache.put(n, configs[n], p) for n, p in profiles.items()], 5
+    )
+    get_s, _ = _best_of(
+        lambda: [cache.get(n, configs[n]) for n in profiles], 5
+    )
+    docs = {n: json.dumps(_profile_doc(p)) for n, p in profiles.items()}
+    json_put_s, _ = _best_of(
+        lambda: [json.dumps(_profile_doc(p)) for p in profiles.values()], 5
+    )
+    json_get_s, _ = _best_of(
+        lambda: [
+            ColumnarTrace.from_doc(json.loads(d)["trace"])
+            for d in docs.values()
+        ],
+        5,
+    )
+    _SECTIONS["profilecache"] = {
+        "apps": list(profiles),
+        "events": [len(p.trace) for p in profiles.values()],
+        "put_ms": put_s * 1e3,
+        "get_ms": get_s * 1e3,
+        "entry_bytes": {
+            n: cache.path_for(n, configs[n]).stat().st_size for n in profiles
+        },
+        "json_reference": {
+            "encode_ms": json_put_s * 1e3,
+            "decode_ms": json_get_s * 1e3,
+            "doc_bytes": {n: len(d) for n, d in docs.items()},
+        },
+    }

@@ -6,14 +6,18 @@ traced application run on its profiling configuration — every config
 dataclass field (nested hardware specs included, via
 ``dataclasses.asdict``, so the seed, jitter, box size and GPU/PCIe
 specs all participate) plus a code version tag. The figure/table
-experiments re-run the same two app configs constantly; with the
-columnar trace store a profile serializes to one JSON document of
-columns that round-trips **bit-exactly** (floats via ``repr``), so a
-warm cache skips the DES run entirely and reproduces byte-identical
-figures.
+experiments re-run the same two app configs constantly; a warm cache
+skips the DES run entirely and reproduces byte-identical figures.
+
+Each entry is one uncompressed ``.npz``: the columnar trace's arrays
+(:meth:`~repro.trace.store.ColumnStore.to_arrays`) plus a ``header``
+array holding the JSON header — profile fields, interned names and
+meta layout, floats exact through ``repr``. Zip stores a CRC-32 of
+every member, so a flipped bit or a truncated file fails to load
+instead of decoding to a different profile.
 
 Lookup/write accounting is published through ``repro.obs`` under the
-``profilecache.*`` section. Unreadable or malformed entries count as
+``profilecache.*`` section. Unreadable or damaged entries count as
 misses and are re-profiled, exactly like the point cache.
 """
 
@@ -21,9 +25,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
+import os
+import zipfile
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
+
+import numpy as np
 
 from ..obs import get_registry
 from ..trace.store import ColumnarTrace
@@ -34,6 +44,25 @@ __all__ = ["PROFILE_CACHE_VERSION", "AppProfileCache", "profile_key"]
 #: Bump whenever app-model or simulator changes alter what a profiling
 #: run records — stale traces must not survive a behavioral change.
 PROFILE_CACHE_VERSION = "2026.08-9"
+
+#: Per-process temp-name sequence (as in :mod:`repro.parallel.pointcache`):
+#: with the pid it makes every writer's temp file unique.
+_TMP_SEQ = itertools.count()
+
+#: What loading a damaged entry raises: the zip layer's structure and
+#: CRC-32 checks (``BadZipFile``; ``RuntimeError`` and its subclass
+#: ``NotImplementedError`` for flipped flag or compression fields),
+#: npy headers (``ValueError``, ``EOFError``), and missing or misaligned
+#: parts (``KeyError``, ``ValueError``, ``TypeError``, ``IndexError``).
+_DAMAGED = (
+    zipfile.BadZipFile,
+    EOFError,
+    RuntimeError,
+    ValueError,
+    KeyError,
+    TypeError,
+    IndexError,
+)
 
 
 def profile_key(
@@ -64,28 +93,48 @@ def profile_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _profile_doc(profile: AppProfile) -> dict:
+def _columnar(profile: AppProfile) -> ColumnarTrace:
     trace = profile.trace
     if not isinstance(trace, ColumnarTrace):
         # Scalar traces (e.g. hand-built in tests) encode through a
         # temporary columnar copy; materialization is bit-exact.
         trace = ColumnarTrace(iter(trace), name=trace.name)
+    return trace
+
+
+def _profile_doc(profile: AppProfile) -> dict:
     return {
         "name": profile.name,
         "runtime_s": profile.runtime_s,
         "queue_parallelism": profile.queue_parallelism,
         "cuda_calls_per_second": profile.cuda_calls_per_second,
-        "trace": trace.to_doc(),
+        "trace": _columnar(profile).to_doc(),
     }
 
 
-def _profile_from_doc(doc: dict) -> AppProfile:
+def _profile_arrays(profile: AppProfile) -> Dict[str, np.ndarray]:
+    """The ``np.savez`` members of one entry (trace arrays + header)."""
+    arrays, header = _columnar(profile).to_arrays()
+    header.update(
+        name=profile.name,
+        runtime_s=profile.runtime_s,
+        queue_parallelism=profile.queue_parallelism,
+        cuda_calls_per_second=profile.cuda_calls_per_second,
+    )
+    arrays["header"] = np.frombuffer(
+        json.dumps(header).encode("utf-8"), dtype=np.uint8
+    )
+    return arrays
+
+
+def _profile_from_arrays(arrays: Mapping[str, np.ndarray]) -> AppProfile:
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
     return AppProfile(
-        name=str(doc["name"]),
-        trace=ColumnarTrace.from_doc(doc["trace"]),
-        runtime_s=float(doc["runtime_s"]),
-        queue_parallelism=int(doc["queue_parallelism"]),
-        cuda_calls_per_second=float(doc["cuda_calls_per_second"]),
+        name=str(header["name"]),
+        trace=ColumnarTrace.from_arrays(arrays, header),
+        runtime_s=float(header["runtime_s"]),
+        queue_parallelism=int(header["queue_parallelism"]),
+        cuda_calls_per_second=float(header["cuda_calls_per_second"]),
     )
 
 
@@ -106,6 +155,9 @@ class AppProfileCache:
         self.misses = 0
         self.corrupt = 0
         self.writes = 0
+        #: Writes lost to a concurrent writer of the same entry (see
+        #: :meth:`put`).
+        self.write_races = 0
 
     @property
     def hit_rate(self) -> float:
@@ -116,22 +168,24 @@ class AppProfileCache:
     def path_for(self, app: str, config: Any) -> Path:
         """On-disk location of one profile's entry."""
         key = profile_key(app, config, self.version)
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}.npz"
 
     def get(self, app: str, config: Any) -> Optional[AppProfile]:
         """Cached profile for a config, or ``None`` on a miss."""
         path = self.path_for(app, config)
         reg = get_registry()
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             reg.counter("profilecache.misses").inc()
             return None
         try:
-            profile = _profile_from_doc(json.loads(text))
-        except (ValueError, KeyError, TypeError, IndexError):
-            # Torn/stale entry: treat as a miss and re-profile.
+            with np.load(io.BytesIO(data), allow_pickle=False) as entry:
+                arrays = {name: entry[name] for name in entry.files}
+            profile = _profile_from_arrays(arrays)
+        except _DAMAGED:
+            # Torn, bit-flipped or stale entry: a miss, re-profiled.
             self.corrupt += 1
             self.misses += 1
             reg.counter("profilecache.invalidated").inc()
@@ -145,34 +199,60 @@ class AppProfileCache:
         """Store one profile; returns the entry's path.
 
         Writes via a temporary file + rename so an interrupted run
-        never leaves a torn entry behind.
+        never leaves a torn entry behind. Concurrent writers of one
+        entry are handled like :meth:`repro.parallel.PointCache.put`:
+        the temp name is unique per writer, and an ``OSError`` during
+        the race is swallowed and counted in
+        ``write_races``/``profilecache.write_races`` — the key is
+        content-addressed, so the other writer stored the same profile.
         """
         path = self.path_for(app, config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(_profile_doc(profile)))
-        tmp.replace(path)
+        arrays = _profile_arrays(profile)
+        reg = get_registry()
+        tmp: Optional[Path] = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(
+                f"{path.name}.{os.getpid()}-{next(_TMP_SEQ)}.tmp"
+            )
+            with tmp.open("wb") as fh:
+                np.savez(fh, **arrays)
+            tmp.replace(path)
+        except OSError:
+            self.write_races += 1
+            reg.counter("profilecache.write_races").inc()
+            if tmp is not None:
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
+            return path
         self.writes += 1
-        get_registry().counter("profilecache.writes").inc()
+        reg.counter("profilecache.writes").inc()
         return path
 
     def __len__(self) -> int:
         """Number of entries currently stored."""
         if not self.root.exists():
             return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self.root.glob("*/*.npz"))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry; returns how many were removed.
+
+        Also removes what older formats and killed writers left behind
+        (``*.json`` entries, ``*.tmp`` files), which no lookup reads.
+        """
         removed = 0
         if not self.root.exists():
             return removed
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - racing deleter
-                pass
+        for pattern in ("*/*.npz", "*/*.json", "*/*.tmp"):
+            for entry in self.root.glob(pattern):
+                try:
+                    entry.unlink()
+                    removed += 1
+                except OSError:  # pragma: no cover - racing deleter
+                    pass
         for sub in self.root.glob("*"):
             if sub.is_dir():
                 try:

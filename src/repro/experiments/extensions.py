@@ -315,9 +315,9 @@ def run_graphs(ctx: ExperimentContext | None = None) -> ExperimentResult:
         headers=["slack [us]", "per-call overhead [%]",
                  "graph overhead [%]", "mitigation factor"],
     )
+    base_calls = run(0.0, False)
+    base_graph = run(0.0, True)
     for slack in (1e-5, 1e-4, 1e-3):
-        base_calls = run(0.0, False)
-        base_graph = run(0.0, True)
         over_calls = 100 * (run(slack, False) / base_calls - 1)
         over_graph = 100 * (run(slack, True) / base_graph - 1)
         table.add_row(

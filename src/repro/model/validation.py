@@ -19,7 +19,7 @@ import numpy as np
 
 from ..apps.base import AppProfile
 from ..network import SlackModel
-from ..proxy import ProxyConfig, SlackResponseSurface, run_proxy
+from ..proxy import ProxyConfig, ProxyResult, SlackResponseSurface, run_proxy
 from .predictor import CDIProfiler
 
 __all__ = ["SelfValidationResult", "validate_self_prediction", "validation_report"]
@@ -48,18 +48,19 @@ class SelfValidationResult:
 
 
 def _proxy_profile(
-    config: ProxyConfig, duration_jitter: float = 0.0,
+    config: ProxyConfig,
+    baseline: ProxyResult,
+    duration_jitter: float = 0.0,
     seed: int = 7,
 ) -> AppProfile:
-    """Build an AppProfile from a zero-slack proxy run.
+    """Build an AppProfile from the zero-slack proxy run ``baseline``.
 
     ``duration_jitter`` optionally perturbs the traced kernel
     durations and transfer sizes the way real measurement noise would,
     which pushes observations off the exact grid points and exercises
     the lower/upper bracketing the way real application traces do.
     """
-    result = run_proxy(config, SlackModel.none())
-    trace = result.trace
+    trace = baseline.trace
     if duration_jitter > 0:
         from ..trace import Trace, TraceEvent
 
@@ -81,10 +82,10 @@ def _proxy_profile(
     return AppProfile(
         name=f"proxy-n{config.matrix_size}",
         trace=trace,
-        runtime_s=result.loop_runtime_s,
+        runtime_s=baseline.loop_runtime_s,
         queue_parallelism=config.threads,
         cuda_calls_per_second=(
-            result.cuda_calls * config.threads / result.loop_runtime_s
+            baseline.cuda_calls * config.threads / baseline.loop_runtime_s
         ),
     )
 
@@ -98,22 +99,36 @@ def validate_self_prediction(
     duration_jitter: float = 0.0,
     profiler: Optional[CDIProfiler] = None,
 ) -> SelfValidationResult:
-    """Predict the proxy's own penalty from its trace and compare."""
+    """Predict the proxy's own penalty from its trace and compare.
+
+    The zero-slack baseline run is both the penalty's denominator and
+    the traced profile the prediction reads.
+    """
     config = ProxyConfig(
         matrix_size=matrix_size, threads=threads, iterations=iterations
     )
-    baseline = run_proxy(config, SlackModel.none())
+    return _validate(
+        config, run_proxy(config, SlackModel.none()), slack_s,
+        duration_jitter, profiler or CDIProfiler(surface),
+    )
+
+
+def _validate(
+    config: ProxyConfig,
+    baseline: ProxyResult,
+    slack_s: float,
+    duration_jitter: float,
+    profiler: CDIProfiler,
+) -> SelfValidationResult:
     run = run_proxy(config, SlackModel(slack_s))
     actual = max(
         0.0, run.corrected_runtime_s / baseline.loop_runtime_s - 1.0
     )
-
-    profile = _proxy_profile(config, duration_jitter)
-    profiler = profiler or CDIProfiler(surface)
-    prediction = profiler.predict(profile, slack_s, parallelism=threads)
+    profile = _proxy_profile(config, baseline, duration_jitter)
+    prediction = profiler.predict(profile, slack_s, parallelism=config.threads)
     return SelfValidationResult(
-        matrix_size=matrix_size,
-        threads=threads,
+        matrix_size=config.matrix_size,
+        threads=config.threads,
         slack_s=slack_s,
         actual_penalty=actual,
         predicted_lower=prediction.lower,
@@ -129,12 +144,20 @@ def validation_report(
     iterations: Optional[int] = None,
     duration_jitter: float = 0.0,
 ) -> List[SelfValidationResult]:
-    """Self-validate over a grid of proxy configurations."""
+    """Self-validate over a grid of proxy configurations.
+
+    Each matrix size's zero-slack baseline is simulated once and shared
+    by all of its slack values.
+    """
     profiler = CDIProfiler(surface)
-    return [
-        validate_self_prediction(
-            surface, n, s, threads, iterations, duration_jitter, profiler
+    results = []
+    for n in matrix_sizes:
+        config = ProxyConfig(
+            matrix_size=n, threads=threads, iterations=iterations
         )
-        for n in matrix_sizes
-        for s in slack_values_s
-    ]
+        baseline = run_proxy(config, SlackModel.none())
+        results.extend(
+            _validate(config, baseline, s, duration_jitter, profiler)
+            for s in slack_values_s
+        )
+    return results

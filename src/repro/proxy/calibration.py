@@ -9,6 +9,7 @@ still get enough repetitions and huge kernels don't run for hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..des import Environment
 from ..gpusim import CudaRuntime, matmul_kernel
@@ -29,6 +30,12 @@ TARGET_COMPUTE_SECONDS = 30.0
 #: The paper's iteration-count bounds.
 ITERATION_FLOOR = 5
 ITERATION_CEILING = 1000
+
+#: Per-process memo of :func:`time_single_kernel`. The timing is a pure
+#: function of its arguments (the specs are frozen dataclasses), and
+#: sweeps, Table II and the predictor's marks ask for the same handful
+#: of sizes dozens of times per run.
+_KERNEL_TIMES: Dict[Tuple[int, GPUSpec, PCIeSpec, int], float] = {}
 
 
 def calibrate_iterations(
@@ -67,8 +74,14 @@ def time_single_kernel(
     the structural few-microsecond re-priming cost after the host-side
     call turnaround, so calibrating this way makes the Table II marks
     line up exactly with the kernel durations loop traces show — which
-    is what the binning of Section IV-D compares against.
+    is what the binning of Section IV-D compares against. Memoized per
+    process: a repeated call returns the identical float without
+    re-simulating.
     """
+    key = (matrix_size, gpu, pcie, dtype_bytes)
+    cached = _KERNEL_TIMES.get(key)
+    if cached is not None:
+        return cached
     from ..trace import CopyKind  # local import to avoid cycles
 
     env = Environment()
@@ -85,8 +98,9 @@ def time_single_kernel(
 
     env.process(host())
     env.run()
-    kernels = rt.tracer.trace.kernels()
-    return float(kernels[0].duration)
+    kernel_time = float(rt.tracer.trace.kernels()[0].duration)
+    _KERNEL_TIMES[key] = kernel_time
+    return kernel_time
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -59,6 +60,14 @@ _COPY_CODE: Dict[CopyKind, int] = {c: i for i, c in enumerate(_COPIES)}
 _NONE = -1
 
 _MEMCPY_CODE = _KIND_CODE[EventKind.MEMCPY]
+
+#: The per-row numpy columns of a :class:`ColumnStore`.
+_COLUMNS = ("start", "end", "stream", "nbytes", "corr", "thread",
+            "kind", "name_code", "copy")
+
+#: Bounds of a meta value that may live in an int64 column.
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 class ColumnStore:
@@ -131,8 +140,7 @@ class ColumnStore:
 
     def _grow(self) -> None:
         new_cap = self.capacity * 2
-        for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                    "kind", "name_code", "copy"):
+        for col in _COLUMNS:
             old = getattr(self, col)
             grown = np.empty(new_cap, dtype=old.dtype)
             grown[: self.n] = old[: self.n]
@@ -227,8 +235,7 @@ class ColumnStore:
         if i + m > self.capacity:
             while self.capacity < i + m:
                 self.capacity *= 2
-            for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                        "kind", "name_code", "copy"):
+            for col in _COLUMNS:
                 old = getattr(self, col)
                 grown = np.empty(self.capacity, dtype=old.dtype)
                 grown[:i] = old[:i]
@@ -270,11 +277,7 @@ class ColumnStore:
     @property
     def nbytes_allocated(self) -> int:
         """Bytes currently held by the numpy columns (== peak)."""
-        return sum(
-            getattr(self, col).nbytes
-            for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                        "kind", "name_code", "copy")
-        )
+        return sum(getattr(self, col).nbytes for col in _COLUMNS)
 
     def stats(self) -> Dict[str, float]:
         """Flat metrics for ``repro.obs`` (``trace.store.*`` section)."""
@@ -308,24 +311,164 @@ class ColumnStore:
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "ColumnStore":
         """Rebuild a store from :meth:`to_doc` output (bit-exact)."""
-        n = len(doc["start"])
+        metas = doc.get("metas", [])
+        return cls._assemble(
+            doc,
+            doc["names"],
+            [int(row) for row, _ in metas],
+            [dict(meta) for _, meta in metas],
+        )
+
+    def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """Binary twin of :meth:`to_doc`: numpy arrays plus a JSON header.
+
+        The arrays hold the nine columns (append order) and the metas as
+        columns: ``meta_rows`` lists the rows with a non-empty meta,
+        ``meta_pattern`` codes each such row's key sequence (one entry
+        of the header's ``meta_patterns`` per distinct sequence, so key
+        order survives), and ``meta_<i>`` holds the values of key ``i``
+        of ``meta_keys`` over the rows carrying it, in row order, when
+        they are all ``int`` (int64) or all ``float`` (float64). Any
+        other key keeps its values as a JSON list at position ``i`` of
+        the header's ``meta_json`` (``None`` marks an array key).
+        :meth:`from_arrays` restores every value with its exact type.
+        """
+        n = self.n
+        arrays = {col: getattr(self, col)[:n] for col in _COLUMNS}
+        patterns: Dict[Tuple[str, ...], int] = {}
+        rows: List[int] = []
+        codes: List[int] = []
+        values: Dict[str, List[Any]] = {}
+        for row, meta in enumerate(self.metas):
+            if meta:
+                rows.append(row)
+                codes.append(patterns.setdefault(tuple(meta), len(patterns)))
+                for key, value in meta.items():
+                    values.setdefault(key, []).append(value)
+        arrays["meta_rows"] = np.array(rows, dtype=np.int64)
+        arrays["meta_pattern"] = np.array(codes, dtype=np.int32)
+        meta_json: List[Optional[List[Any]]] = []
+        for i, column in enumerate(values.values()):
+            packed = _numeric_column(column)
+            if packed is None:
+                meta_json.append(column)
+            else:
+                arrays[f"meta_{i}"] = packed
+                meta_json.append(None)
+        header = {
+            "names": list(self._names),
+            "meta_patterns": [list(p) for p in patterns],
+            "meta_keys": list(values),
+            "meta_json": meta_json,
+        }
+        return arrays, header
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], header: Dict[str, Any]
+    ) -> "ColumnStore":
+        """Rebuild a store from :meth:`to_arrays` output (bit-exact).
+
+        Every part must be present and line up — a missing array or
+        header key, a column of the wrong length or a meta column that
+        does not match its rows raises ``KeyError``/``ValueError``, so
+        a damaged entry never decodes to a different store.
+        """
+        keys = header["meta_keys"]
+        columns = [
+            arrays[f"meta_{i}"] if stored is None else stored
+            for i, stored in enumerate(header["meta_json"])
+        ]
+        if len(columns) != len(keys):
+            raise ValueError("meta keys and meta columns disagree")
+        position = {key: i for i, key in enumerate(keys)}
+        patterns = [
+            [position[key] for key in p] for p in header["meta_patterns"]
+        ]
+        rows = arrays["meta_rows"]
+        codes = arrays["meta_pattern"]
+        if rows.shape != codes.shape:
+            raise ValueError("meta rows and meta patterns disagree")
+        # A key's column runs over the meta rows whose pattern carries
+        # the key, so a row's slot in it is the running count of them.
+        carries = np.zeros((len(keys), len(patterns)), dtype=bool)
+        for p, members in enumerate(patterns):
+            carries[members, p] = True
+        slots = []
+        for i, column in enumerate(columns):
+            has = carries[i][codes]
+            if int(has.sum()) != len(column):
+                raise ValueError(
+                    f"meta column {keys[i]!r} does not match its rows"
+                )
+            slots.append(np.cumsum(has) - 1)
+        # Decode pattern by pattern; ``order`` holds the rows of ``metas``.
+        order: List[np.ndarray] = []
+        metas: List[Dict[str, Any]] = []
+        for p, members in enumerate(patterns):
+            where = np.flatnonzero(codes == p)
+            order.append(rows[where])
+            values = [_take(columns[i], slots[i][where]) for i in members]
+            if len(members) == 1:  # the common case, without zip per row
+                key = keys[members[0]]
+                metas.extend([{key: v} for v in values[0]])
+            else:
+                pattern_keys = [keys[i] for i in members]
+                metas.extend(dict(zip(pattern_keys, v)) for v in zip(*values))
+        return cls._assemble(
+            arrays,
+            header["names"],
+            np.concatenate(order) if order else rows,
+            metas,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        columns: Mapping[str, Any],
+        names: Sequence[str],
+        meta_rows: Sequence[int],
+        metas: List[Dict[str, Any]],
+    ) -> "ColumnStore":
+        """The one rebuild path: columns, interned names, row metas."""
+        n = len(columns["start"])
         store = cls(capacity=max(1, n))
         store.n = n
-        store.start[:n] = np.asarray(doc["start"], dtype=np.float64)
-        store.end[:n] = np.asarray(doc["end"], dtype=np.float64)
-        store.stream[:n] = np.asarray(doc["stream"], dtype=np.int64)
-        store.nbytes[:n] = np.asarray(doc["nbytes"], dtype=np.int64)
-        store.corr[:n] = np.asarray(doc["corr"], dtype=np.int64)
-        store.thread[:n] = np.asarray(doc["thread"], dtype=np.int64)
-        store.kind[:n] = np.asarray(doc["kind"], dtype=np.int8)
-        store.name_code[:n] = np.asarray(doc["name_code"], dtype=np.int32)
-        store.copy[:n] = np.asarray(doc["copy"], dtype=np.int8)
-        store._names = [str(s) for s in doc["names"]]
+        for col in _COLUMNS:
+            dest = getattr(store, col)
+            values = np.asarray(columns[col], dtype=dest.dtype)
+            if values.shape != (n,):
+                raise ValueError(f"column {col!r} does not hold {n} rows")
+            dest[:n] = values
+        store._names = [str(s) for s in names]
         store._name_codes = {s: i for i, s in enumerate(store._names)}
-        store.metas = [None] * n
-        for row, meta in doc.get("metas", []):
-            store.metas[int(row)] = dict(meta)
+        placed = np.full(n, None, dtype=object)
+        placed[np.asarray(meta_rows, dtype=np.intp)] = metas
+        store.metas = placed.tolist()
         return store
+
+
+def _take(
+    column: Union[np.ndarray, List[Any]], index: np.ndarray
+) -> List[Any]:
+    """``column[index]`` as Python values (array or JSON list column)."""
+    if isinstance(column, np.ndarray):
+        return column[index].tolist()
+    return [column[j] for j in index.tolist()]
+
+
+def _numeric_column(values: List[Any]) -> Optional[np.ndarray]:
+    """``values`` as an exact int64/float64 array, or None if they are not
+    all ``int`` within int64 or all ``float`` (bool, str, None, ... fall
+    back to JSON)."""
+    kinds = {type(v) for v in values}
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {int} and (
+        _INT64_MIN <= min(values) and max(values) <= _INT64_MAX
+    ):
+        return np.array(values, dtype=np.int64)
+    return None
 
 
 class ColumnarTrace(Trace):
@@ -671,4 +814,22 @@ class ColumnarTrace(Trace):
         """Rebuild a trace from :meth:`to_doc` output."""
         return cls(
             name=str(doc.get("name", "")), store=ColumnStore.from_doc(doc)
+        )
+
+    def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """Binary twin of :meth:`to_doc` (:meth:`ColumnStore.to_arrays`)."""
+        if self._selection is not None:
+            raise TypeError("only a root trace can be serialized")
+        arrays, header = self._store.to_arrays()
+        header["trace_name"] = self.name
+        return arrays, header
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], header: Dict[str, Any]
+    ) -> "ColumnarTrace":
+        """Rebuild a trace from :meth:`to_arrays` output."""
+        return cls(
+            name=str(header["trace_name"]),
+            store=ColumnStore.from_arrays(arrays, header),
         )

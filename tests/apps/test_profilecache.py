@@ -1,8 +1,12 @@
 """The content-addressed application-profile cache."""
 
 import dataclasses
+import io
 import json
+import zipfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.apps import (
@@ -12,6 +16,8 @@ from repro.apps import (
     profile_key,
 )
 from repro.apps.lammps import LammpsProfileConfig
+from repro.apps.profilecache import _profile_doc
+from repro.experiments import ExperimentContext
 from repro.obs import collecting
 from repro.trace import ColumnarTrace, CopyKind, EventKind, Trace, TraceEvent
 
@@ -30,6 +36,10 @@ def small_profile(name="app"):
         queue_parallelism=2,
         cuda_calls_per_second=1234.5,
     )
+
+
+def profile_doc_json(profile):
+    return json.dumps(_profile_doc(profile), sort_keys=True)
 
 
 @pytest.fixture
@@ -105,19 +115,43 @@ class TestRoundTrip:
     def test_corrupt_entry_is_a_miss(self, cache):
         cfg = LammpsProfileConfig()
         cache.put("lammps", cfg, small_profile())
-        cache.path_for("lammps", cfg).write_text("{not json")
+        path = cache.path_for("lammps", cfg)
+        clean = path.read_bytes()
+        path.write_text("{not json")
         assert cache.get("lammps", cfg) is None
         assert cache.corrupt == 1 and cache.misses == 1
+        # One flipped bit in the last float of the ``start`` column: the
+        # zip CRC-32 rejects it instead of serving a wrong trace row.
+        _, end = _member_spans(clean)[0]["start.npy"]
+        damaged = bytearray(clean)
+        damaged[end - 8] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        assert cache.get("lammps", cfg) is None
+        assert cache.corrupt == 2 and cache.misses == 2
 
     def test_truncated_doc_is_a_miss(self, cache):
+        # An entry missing a required part — a column, a meta array or
+        # a header key — is a miss, never a profile with holes.
         cfg = LammpsProfileConfig()
         cache.put("lammps", cfg, small_profile())
         path = cache.path_for("lammps", cfg)
-        doc = json.loads(path.read_text())
-        del doc["trace"]
-        path.write_text(json.dumps(doc))
-        assert cache.get("lammps", cfg) is None
-        assert cache.corrupt == 1
+        with np.load(path, allow_pickle=False) as entry:
+            members = {name: entry[name] for name in entry.files}
+        header = json.loads(members["header"].tobytes())
+        for dropped in ("start", "meta_rows", "runtime_s", "names"):
+            arrays = dict(members)
+            if dropped in arrays:
+                del arrays[dropped]
+            else:
+                partial = {k: v for k, v in header.items() if k != dropped}
+                arrays["header"] = np.frombuffer(
+                    json.dumps(partial).encode(), dtype=np.uint8
+                )
+            with path.open("wb") as fh:
+                np.savez(fh, **arrays)
+            corrupt = cache.corrupt
+            assert cache.get("lammps", cfg) is None, dropped
+            assert cache.corrupt == corrupt + 1
 
     def test_clear_and_len(self, cache):
         cfg = LammpsProfileConfig()
@@ -127,6 +161,187 @@ class TestRoundTrip:
         assert cache.clear() == 2
         assert len(cache) == 0
         assert cache.get("lammps", cfg) is None
+
+    def test_clear_removes_legacy_entries_and_orphaned_temps(self, cache):
+        cfg = LammpsProfileConfig()
+        path = cache.put("lammps", cfg, small_profile())
+        legacy = path.with_suffix(".json")
+        legacy.write_text("{}")  # an entry of the old JSON format
+        orphan = path.with_name(f"{path.name}.4242-0.tmp")
+        orphan.write_bytes(b"PK")  # a killed writer's temp file
+        # Only live .npz entries count; the dead files are never read.
+        assert len(cache) == 1
+        assert cache.get("lammps", cfg) is not None
+        assert cache.clear() == 3
+        assert not legacy.exists() and not orphan.exists()
+        assert list(cache.root.iterdir()) == []
+
+
+def _member_spans(data):
+    """Byte range of every zip member's stored bytes (npy header and
+    data) — exactly what the member's CRC-32 covers."""
+    spans = {}
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for info in archive.infolist():
+            local = info.header_offset
+            name_len = int.from_bytes(data[local + 26:local + 28], "little")
+            extra_len = int.from_bytes(data[local + 28:local + 30], "little")
+            start = local + 30 + name_len + extra_len
+            spans[info.filename] = (start, start + info.compress_size)
+        directory = archive.start_dir
+    return spans, directory
+
+
+@pytest.fixture(scope="module")
+def inference_entry(tmp_path_factory):
+    """A real quick ``inference`` profile: its entry bytes, config and
+    canonical document."""
+    ctx = ExperimentContext(cache_dir=tmp_path_factory.mktemp("clean"))
+    profile = ctx.app_profile("inference")
+    cfg = ctx.app_config("inference")
+    path = ctx.profile_cache().path_for("inference", cfg)
+    return path.read_bytes(), cfg, profile_doc_json(profile)
+
+
+class TestCrashConsistency:
+    """Damaged entries end as counted misses, never as different content."""
+
+    def test_bit_flips_never_serve_different_content(
+        self, inference_entry, tmp_path
+    ):
+        clean, cfg, clean_doc = inference_entry
+        cache = AppProfileCache(tmp_path)
+        path = cache.path_for("inference", cfg)
+        path.parent.mkdir(parents=True)
+        spans, directory = _member_spans(clean)
+        rng = np.random.default_rng(2026)
+        # Seeded flips in every member (header, columns, meta arrays),
+        # in the zip directory, and anywhere in the file.
+        positions = [
+            int(rng.integers(lo, hi)) for lo, hi in spans.values()
+            for _ in range(6)
+        ]
+        positions += [
+            int(rng.integers(directory, len(clean))) for _ in range(60)
+        ]
+        positions += [int(rng.integers(0, len(clean))) for _ in range(60)]
+        misses = 0
+        for pos in positions:
+            damaged = bytearray(clean)
+            damaged[pos] ^= 1 << int(rng.integers(8))
+            path.write_bytes(bytes(damaged))
+            got = cache.get("inference", cfg)
+            if got is None:
+                misses += 1
+                continue
+            # Zip fields the reader never uses (timestamps, version
+            # fields, local copies of sizes) cannot change content.
+            assert not any(lo <= pos < hi for lo, hi in spans.values()), pos
+            assert profile_doc_json(got) == clean_doc, pos
+        assert cache.corrupt == cache.misses == misses
+        assert misses >= len(spans) * 6
+
+    @pytest.mark.parametrize("keep", [0, 3, 22, 100, 0.25, 0.5, 0.9, -22, -1])
+    def test_truncation_is_a_counted_miss(
+        self, inference_entry, tmp_path, keep
+    ):
+        clean, cfg, _ = inference_entry
+        cache = AppProfileCache(tmp_path)
+        path = cache.path_for("inference", cfg)
+        path.parent.mkdir(parents=True)
+        cut = int(len(clean) * keep) if isinstance(keep, float) else keep
+        path.write_bytes(clean[:cut])
+        with collecting() as reg:
+            assert cache.get("inference", cfg) is None
+            assert reg.counter("profilecache.invalidated").value == 1
+        assert cache.corrupt == cache.misses == 1
+
+    def test_damaged_entry_is_reprofiled_to_the_clean_result(
+        self, inference_entry, tmp_path
+    ):
+        clean, cfg, clean_doc = inference_entry
+        spans, _ = _member_spans(clean)
+        lo, hi = spans["start.npy"]
+        for damage in (
+            clean[: len(clean) // 2],
+            clean[:lo + (hi - lo) // 2]
+            + bytes([clean[lo + (hi - lo) // 2] ^ 0x10])
+            + clean[lo + (hi - lo) // 2 + 1:],
+        ):
+            root = tmp_path / str(len(damage))
+            path = AppProfileCache(root / "profiles").path_for("inference", cfg)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(damage)
+            with collecting() as reg:
+                again = ExperimentContext(cache_dir=root).app_profile("inference")
+                assert reg.counter("profilecache.invalidated").value == 1
+                assert reg.counter("profilecache.writes").value == 1
+            assert profile_doc_json(again) == clean_doc
+            warm = ExperimentContext(cache_dir=root).app_profile("inference")
+            assert profile_doc_json(warm) == clean_doc
+            assert path.read_bytes() == clean
+
+    def test_killed_writers_temp_file_is_a_miss(self, inference_entry, tmp_path):
+        clean, cfg, clean_doc = inference_entry
+        cache = AppProfileCache(tmp_path / "profiles")
+        path = cache.path_for("inference", cfg)
+        path.parent.mkdir(parents=True)
+        leftover = path.with_name(f"{path.name}.4242-0.tmp")
+        leftover.write_bytes(clean[: len(clean) // 3])
+        assert cache.get("inference", cfg) is None
+        assert cache.misses == 1 and cache.corrupt == 0 and len(cache) == 0
+        again = ExperimentContext(cache_dir=tmp_path).app_profile("inference")
+        assert profile_doc_json(again) == clean_doc
+        loaded = cache.get("inference", cfg)
+        assert profile_doc_json(loaded) == clean_doc
+        assert len(cache) == 1
+        assert cache.clear() == 2 and not leftover.exists()
+
+
+class TestConcurrentWrites:
+    """put() survives racing writers of one entry, like the point cache."""
+
+    def test_writer_finishing_inside_anothers_write(
+        self, cache, monkeypatch
+    ):
+        # Writer B runs a whole put() while writer A is mid-write.
+        cfg = LammpsProfileConfig()
+        profile = small_profile()
+        other = AppProfileCache(cache.root)
+        real_savez = np.savez
+        nested = []
+
+        def interleaved(fh, **arrays):
+            if not nested:
+                nested.append(None)
+                nested.append(other.put("lammps", cfg, profile))
+            real_savez(fh, **arrays)
+
+        monkeypatch.setattr(np, "savez", interleaved)
+        path = cache.put("lammps", cfg, profile)  # must not raise
+        assert nested == [None, path]
+        assert cache.writes == other.writes == 1
+        assert cache.write_races == other.write_races == 0
+        assert list(cache.root.rglob("*.tmp")) == []
+        loaded = cache.get("lammps", cfg)
+        assert profile_doc_json(loaded) == profile_doc_json(profile)
+
+    def test_lost_race_is_counted_not_raised(self, cache, monkeypatch):
+        cfg = LammpsProfileConfig()
+
+        def racing_replace(self, target):
+            raise FileNotFoundError(target)  # temp renamed away mid-race
+
+        monkeypatch.setattr(Path, "replace", racing_replace)
+        with collecting() as reg:
+            path = cache.put("lammps", cfg, small_profile())
+            assert reg.counter("profilecache.write_races").value == 1
+        assert cache.write_races == 1 and cache.writes == 0
+        assert list(cache.root.rglob("*.tmp")) == []
+
+        monkeypatch.undo()
+        assert cache.put("lammps", cfg, small_profile()) == path
+        assert cache.writes == 1 and cache.get("lammps", cfg) is not None
 
 
 class TestMetrics:

@@ -225,6 +225,23 @@ class TestValidation:
         for row in jt.rows:
             assert row[4] >= row[3]  # jittered upper >= exact upper
 
+    def test_each_distinct_run_simulated_once(self, ctx, monkeypatch):
+        # 3 zero-slack baselines + 6 slack runs for the main table, and
+        # one baseline + one slack run per row of the jitter table.
+        from repro.model import validation
+
+        calls = []
+        real = validation.run_proxy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        ctx.surface()
+        monkeypatch.setattr(validation, "run_proxy", counting)
+        run_experiment("validation", ctx)
+        assert len(calls) <= 13
+
 
 class TestFigure1:
     def test_slack_grows_with_scale(self, ctx):

@@ -105,6 +105,22 @@ class TestGraphs:
         # One call instead of five: ~5x less slack exposure.
         assert all(4.0 < f < 7.0 for f in factors)
 
+    def test_baselines_simulated_once(self, ctx, monkeypatch):
+        # Two slack-free baselines plus per-call and graph runs at each
+        # of the three slack values.
+        from repro.experiments import extensions
+
+        built = []
+
+        class CountingEnvironment(extensions.Environment):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(extensions, "Environment", CountingEnvironment)
+        run_experiment("ext_graphs", ctx)
+        assert len(built) == 8
+
 
 class TestThroughput:
     def test_cdi_wins_on_every_metric(self, ctx):

@@ -44,6 +44,36 @@ class TestCalibration:
         t_large = time_single_kernel(8192)
         assert t_large > t_small * 100
 
+    def test_single_kernel_timing_is_memoized(self, monkeypatch):
+        import dataclasses
+
+        from repro.hw import A100_SXM4_40GB, PCIE_GEN4_X16
+        from repro.proxy import calibration
+
+        monkeypatch.setattr(calibration, "_KERNEL_TIMES", {})
+        built = []
+
+        class CountingEnvironment(calibration.Environment):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "Environment", CountingEnvironment)
+        first = time_single_kernel(1024)
+        assert len(built) == 1
+        # The second call returns the identical float, simulating nothing.
+        assert time_single_kernel(1024) is first
+        assert len(built) == 1
+        # Any other spec is its own entry.
+        slow_link = dataclasses.replace(PCIE_GEN4_X16, lanes=8)
+        time_single_kernel(1024, pcie=slow_link)
+        assert len(built) == 2
+        slow_gpu = dataclasses.replace(A100_SXM4_40GB, fp32_tflops=9.75)
+        assert time_single_kernel(1024, gpu=slow_gpu) > first
+        assert len(built) == 3
+        assert time_single_kernel(1024, pcie=slow_link) is not None
+        assert len(built) == 3
+
     def test_calibrate_matrix_size_bundle(self):
         cal = calibrate_matrix_size(2**13)
         assert cal.matrix_size == 8192

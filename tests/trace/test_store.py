@@ -8,10 +8,13 @@ views, vectorized summaries, timeline analysis, JSON round-trips —
 must match **bit for bit**.
 """
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import (
     ColumnarTrace,
@@ -335,3 +338,83 @@ class TestBulkAppend:
         assert store.stats()["events"] == 1000
         assert store.stats()["growths"] == 1  # one doubling sweep
         assert store.capacity == 1024
+
+
+#: Meta values of every type the array encoding distinguishes: ints
+#: (beyond int64 too), floats (nan, inf and -0.0 too), strings, and the
+#: bools and None that must not pass for numbers.
+_META_VALUES = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=4), st.booleans(), st.none()
+)
+
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(list(EventKind)),
+        st.sampled_from(NAMES),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1e-2),
+        st.one_of(st.none(), st.integers(0, 7)),
+        st.sampled_from(list(CopyKind)),
+        st.integers(0, 1 << 40),
+        st.dictionaries(
+            st.sampled_from(["cost", "layer", "n", "api", "x"]),
+            _META_VALUES,
+            max_size=4,
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestArrayRoundTrip:
+    """to_arrays -> np.savez -> np.load -> from_arrays is invisible."""
+
+    @staticmethod
+    def _round_trip(store):
+        arrays, header = store.to_arrays()
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        buffer.seek(0)
+        with np.load(buffer, allow_pickle=False) as entry:
+            loaded = {name: entry[name] for name in entry.files}
+        return ColumnStore.from_arrays(loaded, json.loads(json.dumps(header)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ROWS)
+    def test_to_doc_survives_the_array_round_trip(self, rows):
+        trace = ColumnarTrace(name="t")
+        for kind, name, start, duration, stream, copy, nbytes, meta in rows:
+            trace.record_fast(
+                kind, name, start, start + duration, stream=stream,
+                nbytes=nbytes,
+                copy_kind=copy if kind is EventKind.MEMCPY else None,
+                meta=meta,
+            )
+        before = trace.store.to_doc()
+        after = self._round_trip(trace.store).to_doc()
+        # repr tells int from float, -0.0 from 0.0 and keeps key order.
+        assert repr(after) == repr(before)
+
+    def test_empty_store(self):
+        again = self._round_trip(ColumnStore())
+        assert again.n == 0 and again.to_doc() == ColumnStore().to_doc()
+
+    def test_root_trace_round_trip_keeps_its_name(self):
+        _, columnar = build_both(random_events(3))
+        arrays, header = columnar.to_arrays()
+        again = ColumnarTrace.from_arrays(arrays, header)
+        assert again.name == columnar.name
+        assert again.events_in_record_order() == (
+            columnar.events_in_record_order()
+        )
+        with pytest.raises(TypeError, match="root trace"):
+            columnar.kernels().to_arrays()
+
+    def test_misaligned_meta_columns_are_rejected(self):
+        _, columnar = build_both(random_events(3))
+        arrays, header = columnar.store.to_arrays()
+        short = dict(arrays, meta_0=arrays["meta_0"][:-1])
+        with pytest.raises(ValueError, match="meta column"):
+            ColumnStore.from_arrays(short, header)
+        with pytest.raises(ValueError, match="does not hold"):
+            ColumnStore.from_arrays(dict(arrays, end=arrays["end"][:1]), header)
