@@ -30,7 +30,7 @@ GRID = dict(
 
 
 def test_bench_sweep_engine(benchmark, bench_extra):
-    sequential = run_slack_sweep(**GRID, workers=1)
+    sequential = run_slack_sweep(**GRID)
 
     workers = os.cpu_count() or 1
     if workers == 1:
@@ -39,7 +39,7 @@ def test_bench_sweep_engine(benchmark, bench_extra):
         # record a structured skip instead of null speedups (a null
         # is indistinguishable from "the leg never ran").
         parallel = benchmark.pedantic(
-            lambda: run_slack_sweep(**GRID, workers=1),
+            lambda: run_slack_sweep(**GRID),
             rounds=1,
             iterations=1,
         )
@@ -53,7 +53,7 @@ def test_bench_sweep_engine(benchmark, bench_extra):
         return
 
     parallel = benchmark.pedantic(
-        lambda: run_slack_sweep(**GRID, workers=workers),
+        lambda: run_slack_sweep(**GRID, options=SweepOptions(workers=workers)),
         rounds=1,
         iterations=1,
     )
@@ -162,10 +162,12 @@ FF_GRID = dict(
 
 
 def test_bench_fastforward(benchmark, bench_extra):
-    full = run_slack_sweep(**FF_GRID, fast_forward=False)
+    full = run_slack_sweep(**FF_GRID, options=SweepOptions(fast_forward=False))
 
     fast = benchmark.pedantic(
-        lambda: run_slack_sweep(**FF_GRID, fast_forward=True),
+        lambda: run_slack_sweep(
+            **FF_GRID, options=SweepOptions(fast_forward=True)
+        ),
         rounds=1,
         iterations=1,
     )

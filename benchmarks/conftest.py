@@ -96,7 +96,7 @@ def pytest_sessionfinish(session, exitstatus):
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "workers": ctx.workers if ctx is not None else None,
+        "workers": ctx.options.workers if ctx is not None else None,
         "experiments": {
             _experiment_name(nodeid): round(duration, 4)
             for nodeid, duration in sorted(_DURATIONS.items())

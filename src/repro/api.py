@@ -3,11 +3,10 @@
 ``repro.api`` is the supported import surface: everything listed in
 ``__all__`` here follows the compatibility policy in
 ``docs/api.md`` — names are only removed after a deprecation cycle
-(one release of ``DeprecationWarning``), execution knobs are
-keyword-only with one canonical spelling (``workers=``, ``cache=``,
-or the :class:`SweepOptions` bundle carrying all of them), and new
-releases may *add* names but never change the meaning of existing
-ones.
+(one release of ``DeprecationWarning``), sweep execution knobs have
+one spelling (the :class:`SweepOptions` bundle, passed as
+``options=``), and new releases may *add* names but never change the
+meaning of existing ones.
 
 **The front door is the serving layer.** Most consumers of this
 reproduction want a penalty number, not a simulation:
@@ -38,7 +37,7 @@ sweeps & experiments
     the serving layer), :func:`run_slack_sweep`,
     :class:`SweepOptions` (the one bundle for the ``workers`` /
     ``cache`` / ``fast_forward`` / ``faults`` / ``adaptive`` / ``tol``
-    knobs, accepted as ``options=`` everywhere those knobs appear),
+    knobs, accepted as ``options=`` by every sweep entry point),
     :class:`SweepResult`, :class:`SweepTiming`,
     :class:`SlackResponseSurface`, :func:`run_experiment`,
     :func:`run_all`, :class:`CDIProfiler`, :class:`SlackPrediction`.
@@ -107,17 +106,11 @@ observability
     :func:`get_registry`, :func:`collecting` (the serving layer
     publishes under ``serve.*`` and reports ``kind="serve"``).
 
-Deprecated aliases (served with a :class:`DeprecationWarning` via
-module ``__getattr__``, removed after one release): ``Surrogate`` →
-:class:`SurrogateModel`. Legacy *call forms* — positional grid
-arguments to :func:`run_slack_sweep`, ``use_cache=`` on
-:class:`ExperimentContext` — likewise warn for one release.
+No deprecated aliases or legacy call forms remain; ``docs/api.md``
+lists the removed spellings and their replacements.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Any
 
 from . import __version__
 from .apps import (
@@ -366,21 +359,3 @@ __all__ = [
     "get_registry",
     "collecting",
 ]
-
-#: Renamed symbols still served (with a warning) for one release.
-_DEPRECATED_ALIASES = {
-    "Surrogate": ("SurrogateModel", SurrogateModel),
-}
-
-
-def __getattr__(name: str) -> Any:
-    """PEP 562 shim: deprecated aliases warn once per call site."""
-    if name in _DEPRECATED_ALIASES:
-        canonical, value = _DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated; use repro.api.{canonical}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

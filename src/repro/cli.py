@@ -354,16 +354,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
 
-    workers = _resolve_workers(args)
+    options = _sweep_options(args)
+    workers = options.workers
     metrics_out = _maybe_enable_metrics(args)
-    ctx = ExperimentContext(
-        quick=not args.full,
-        workers=workers,
-        cache=not getattr(args, "no_cache", False),
-        fast_forward=(
-            False if getattr(args, "no_fast_forward", False) else None
-        ),
-    )
+    ctx = ExperimentContext(quick=not args.full, options=options)
     if args.command == "all":
         targets = experiment_ids()
     else:
@@ -764,6 +758,8 @@ def _sweep_options(args: argparse.Namespace) -> "SweepOptions":
             False if getattr(args, "no_fast_forward", False) else None
         ),
         faults=_parse_faults_arg(args),
+        adaptive=getattr(args, "adaptive", False),
+        tol=getattr(args, "tol", None),
     )
 
 
@@ -904,11 +900,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         target_compute_s=args.target_compute,
         options=options,
     )
-    if args.adaptive:
+    if options.adaptive:
         from .model import DEFAULT_TOL, adaptive_slack_sweep
 
         res = adaptive_slack_sweep(
-            tol=DEFAULT_TOL if args.tol is None else args.tol, **common
+            tol=DEFAULT_TOL if options.tol is None else options.tol,
+            **common,
         )
         sweep = res.dense
         print(

@@ -7,9 +7,9 @@ warmup: every per-cycle quantity (the wall-time delta, the injected
 slack, the starvation cost, the relative heap shape at the cycle
 boundary) repeats bit for bit, guaranteed by the dyadic time grid
 (:mod:`repro.des.timebase`). This module is the workload-independent
-machinery that exploits it. It grew out of the proxy-only engine
-(``repro.proxy.fastforward``, which now re-exports from here) and
-offers two monitors:
+machinery that exploits it. It grew out of the proxy-only engine (the
+proxy's own eligibility rule is
+:func:`repro.proxy.matmul.refusal_reason`) and offers two monitors:
 
 * :class:`EpochMonitor` — the original multi-worker engine: watches
   thread-0 epoch boundaries, certifies a fixed point once

@@ -1,6 +1,6 @@
 """Dyadic time quantization: the arithmetic contract of fast-forward.
 
-Steady-state fast-forward (see ``repro.proxy.fastforward``) replaces
+Steady-state fast-forward (see :mod:`repro.des.fastforward`) replaces
 millions of identical simulated loop iterations with one analytic
 extrapolation, and promises the extrapolated totals are **bit-identical**
 to the event-by-event run. Plain float time cannot honour that promise:

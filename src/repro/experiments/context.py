@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -29,7 +28,6 @@ from ..apps import CosmoFlowProfileConfig, LammpsProfileConfig
 from ..apps.base import AppProfile
 from ..apps.profilecache import AppProfileCache
 from ..apps.registry import app_names, get_app
-from ..faults import FaultPlan
 from ..obs import publish_trace_store
 from ..parallel import PointCache
 from ..proxy import (
@@ -39,8 +37,6 @@ from ..proxy import (
     SlackResponseSurface,
     SweepOptions,
     SweepTiming,
-    UNSET,
-    resolve_options,
     run_slack_sweep,
 )
 
@@ -68,93 +64,63 @@ class ExperimentContext:
     runs and shortened application profiling runs. The full mode uses
     the paper's auto-calibrated iteration counts and run lengths.
 
-    The execution knobs are keyword-only, spelled exactly like
-    :func:`repro.proxy.run_slack_sweep`'s (the stable ``repro.api``
-    contract): ``workers`` parallelizes the proxy sweep over a process
-    pool (``1`` = sequential, ``None`` = ``os.cpu_count()``); parallel
-    and sequential surfaces are identical. ``cache`` controls the two
-    cache layers: ``True`` (default) uses the repo-local cache dir,
-    ``False`` disables caching entirely (every run re-measures), and a
-    :class:`~repro.parallel.PointCache` instance substitutes a custom
-    per-point store. ``fast_forward`` passes the proxy's steady-state
-    fast-forward knob through to the sweep (``None`` = proxy default,
-    on; the surface is bit-identical either way). ``faults`` attaches
-    a :class:`~repro.faults.FaultPlan` to the proxy sweep, making
-    :meth:`surface` a *degraded-mode* response surface (the plan joins
-    the surface-cache key, so healthy and degraded surfaces never
-    alias). ``adaptive``/``tol`` switch the sweep to error-bounded
-    adaptive refinement (measure a seed, predict the rest to within
-    ``tol`` — see :func:`repro.model.adaptive.adaptive_slack_sweep`);
-    adaptive surfaces get their own surface-cache digests.
+    The sweep's execution knobs travel as one
+    :class:`~repro.proxy.SweepOptions` via ``options=`` (default
+    ``SweepOptions(cache=True)``) and are read back as
+    :attr:`options`:
 
-    The same six knobs also travel as one
-    :class:`~repro.proxy.SweepOptions` via ``options=``; explicit
-    keywords win over the bundle knob-by-knob, matching
-    :func:`~repro.proxy.run_slack_sweep`. ``use_cache`` is the
-    deprecated spelling of ``cache`` and will be removed in a future
-    release.
+    * ``workers`` parallelizes the proxy sweep over a process pool
+      (``1`` = sequential, ``None`` = ``os.cpu_count()``); parallel
+      and sequential surfaces are identical.
+    * ``cache`` controls the two cache layers: ``True`` uses
+      ``cache_dir`` (default: the repo-local cache dir), ``False``
+      disables caching entirely (every run re-measures), and a
+      :class:`~repro.parallel.PointCache` instance substitutes a
+      custom per-point store.
+    * ``fast_forward`` reaches the proxy's steady-state fast-forward
+      (``None`` = proxy default, on; the surface is bit-identical
+      either way).
+    * ``faults`` makes :meth:`surface` a *degraded-mode* response
+      surface (the plan joins the surface-cache key, so healthy and
+      degraded surfaces never alias; an empty plan is stored as
+      ``None``).
+    * ``adaptive``/``tol`` switch the sweep to error-bounded adaptive
+      refinement (measure a seed, predict the rest to within ``tol``
+      — see :func:`repro.model.adaptive.adaptive_slack_sweep`);
+      adaptive surfaces get their own surface-cache digests.
+
+    ``workers=N`` is the one shorthand, for
+    ``options=SweepOptions(cache=True, workers=N)``; passing it
+    together with ``options`` is a :class:`TypeError`.
     """
 
     def __init__(
         self,
         quick: bool = True,
         *,
-        cache_dir: Optional[Path] = None,
+        cache_dir: Optional[Union[str, Path]] = None,
         options: Optional[SweepOptions] = None,
-        workers: Optional[int] = UNSET,
-        cache: Union[bool, PointCache] = UNSET,
-        fast_forward: Optional[bool] = UNSET,
-        faults: Optional[FaultPlan] = UNSET,
-        adaptive: bool = UNSET,
-        tol: Optional[float] = UNSET,
+        workers: Optional[int] = None,
         shard_workers: int = 0,
-        use_cache: Optional[bool] = None,
     ) -> None:
-        if use_cache is not None:
-            warnings.warn(
-                "ExperimentContext(use_cache=...) is deprecated; "
-                "use the canonical cache=... keyword instead",
-                DeprecationWarning,
-                stacklevel=2,
+        if options is None:
+            options = SweepOptions(
+                cache=True, workers=1 if workers is None else workers
             )
-            if cache is UNSET:
-                cache = use_cache
-        # The context's historical default caches (cache=True), unlike
-        # the bare SweepOptions default — an explicit options bundle
-        # states its own cache knob and is taken at its word.
-        base = options if options is not None else SweepOptions(cache=True)
-        opts = resolve_options(
-            base,
-            {
-                "workers": workers,
-                "cache": cache,
-                "fast_forward": fast_forward,
-                "faults": faults,
-                "adaptive": adaptive,
-                "tol": tol,
-            },
-        )
+        elif workers is not None:
+            raise TypeError(
+                "ExperimentContext() takes workers= or options=, not both; "
+                "set options.workers instead"
+            )
+        if options.faults is not None and options.faults.is_empty:
+            # The healthy-fabric spellings (None / empty plan) must key
+            # the same surface and run the same sweep.
+            options = options.replace(faults=None)
         self.quick = quick
-        self.cache_dir = cache_dir
-        #: The resolved execution-knob bundle (what the sweep receives).
-        self.options = opts
-        self.workers = opts.workers
-        self.cache = opts.cache
-        self.fast_forward = opts.fast_forward
-        #: Adaptive-refinement knobs, passed straight through to
-        #: :func:`repro.proxy.run_slack_sweep` (error-bounded seed +
-        #: bisection instead of the dense grid; the surface then
-        #: contains predicted points certified to within ``tol``).
-        self.adaptive = opts.adaptive
-        self.tol = opts.tol
-        # Normalize the healthy-fabric spellings (None / empty plan) to
-        # None so cache paths and sweep behavior are identical.
-        self.faults = (
-            opts.faults
-            if opts.faults is not None and not opts.faults.is_empty
-            else None
-        )
-        if shard_workers and shard_workers > 1 and self.adaptive:
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        #: The execution-knob bundle the sweep receives.
+        self.options = options.validate()
+        if shard_workers and shard_workers > 1 and options.adaptive:
             from ..proxy import ShardingUnsupportedError
 
             raise ShardingUnsupportedError(
@@ -175,19 +141,8 @@ class ExperimentContext:
     def __repr__(self) -> str:
         return (
             f"ExperimentContext(quick={self.quick!r}, "
-            f"cache_dir={self.cache_dir!r}, workers={self.workers!r}, "
-            f"cache={self.cache!r})"
+            f"cache_dir={self.cache_dir!r}, options={self.options!r})"
         )
-
-    @property
-    def use_cache(self) -> bool:
-        """Deprecated alias for ``cache`` (as a plain boolean)."""
-        warnings.warn(
-            "ExperimentContext.use_cache is deprecated; read .cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return bool(self.cache)
 
     # -- proxy surface -----------------------------------------------------------
     @property
@@ -203,7 +158,7 @@ class ExperimentContext:
         if cache is not None and cache.exists():
             self._surface = SlackResponseSurface.from_json(cache)
             return self._surface
-        if self.shard_workers > 1 and not self.adaptive:
+        if self.shard_workers > 1:
             sweep = self._sharded_sweep()
         else:
             sweep = run_slack_sweep(
@@ -211,12 +166,7 @@ class ExperimentContext:
                 slack_values_s=PAPER_SLACK_VALUES_S,
                 threads=PAPER_THREAD_COUNTS,
                 iterations=self.sweep_iterations,
-                workers=self.workers,
-                cache=self.point_cache(),
-                fast_forward=self.fast_forward,
-                faults=self.faults,
-                adaptive=self.adaptive,
-                tol=self.tol,
+                options=self.options.replace(cache=self.point_cache()),
             )
         self.sweep_timing = sweep.timing
         self._surface = SlackResponseSurface(sweep)
@@ -243,12 +193,7 @@ class ExperimentContext:
         coordinator = ShardCoordinator(
             grid,
             self.shard_workers,
-            options=self.options.replace(
-                cache=self.point_cache(),
-                faults=self.faults,
-                adaptive=False,
-                tol=None,
-            ),
+            options=self.options.replace(cache=self.point_cache()),
         )
         return coordinator.run()
 
@@ -266,17 +211,14 @@ class ExperimentContext:
 
     def point_cache(self) -> Optional[PointCache]:
         """The per-point result store (None when caching is disabled)."""
-        if isinstance(self.cache, PointCache):
-            return self.cache
-        if not self.cache:
-            return None
-        return PointCache(self._cache_base() / "points")
+        return self.options.point_cache(self._cache_base())
 
     def _cache_base(self) -> Path:
         return self.cache_dir if self.cache_dir is not None else default_cache_dir()
 
     def _surface_cache_path(self) -> Optional[Path]:
-        if not self.cache:
+        opts = self.options
+        if not opts.cache:
             return None
         key_doc = {
             "matrix_sizes": PAPER_MATRIX_SIZES,
@@ -285,16 +227,16 @@ class ExperimentContext:
             "iterations": self.sweep_iterations,
             "version": 1,
         }
-        if self.faults is not None:
+        if opts.faults is not None:
             # Only degraded surfaces extend the key: healthy surface
             # files keep their historical digests (and stay warm).
-            key_doc["faults"] = self.faults.to_doc()
-        if self.adaptive:
+            key_doc["faults"] = opts.faults.to_doc()
+        if opts.adaptive:
             # Adaptive surfaces contain predicted points — never alias
             # them with a fully measured surface file (dense digests
             # are likewise unchanged when the knob is off).
             key_doc["adaptive"] = True
-            key_doc["tol"] = self.tol
+            key_doc["tol"] = opts.tol
         key = json.dumps(key_doc, sort_keys=True)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         return self._cache_base() / f"surface-{digest}.json"
@@ -336,7 +278,7 @@ class ExperimentContext:
         byte-identically (the columnar trace document round-trips
         exactly).
         """
-        if not self.cache:
+        if not self.options.cache:
             return None
         return AppProfileCache(self._cache_base() / "profiles")
 

@@ -90,10 +90,12 @@ def run_all(
     exist, so ``workers > 1`` (keyword-only, like every execution knob
     on the stable API) fans them out over a process pool: the
     parent first builds the proxy surface (warming the disk caches),
-    then each worker rebuilds an equivalent context that loads those
-    caches instead of re-sweeping. Results come back in registry order
-    regardless of completion order. Falls back to the sequential loop
-    on platforms without ``fork`` or where pools cannot start.
+    then each worker rebuilds an equivalent context (the parent's
+    options with ``workers=1``, so it keys the same surface) that
+    loads those caches instead of re-sweeping. Results come back in
+    registry order regardless of completion order. Falls back to the
+    sequential loop on platforms without ``fork`` or where pools
+    cannot start.
 
     When metrics are enabled (:mod:`repro.obs`), per-experiment wall
     times are published into the ``experiments`` section of the active
@@ -114,7 +116,9 @@ def run_all(
             max_workers=min(workers, len(ids)),
             mp_context=mp_ctx,
             initializer=_init_worker_context,
-            initargs=(ctx.quick, ctx.cache_dir, ctx.cache),
+            initargs=(
+                ctx.quick, ctx.cache_dir, ctx.options.replace(workers=1)
+            ),
         ) as pool:
             results = list(pool.map(_run_in_worker, ids))
         reg = get_registry()
@@ -147,12 +151,13 @@ def _run_all_sequential(
 _WORKER_CTX: Optional[ExperimentContext] = None
 
 
-def _init_worker_context(quick, cache_dir, cache) -> None:
+def _init_worker_context(quick, cache_dir, options) -> None:
     global _WORKER_CTX
-    # Workers stay sequential internally — the experiment level is the
-    # parallel axis here; nesting pools would only oversubscribe.
+    # The parent's options minus its pool (workers=1): the experiment
+    # level is the parallel axis here; nesting pools would only
+    # oversubscribe.
     _WORKER_CTX = ExperimentContext(
-        quick=quick, cache_dir=cache_dir, workers=1, cache=cache
+        quick=quick, cache_dir=cache_dir, options=options
     )
 
 

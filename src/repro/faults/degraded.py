@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import PointCache
-    from ..proxy import SweepResult
+    from ..proxy import SweepOptions, SweepResult
 
 __all__ = ["DegradedSweepResult", "run_degraded_sweep"]
 
@@ -91,21 +90,28 @@ def run_degraded_sweep(
     slack_values_s: Optional[Sequence[float]] = None,
     threads: Sequence[int] = (1,),
     iterations: Optional[int] = None,
-    workers: Optional[int] = 1,
-    cache: Optional["PointCache"] = None,
+    options: Optional["SweepOptions"] = None,
 ) -> DegradedSweepResult:
     """Measure the slack response surface at several fault intensities.
 
     Runs :func:`repro.proxy.run_slack_sweep` once per intensity with
-    ``faults=plan.scaled(x)``. All sweep knobs default to the sweep
-    layer's defaults (``None`` = the paper's grid); ``cache`` may be
-    shared across intensities — the point cache keys on the scaled
-    plan, so intensities never alias each other (and intensity 0
-    shares entries with healthy sweeps).
+    ``options.replace(faults=plan.scaled(x))``. Grid knobs default to
+    the sweep layer's defaults (``None`` = the paper's grid) and
+    ``options`` carries the other execution knobs; its ``faults``
+    must be unset, because the plan supplies them. A cache in the
+    options is shared across intensities — the point cache keys on
+    the scaled plan, so intensities never alias each other (and
+    intensity 0 shares entries with healthy sweeps).
     """
-    from ..proxy import run_slack_sweep
+    from ..proxy import SweepOptions, run_slack_sweep
     from ..proxy.sweep import PAPER_MATRIX_SIZES, PAPER_SLACK_VALUES_S
 
+    opts = options if options is not None else SweepOptions()
+    if opts.faults is not None:
+        raise ValueError(
+            "run_degraded_sweep takes its faults from the plan; "
+            "options.faults must be None"
+        )
     xs = tuple(float(x) for x in intensities)
     if not xs:
         raise ValueError("at least one intensity is required")
@@ -127,9 +133,7 @@ def run_degraded_sweep(
                 ),
                 threads=threads,
                 iterations=iterations,
-                workers=workers,
-                cache=cache,
-                faults=plan.scaled(x),
+                options=opts.replace(faults=plan.scaled(x)),
             )
         )
     return result

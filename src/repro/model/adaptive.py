@@ -49,19 +49,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..obs import RunReport, get_registry
-from ..proxy.calibration import calibrate_iterations, time_single_kernel
 from ..proxy.matmul import CUDA_CALLS_PER_ITERATION, ProxyConfig
-from ..proxy.options import UNSET as _UNSET
-from ..proxy.sweep import SweepPoint, SweepResult, SweepTiming
+from ..proxy.options import SweepOptions
+from ..proxy.sweep import (
+    SweepPoint,
+    SweepResult,
+    SweepTiming,
+    _calibrate_sizes,
+)
 from .surrogate import interp_penalty
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
-    from ..parallel import PointCache, PointMeasurement, SweepExecutor
-    from ..proxy.options import SweepOptions
+    from ..parallel import PointMeasurement, SweepExecutor
 
 __all__ = [
     "DEFAULT_TOL",
@@ -154,37 +156,24 @@ def adaptive_slack_sweep(
     target_compute_s: float = 30.0,
     *,
     tol: float = DEFAULT_TOL,
-    options: Optional["SweepOptions"] = None,
-    workers: Any = _UNSET,
-    cache: Any = _UNSET,
+    options: Optional[SweepOptions] = None,
     executor: Optional["SweepExecutor"] = None,
-    fast_forward: Any = _UNSET,
-    faults: Any = _UNSET,
 ) -> AdaptiveSweepResult:
     """Measure a slack response surface by adaptive refinement.
 
-    Same grid semantics and execution knobs as
-    :func:`repro.proxy.run_slack_sweep` (whose ``adaptive=True`` path
-    delegates here) — including the ``options=``
-    :class:`~repro.proxy.SweepOptions` bundle, with explicit keywords
-    overriding it — plus ``tol``: the certification tolerance in
-    penalty units. Slack values must be positive (the zero-slack
-    baseline is implicit, exactly like the dense sweep) and are sorted
-    internally; the dense result covers the sorted grid.
+    Same grid semantics as :func:`repro.proxy.run_slack_sweep` (whose
+    ``adaptive=True`` path delegates here), and the same execution
+    knobs through ``options=`` — of which this sweep reads
+    ``workers``, ``cache``, ``fast_forward`` and ``faults`` — plus
+    ``tol``: the certification tolerance in penalty units. Slack
+    values must be positive (the zero-slack baseline is implicit,
+    exactly like the dense sweep) and are sorted internally; the
+    dense result covers the sorted grid.
     """
     from ..parallel import PointTask, SweepExecutor
     from ..parallel.executor import merge_stats
-    from ..proxy.options import resolve_options
 
-    opts = resolve_options(
-        options,
-        {
-            "workers": workers,
-            "cache": cache,
-            "fast_forward": fast_forward,
-            "faults": faults,
-        },
-    )
+    opts = (options if options is not None else SweepOptions()).validate()
     fast_forward = opts.fast_forward
     faults = opts.faults
     if tol <= 0:
@@ -204,19 +193,7 @@ def adaptive_slack_sweep(
     if faults is not None:
         faults.validate()
 
-    # Hoisted per-size calibration, identical to the dense sweep's.
-    calibration: Dict[int, Tuple[float, int]] = {}
-    for size in matrix_sizes:
-        if size in calibration:
-            continue
-        probe = ProxyConfig(
-            matrix_size=size, target_compute_s=target_compute_s
-        )
-        kt = time_single_kernel(size, probe.gpu, probe.pcie, probe.dtype_bytes)
-        iters = iterations or calibrate_iterations(
-            kt, target_s=target_compute_s
-        )
-        calibration[size] = (kt, iters)
+    calibration = _calibrate_sizes(matrix_sizes, iterations, target_compute_s)
 
     series_list = [
         _Series(
@@ -232,7 +209,9 @@ def adaptive_slack_sweep(
         for size in matrix_sizes
     ]
 
-    ex = executor if executor is not None else SweepExecutor(options=opts)
+    ex = executor if executor is not None else SweepExecutor(
+        opts.workers, opts.point_cache()
+    )
     round_stats = []
 
     def run_batch(tasks: List[PointTask]) -> List["PointMeasurement"]:

@@ -28,15 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence
 
 from ..obs import get_registry, publish_executor, publish_snapshot
-from ..proxy.options import UNSET as _UNSET
 from .point import PointMeasurement, PointTask, measure_point
 from .pointcache import PointCache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..proxy.options import SweepOptions
 
 __all__ = ["ExecutorStats", "SweepExecutor"]
 
@@ -115,28 +111,18 @@ class SweepExecutor:
         Tasks per worker dispatch; default splits the miss list into
         roughly four chunks per worker so stragglers rebalance while
         interpreter/dispatch startup still amortizes.
-    options:
-        Optional :class:`~repro.proxy.SweepOptions` supplying
-        ``workers``/``cache`` when the explicit keywords are not
-        passed (explicit keywords win, matching every other
-        ``options=`` consumer). The cache knob resolves through
-        :meth:`~repro.proxy.SweepOptions.point_cache`.
+
+    The sweep entry points build one from their
+    :class:`~repro.proxy.SweepOptions` as
+    ``SweepExecutor(opts.workers, opts.point_cache())``.
     """
 
     def __init__(
         self,
-        workers: Any = _UNSET,
-        cache: Any = _UNSET,
+        workers: Optional[int] = None,
+        cache: Optional[PointCache] = None,
         chunk_size: Optional[int] = None,
-        *,
-        options: Optional["SweepOptions"] = None,
     ) -> None:
-        if workers is _UNSET:
-            # Bare SweepExecutor() keeps its historical cpu_count
-            # default; an options object supplies its workers knob.
-            workers = None if options is None else options.workers
-        if cache is _UNSET:
-            cache = None if options is None else options.point_cache()
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)

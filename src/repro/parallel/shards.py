@@ -406,7 +406,9 @@ def run_sweep_shard(
         if shard_of_task(task, shard_count) == shard_index
     ]
 
-    ex = executor if executor is not None else SweepExecutor(options=opts)
+    ex = executor if executor is not None else SweepExecutor(
+        opts.workers, opts.point_cache()
+    )
     cache = ex.cache
     cache_before = (
         (cache.hits, cache.misses, cache.writes, cache.write_races)

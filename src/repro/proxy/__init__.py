@@ -15,13 +15,8 @@ from .calibration import (
     calibrate_matrix_size,
     time_single_kernel,
 )
-from .fastforward import FastForwardInfo
-from .options import (
-    ShardingUnsupportedError,
-    SweepOptions,
-    UNSET,
-    resolve_options,
-)
+from ..des.fastforward import FastForwardInfo
+from .options import ShardingUnsupportedError, SweepOptions
 from .quantize import (
     dedupe_slacks,
     same_slack,
@@ -68,8 +63,6 @@ __all__ = [
     "assemble_sweep_result",
     "SweepOptions",
     "ShardingUnsupportedError",
-    "UNSET",
-    "resolve_options",
     "slack_bucket",
     "slack_tolerance",
     "same_slack",

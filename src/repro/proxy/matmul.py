@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from ..des import Barrier, Environment, Event
+from ..des.fastforward import EpochMonitor, FastForwardInfo, MIN_ITERATIONS
 from ..faults import FaultPlan
 from ..gpusim import CudaRuntime, matmul_kernel
 from ..hw import A100_SXM4_40GB, GPUSpec, OutOfMemoryError, PCIE_GEN4_X16, PCIeSpec
@@ -23,7 +24,6 @@ from ..network import SlackModel
 from ..obs import simulation_snapshot
 from ..trace import CopyKind, Trace
 from .calibration import calibrate_iterations, time_single_kernel
-from .fastforward import EpochMonitor, FastForwardInfo, refusal_reason
 
 __all__ = [
     "ProxyConfig",
@@ -117,6 +117,42 @@ class ProxyResult:
         thread's slack chain sits on the wall-clock critical path).
         """
         return self.loop_runtime_s - self.cuda_calls * self.slack_s
+
+
+def refusal_reason(
+    config: ProxyConfig,
+    slack: SlackModel,
+    iterations: int,
+    faults: Optional[object] = None,
+) -> Optional[str]:
+    """Why this run is ineligible for fast-forward (None = eligible).
+
+    Everything here is a configuration whose periodicity the monitor
+    either cannot certify (jitter breaks bit-identity) or should not
+    try to (barriers and spacing/offset knobs exist precisely to
+    perturb the steady state the paper's control experiments probe).
+    """
+    if faults is not None:
+        # An active fault injector makes the run time-inhomogeneous:
+        # fault windows open and close at absolute times, so no cycle
+        # certificate can extend over the skipped interval. Refuse
+        # outright rather than wasting boundary snapshots.
+        return "faults-active"
+    if type(slack) is not SlackModel:
+        # Subclasses (e.g. the PreloadShim coverage model) may sample
+        # stochastically; only the exact base model is certified.
+        return "slack-model-subclass"
+    if slack.jitter_fraction > 0:
+        return "slack-jitter"
+    if config.phase_barrier:
+        return "phase-barrier"
+    if config.iteration_spacing_s > 0:
+        return "iteration-spacing"
+    if config.thread_launch_offset_s > 0:
+        return "thread-launch-offset"
+    if iterations < MIN_ITERATIONS:
+        return "too-few-iterations"
+    return None
 
 
 def run_proxy(

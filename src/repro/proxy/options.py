@@ -4,14 +4,13 @@
 ``workers``, ``cache``, ``fast_forward``, ``faults``, ``adaptive``,
 ``tol`` — that every layer above it (the CLI, the experiment context,
 the degraded-mode driver, the serving cold path) re-spelled
-keyword-by-keyword. :class:`SweepOptions` is the single canonical
-carrier: build one, pass it as ``options=`` to
+keyword-by-keyword. :class:`SweepOptions` is the single carrier and
+the only spelling: build one and pass it as ``options=`` to
 :func:`~repro.proxy.run_slack_sweep`,
 :func:`~repro.model.adaptive.adaptive_slack_sweep`,
-:class:`~repro.experiments.ExperimentContext` or
-:class:`~repro.parallel.SweepExecutor`, and override individual knobs
-per call site with the matching explicit keyword (explicit keywords
-always win over the options object).
+:func:`~repro.faults.run_degraded_sweep`,
+:class:`~repro.experiments.ExperimentContext` or the shard entry
+points; derive a variant with :meth:`SweepOptions.replace`.
 
 The dataclass is frozen and keyword-only (the ``repro.api``
 constructor contract), hashable, and normalizes nothing: resolution —
@@ -24,7 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple, TYPE_CHECKING, Union
+from pathlib import Path
+from typing import Any, Optional, Tuple, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
@@ -33,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ShardingUnsupportedError",
     "SweepOptions",
-    "UNSET",
-    "resolve_options",
 ]
 
 
@@ -50,10 +48,6 @@ class ShardingUnsupportedError(ValueError):
     use :func:`repro.parallel.run_sweep_shard` +
     :func:`repro.parallel.merge_shards` instead).
     """
-
-#: Sentinel distinguishing "knob not passed" from every real value
-#: (``None`` is a meaningful setting for most knobs).
-UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -118,11 +112,14 @@ class SweepOptions:
         """A copy with the given knobs replaced."""
         return dataclasses.replace(self, **changes)
 
-    def point_cache(self) -> Optional["PointCache"]:
+    def point_cache(
+        self, cache_dir: Optional[Path] = None
+    ) -> Optional["PointCache"]:
         """Resolve the ``cache`` knob to a concrete store (or None).
 
-        ``True`` resolves to the repo-local per-point store (honoring
-        the ``REPRO_CACHE_DIR`` override); ``False``/``None`` disable
+        ``True`` resolves to the per-point store under ``cache_dir``
+        (default: the repo-local cache dir, honoring the
+        ``REPRO_CACHE_DIR`` override); ``False``/``None`` disable
         caching; a :class:`~repro.parallel.PointCache` passes through.
         """
         from ..parallel import PointCache
@@ -131,24 +128,9 @@ class SweepOptions:
             return self.cache
         if not self.cache:
             return None
-        # Lazy import: experiments imports proxy at module level.
-        from ..experiments.context import default_cache_dir
+        if cache_dir is None:
+            # Lazy import: experiments imports proxy at module level.
+            from ..experiments.context import default_cache_dir
 
-        return PointCache(default_cache_dir() / "points")
-
-
-def resolve_options(
-    options: Optional[SweepOptions], explicit: Mapping[str, Any]
-) -> SweepOptions:
-    """Merge explicit per-call knobs over an options object.
-
-    ``explicit`` maps knob names to values, with :data:`UNSET` marking
-    knobs the caller did not pass — those fall back to ``options``
-    (or the defaults when ``options`` is ``None``). The merged result
-    is validated.
-    """
-    base = options if options is not None else SweepOptions()
-    overrides = {
-        name: value for name, value in explicit.items() if value is not UNSET
-    }
-    return base.replace(**overrides).validate() if overrides else base.validate()
+            cache_dir = default_cache_dir()
+        return PointCache(cache_dir / "points")

@@ -18,24 +18,18 @@ grid extensions reuse every previously measured point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..obs import RunReport, get_registry
 from .calibration import calibrate_iterations, time_single_kernel
 from .matmul import ProxyConfig, run_proxy  # noqa: F401
-from .options import (
-    ShardingUnsupportedError,
-    SweepOptions,
-    UNSET,
-    resolve_options,
-)
+from .options import ShardingUnsupportedError, SweepOptions
 from .quantize import slack_bucket, slack_tolerance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
-    from ..parallel import PointCache, SweepExecutor
+    from ..parallel import SweepExecutor
     from ..parallel.point import PointMeasurement, PointTask
 
 __all__ = [
@@ -50,32 +44,6 @@ __all__ = [
     "plan_grid_tasks",
     "run_slack_sweep",
 ]
-
-#: Names this module used to re-export for import convenience. They now
-#: live at their canonical homes; importing them from here still works
-#: but warns (see the deprecation policy in docs/observability.md).
-_DEPRECATED_REEXPORTS = {
-    "OutOfMemoryError": "repro.hw",
-    "SlackModel": "repro.network",
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shims for the legacy ``repro.proxy.sweep`` re-exports."""
-    canonical = _DEPRECATED_REEXPORTS.get(name)
-    if canonical is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name} from repro.proxy.sweep is deprecated; "
-        f"use 'from {canonical} import {name}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(canonical), name)
 
 #: The paper's matrix-size grid: 2^9 to 2^15 in multiples of 2^2.
 PAPER_MATRIX_SIZES: Tuple[int, ...] = (2**9, 2**11, 2**13, 2**15)
@@ -261,6 +229,30 @@ def grid_series(
     return [(n, t) for t in threads for n in matrix_sizes]
 
 
+def _calibrate_sizes(
+    matrix_sizes: Sequence[int],
+    iterations: Optional[int],
+    target_compute_s: float,
+) -> Dict[int, Tuple[float, int]]:
+    """``{matrix_size: (kernel_time_s, iterations)}`` of one grid.
+
+    The one per-size calibration rule shared by the dense and the
+    adaptive sweep: the single-kernel duration once per size, and the
+    iteration count it implies unless ``iterations`` fixes it.
+    """
+    calibration: Dict[int, Tuple[float, int]] = {}
+    for n in matrix_sizes:
+        if n in calibration:
+            continue
+        probe = ProxyConfig(matrix_size=n, target_compute_s=target_compute_s)
+        kt = time_single_kernel(n, probe.gpu, probe.pcie, probe.dtype_bytes)
+        iters = iterations or calibrate_iterations(
+            kt, target_s=target_compute_s
+        )
+        calibration[n] = (kt, iters)
+    return calibration
+
+
 def plan_grid_tasks(
     matrix_sizes: Sequence[int],
     slack_values_s: Sequence[float],
@@ -289,17 +281,7 @@ def plan_grid_tasks(
     """
     from ..parallel import PointTask
 
-    calibration: Dict[int, Tuple[float, int]] = {}
-    for n in matrix_sizes:
-        if n in calibration:
-            continue
-        probe = ProxyConfig(matrix_size=n, target_compute_s=target_compute_s)
-        kt = time_single_kernel(n, probe.gpu, probe.pcie, probe.dtype_bytes)
-        iters = iterations or calibrate_iterations(
-            kt, target_s=target_compute_s
-        )
-        calibration[n] = (kt, iters)
-
+    calibration = _calibrate_sizes(matrix_sizes, iterations, target_compute_s)
     tasks: List[PointTask] = []
     for n, t in grid_series(matrix_sizes, threads):
         kt, iters = calibration[n]
@@ -376,60 +358,61 @@ def assemble_sweep_result(
     return result
 
 
-#: The historical positional parameter order, kept working through a
-#: deprecation shim (see :func:`run_slack_sweep`).
-_LEGACY_POSITIONAL = (
-    "matrix_sizes",
-    "slack_values_s",
-    "threads",
-    "iterations",
-    "target_compute_s",
-)
-
-
 def run_slack_sweep(
-    *legacy_args: Any,
-    matrix_sizes: Any = UNSET,
-    slack_values_s: Any = UNSET,
-    threads: Any = UNSET,
-    iterations: Any = UNSET,
-    target_compute_s: Any = UNSET,
+    *,
+    matrix_sizes: Sequence[int] = PAPER_MATRIX_SIZES,
+    slack_values_s: Sequence[float] = PAPER_SLACK_VALUES_S,
+    threads: Sequence[int] = (1,),
+    iterations: Optional[int] = None,
+    target_compute_s: float = 30.0,
     options: Optional[SweepOptions] = None,
-    workers: Any = UNSET,
-    cache: Any = UNSET,
     executor: Optional["SweepExecutor"] = None,
-    fast_forward: Any = UNSET,
-    faults: Any = UNSET,
-    adaptive: Any = UNSET,
-    tol: Any = UNSET,
 ) -> SweepResult:
     """Measure the slack response surface over a parameter grid.
 
     All parameters are keyword-only. The grid keywords default to the
-    paper's values (``matrix_sizes=PAPER_MATRIX_SIZES``,
-    ``slack_values_s=PAPER_SLACK_VALUES_S``, ``threads=(1,)``,
-    ``iterations=None`` = auto-calibrate, ``target_compute_s=30.0``).
-    The execution knobs can be passed individually or bundled into one
-    :class:`~repro.proxy.SweepOptions` via ``options=``; explicit
-    keywords always override the bundle. The historical positional
-    form (grid parameters by position) still works but emits a
-    :class:`DeprecationWarning`.
+    paper's values; ``iterations=None`` auto-calibrates and
+    ``target_compute_s`` sets the calibration budget (a fixed
+    ``iterations`` keeps tests fast). Configurations whose matrices
+    exceed device memory are skipped and recorded in
+    ``SweepResult.skipped`` (the paper's 2^15 exclusion above 2
+    threads).
 
-    Configurations whose matrices exceed device memory are skipped and
-    recorded in ``SweepResult.skipped`` (the paper's 2^15 exclusion
-    above 2 threads). ``iterations`` overrides auto-calibration (keeps
-    tests fast); ``target_compute_s`` shortens the calibration budget.
+    The execution knobs travel as one
+    :class:`~repro.proxy.SweepOptions` (``options=None`` = its
+    defaults: one inline worker, no cache):
 
-    The execution knobs are keyword-only (the stable ``repro.api``
-    contract): ``workers`` > 1 fans the grid out over a process pool
-    and ``None`` means ``os.cpu_count()``; results are returned in the
-    same deterministic grid order either way. ``cache``
-    attaches a per-point result store so previously measured points are
-    never re-run; ``executor`` substitutes a fully custom executor
-    (its ``workers``/``cache`` then take precedence). ``fast_forward``
-    passes the steady-state fast-forward knob through to every point's
-    :func:`repro.proxy.run_proxy` (``None`` = the proxy default, on;
-    results are bit-identical either way).
+    * ``workers`` > 1 fans the grid out over a process pool (``None``
+      = ``os.cpu_count()``); results come back in the same
+      deterministic grid order either way.
+    * ``cache`` attaches a per-point result store so previously
+      measured points are never re-run.
+    * ``fast_forward`` reaches every point's
+      :func:`repro.proxy.run_proxy` (``None`` = the proxy default,
+      on; results are bit-identical either way).
+    * ``faults`` attaches a :class:`~repro.faults.FaultPlan` to every
+      point of the grid (baselines included — the fabric is degraded,
+      period), producing a degraded-mode response surface. The plan
+      rides inside each :class:`~repro.parallel.PointTask`, is part
+      of the point-cache key, and disables per-point fast-forward; an
+      empty plan is normalized to ``None`` and reproduces the healthy
+      sweep bit-identically. For surfaces across *fault intensities*
+      see :func:`repro.faults.run_degraded_sweep`.
+    * ``adaptive=True`` measures only a seed of each series plus
+      error-driven refinements and *predicts* the rest
+      (:func:`repro.model.adaptive.adaptive_slack_sweep`): the
+      returned result still covers the full grid, each predicted
+      point certified to within ``tol`` (default
+      :data:`~repro.model.adaptive.DEFAULT_TOL`, 0.1 pp of penalty).
+      Measured points are bit-identical to the dense sweep's and
+      share its per-point cache. Call ``adaptive_slack_sweep``
+      directly to also get the measured-only view and per-point
+      error bounds.
+    * ``shard`` is refused: a shard is not a full surface.
+
+    ``executor`` substitutes a fully custom
+    :class:`~repro.parallel.SweepExecutor` (its ``workers``/``cache``
+    then take precedence over the options').
 
     Calibration is hoisted out of the per-point workers: the
     single-kernel duration and the iteration count are computed once
@@ -440,98 +423,23 @@ def run_slack_sweep(
     CLI's ``--metrics-out``), the sweep publishes DES/GPU/fabric/cache
     telemetry into the active registry and attaches a
     :class:`repro.obs.RunReport` snapshot as ``SweepResult.report``.
-
-    ``faults`` attaches a :class:`~repro.faults.FaultPlan` to every
-    point of the grid (baselines included — the fabric is degraded,
-    period), producing a degraded-mode response surface. The plan
-    rides inside each :class:`~repro.parallel.PointTask`, is part of
-    the point-cache key, and disables per-point fast-forward; an empty
-    plan is normalized to ``None`` and reproduces the healthy sweep
-    bit-identically. For surfaces across *fault intensities* see
-    :func:`repro.faults.run_degraded_sweep`.
-
-    ``adaptive=True`` measures only a seed of each series plus
-    error-driven refinements and *predicts* the rest
-    (:func:`repro.model.adaptive.adaptive_slack_sweep`): the returned
-    result still covers the full grid, with unmeasured points
-    synthesized by the response surface's own log-linear interpolation,
-    each certified to within ``tol`` (default
-    :data:`~repro.model.adaptive.DEFAULT_TOL`, 0.1 pp of penalty).
-    Measured points are bit-identical to the dense sweep's and share
-    its per-point cache. Call ``adaptive_slack_sweep`` directly to
-    also get the measured-only view and per-point error bounds.
     """
     from ..parallel import SweepExecutor
 
-    if legacy_args:
-        if len(legacy_args) > len(_LEGACY_POSITIONAL):
-            raise TypeError(
-                f"run_slack_sweep() takes at most "
-                f"{len(_LEGACY_POSITIONAL)} positional arguments "
-                f"({len(legacy_args)} given); the execution knobs are "
-                f"keyword-only"
-            )
-        warnings.warn(
-            "positional arguments to run_slack_sweep are deprecated; "
-            "pass the grid as keywords (matrix_sizes=, slack_values_s=, "
-            "threads=, iterations=, target_compute_s=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        provided = dict(zip(_LEGACY_POSITIONAL, legacy_args))
-        existing = {
-            "matrix_sizes": matrix_sizes,
-            "slack_values_s": slack_values_s,
-            "threads": threads,
-            "iterations": iterations,
-            "target_compute_s": target_compute_s,
-        }
-        for name, value in provided.items():
-            if existing[name] is not UNSET:
-                raise TypeError(
-                    f"run_slack_sweep() got multiple values for "
-                    f"argument {name!r}"
-                )
-        matrix_sizes = provided.get("matrix_sizes", matrix_sizes)
-        slack_values_s = provided.get("slack_values_s", slack_values_s)
-        threads = provided.get("threads", threads)
-        iterations = provided.get("iterations", iterations)
-        target_compute_s = provided.get("target_compute_s", target_compute_s)
-
-    matrix_sizes = (
-        PAPER_MATRIX_SIZES if matrix_sizes is UNSET else matrix_sizes
-    )
-    slack_values_s = (
-        PAPER_SLACK_VALUES_S if slack_values_s is UNSET else slack_values_s
-    )
-    threads = (1,) if threads is UNSET else threads
-    iterations = None if iterations is UNSET else iterations
-    target_compute_s = 30.0 if target_compute_s is UNSET else target_compute_s
-
-    opts = resolve_options(
-        options,
-        {
-            "workers": workers,
-            "cache": cache,
-            "fast_forward": fast_forward,
-            "faults": faults,
-            "adaptive": adaptive,
-            "tol": tol,
-        },
-    )
+    opts = (options if options is not None else SweepOptions()).validate()
 
     if opts.adaptive:
         # Lazy import: repro.model imports repro.proxy at module level.
         from ..model.adaptive import DEFAULT_TOL, adaptive_slack_sweep
 
         return adaptive_slack_sweep(
-            matrix_sizes,
-            slack_values_s,
-            threads,
-            iterations,
-            target_compute_s,
+            matrix_sizes=matrix_sizes,
+            slack_values_s=slack_values_s,
+            threads=threads,
+            iterations=iterations,
+            target_compute_s=target_compute_s,
             tol=DEFAULT_TOL if opts.tol is None else opts.tol,
-            options=opts.replace(adaptive=False, tol=None),
+            options=opts,
             executor=executor,
         ).dense
 
@@ -542,7 +450,6 @@ def run_slack_sweep(
             "merge_shards (or repro.parallel.ShardCoordinator)"
         )
 
-    fast_forward = opts.fast_forward
     faults = opts.faults
     if faults is not None and faults.is_empty:
         faults = None
@@ -555,11 +462,13 @@ def run_slack_sweep(
         threads,
         iterations,
         target_compute_s,
-        fast_forward=fast_forward,
+        fast_forward=opts.fast_forward,
         faults=faults,
     )
 
-    ex = executor if executor is not None else SweepExecutor(options=opts)
+    ex = executor if executor is not None else SweepExecutor(
+        opts.workers, opts.point_cache()
+    )
     measurements = ex.run(tasks)
 
     result = assemble_sweep_result(

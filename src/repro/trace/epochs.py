@@ -1,6 +1,6 @@
 """Compressed trace for fast-forwarded runs: one epoch, repeated.
 
-When the steady-state fast-forward engine (:mod:`repro.proxy.fastforward`)
+When the steady-state fast-forward engine (:mod:`repro.des.fastforward`)
 skips ``S`` bit-identical loop iterations, the full trace it owes the
 caller is the truncated run's trace with ``S`` time-shifted copies of
 one reference epoch spliced in. :class:`RepeatedEpochTrace` stores

@@ -324,7 +324,6 @@ class TestPhasePrediction:
             slack_values_s=(1e-5, 1e-4, 1e-3),
             threads=(1,),
             iterations=10,
-            workers=1,
         )
         return CDIProfiler(SlackResponseSurface(sweep))
 
@@ -373,7 +372,6 @@ class TestPhasePrediction:
             (1e-5, 1e-4, 1e-3),
             threads=(1,),
             iterations=10,
-            workers=1,
         )
         profiler = CDIProfiler(SlackResponseSurface(res.dense))
         predicted = predict_slo_response(profiler, profile, (1e-4,))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentContext
 from repro.experiments.context import default_cache_dir
+from repro.proxy import SweepOptions
 
 
 class TestConfiguration:
@@ -48,19 +49,37 @@ class TestConfiguration:
         # An explicit cache_dir still wins over the environment.
         ctx2 = ExperimentContext(quick=True, cache_dir=tmp_path / "explicit")
         assert ctx2.point_cache().root == tmp_path / "explicit" / "points"
+        # A str cache_dir is coerced at construction, not at first use.
+        ctx3 = ExperimentContext(quick=True, cache_dir=str(tmp_path / "s"))
+        assert ctx3.cache_dir == tmp_path / "s"
+        assert ctx3.point_cache().root == tmp_path / "s" / "points"
+        assert ctx3._surface_cache_path().parent == tmp_path / "s"
 
     def test_adaptive_knobs(self):
-        ctx = ExperimentContext(quick=True, adaptive=True, tol=5e-4)
-        assert ctx.adaptive and ctx.tol == 5e-4
+        opts = SweepOptions(cache=True, adaptive=True, tol=5e-4)
+        ctx = ExperimentContext(quick=True, options=opts)
+        assert ctx.options == opts
         with pytest.raises(ValueError):
-            ExperimentContext(quick=True, tol=1e-3)
+            ExperimentContext(options=SweepOptions(cache=True, tol=1e-3))
 
     def test_adaptive_surface_gets_own_cache_digest(self, tmp_path):
         dense = ExperimentContext(quick=True, cache_dir=tmp_path)
         adaptive = ExperimentContext(
-            quick=True, cache_dir=tmp_path, adaptive=True
+            quick=True, cache_dir=tmp_path,
+            options=SweepOptions(cache=True, adaptive=True),
         )
         assert dense._surface_cache_path() != adaptive._surface_cache_path()
+
+    def test_empty_fault_plan_is_the_healthy_context(self, tmp_path):
+        from repro.faults import FaultPlan
+
+        healthy = ExperimentContext(quick=True, cache_dir=tmp_path)
+        empty = ExperimentContext(
+            quick=True, cache_dir=tmp_path,
+            options=SweepOptions(cache=True, faults=FaultPlan(seed=3)),
+        )
+        assert empty.options == healthy.options
+        assert empty._surface_cache_path() == healthy._surface_cache_path()
 
 
 class TestProfileMemoization:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.faults import FaultPlan, run_degraded_sweep
 from repro.obs import collecting
-from repro.proxy import run_slack_sweep
+from repro.proxy import SweepOptions, run_slack_sweep
 
 GOLDEN = Path(__file__).parent / "golden_degraded_runreport.json"
 
@@ -41,7 +41,7 @@ GRID = dict(
 def _degraded_report():
     """One deterministic degraded sweep, metrics on."""
     with collecting():
-        sweep = run_slack_sweep(**GRID, workers=1, faults=PLAN)
+        sweep = run_slack_sweep(**GRID, options=SweepOptions(faults=PLAN))
     return sweep
 
 
@@ -88,25 +88,23 @@ class TestGoldenReport:
 
     def test_healthy_report_has_no_faults_section(self):
         with collecting():
-            sweep = run_slack_sweep(**GRID, workers=1)
+            sweep = run_slack_sweep(**GRID)
         assert "faults" not in sweep.report.metrics
         assert sweep.report.meta["faults"] is None
 
 
 class TestDegradedSweep:
     def _result(self, intensities=(0.0, 1.0)):
-        return run_degraded_sweep(
-            PLAN, intensities, **GRID, workers=1
-        )
+        return run_degraded_sweep(PLAN, intensities, **GRID)
 
     def test_intensity_zero_is_the_healthy_sweep(self):
         result = self._result()
-        healthy = run_slack_sweep(**GRID, workers=1)
+        healthy = run_slack_sweep(**GRID)
         assert result.sweep_at(0.0).points == healthy.points
 
     def test_intensity_one_is_the_plan_as_written(self):
         result = self._result()
-        degraded = run_slack_sweep(**GRID, workers=1, faults=PLAN)
+        degraded = run_slack_sweep(**GRID, options=SweepOptions(faults=PLAN))
         assert result.sweep_at(1.0).points == degraded.points
 
     def test_repeated_runs_bit_identical(self):

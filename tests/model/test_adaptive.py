@@ -6,7 +6,7 @@ import pytest
 from repro.model import DEFAULT_TOL, adaptive_slack_sweep
 from repro.model.adaptive import _interp_penalty
 from repro.obs import collecting
-from repro.proxy import SlackResponseSurface, run_slack_sweep
+from repro.proxy import SlackResponseSurface, SweepOptions, run_slack_sweep
 
 SIZES = (2**11, 2**13)
 THREADS = (1, 2)
@@ -122,13 +122,14 @@ class TestEconomy:
 
         cache = PointCache(tmp_path / "points")
         res = adaptive_slack_sweep(
-            (2**11,), UNIFORM_GRID, threads=(1,), iterations=25, cache=cache
+            (2**11,), UNIFORM_GRID, threads=(1,), iterations=25,
+            options=SweepOptions(cache=cache),
         )
         assert res.measured.timing.cached == 0
         # A dense sweep over the same grid reuses every adaptive point.
         dense = run_slack_sweep(
             matrix_sizes=(2**11,), slack_values_s=UNIFORM_GRID,
-            threads=(1,), iterations=25, cache=cache,
+            threads=(1,), iterations=25, options=SweepOptions(cache=cache),
         )
         assert dense.timing.cached == res.measured_grid_points
         for p in res.measured.points:
@@ -142,7 +143,7 @@ class TestWiring:
         )
         via_sweep = run_slack_sweep(
             matrix_sizes=(2**11,), slack_values_s=UNIFORM_GRID,
-            threads=(1,), iterations=25, adaptive=True,
+            threads=(1,), iterations=25, options=SweepOptions(adaptive=True),
         )
         assert via_sweep.points == res.dense.points
 
@@ -150,7 +151,7 @@ class TestWiring:
         with pytest.raises(ValueError, match="adaptive"):
             run_slack_sweep(
                 matrix_sizes=(2**11,), slack_values_s=[1e-5, 1e-4],
-                iterations=25, tol=1e-3,
+                iterations=25, options=SweepOptions(tol=1e-3),
             )
 
     def test_invalid_inputs(self):

@@ -105,12 +105,13 @@ def test_live_sweep_report_matches_golden_schema(tmp_path):
     """A freshly collected sweep report obeys the same schema as the
     golden file and covers the DES, fabric, and cache layers."""
     from repro.parallel import PointCache
-    from repro.proxy import run_slack_sweep
+    from repro.proxy import SweepOptions, run_slack_sweep
 
     with collecting():
         result = run_slack_sweep(
             matrix_sizes=[256], slack_values_s=[1e-5], threads=[1],
-            iterations=3, cache=PointCache(tmp_path / "points"),
+            iterations=3,
+            options=SweepOptions(cache=PointCache(tmp_path / "points")),
         )
     assert result.report is not None
     doc = result.report.to_doc()

@@ -17,7 +17,7 @@ from repro.parallel import (
     measure_point,
     merge_stats,
 )
-from repro.proxy import ProxyConfig, run_slack_sweep
+from repro.proxy import ProxyConfig, SweepOptions, run_slack_sweep
 
 #: A compact grid exercising threads, sizes and slack decades.
 QUICK_GRID = dict(
@@ -31,10 +31,12 @@ QUICK_GRID = dict(
 class TestParallelEqualsSequential:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return run_slack_sweep(**QUICK_GRID, workers=1)
+        return run_slack_sweep(**QUICK_GRID)
 
     def test_parallel_points_exactly_equal(self, sequential):
-        parallel = run_slack_sweep(**QUICK_GRID, workers=2)
+        parallel = run_slack_sweep(
+            **QUICK_GRID, options=SweepOptions(workers=2)
+        )
         assert parallel.points == sequential.points
         assert parallel.skipped == sequential.skipped
 
@@ -57,8 +59,8 @@ class TestParallelEqualsSequential:
             threads=(4,),
             iterations=5,
         )
-        sequential = run_slack_sweep(**grid, workers=1)
-        parallel = run_slack_sweep(**grid, workers=2)
+        sequential = run_slack_sweep(**grid)
+        parallel = run_slack_sweep(**grid, options=SweepOptions(workers=2))
         assert sequential.skipped == parallel.skipped
         assert len(sequential.skipped) == 1
         assert sequential.skipped[0][:2] == (2**15, 4)
@@ -116,7 +118,6 @@ class TestSweepTiming:
             slack_values_s=(1e-4,),
             threads=(1,),
             iterations=3,
-            workers=1,
         )
         t = result.timing
         assert t is not None

@@ -16,7 +16,7 @@ from repro.parallel import (
     PointTask,
     point_key,
 )
-from repro.proxy import ProxyConfig, run_slack_sweep
+from repro.proxy import ProxyConfig, SweepOptions, run_slack_sweep
 
 GRID = dict(
     matrix_sizes=(512, 2048),
@@ -72,11 +72,11 @@ class TestPointKey:
 class TestCacheRoundTrip:
     def test_warm_cache_runs_zero_proxies(self, tmp_path, count_proxy_runs):
         cache = PointCache(tmp_path)
-        first = run_slack_sweep(**GRID, workers=1, cache=cache)
+        first = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
         cold_calls = len(count_proxy_runs)
         assert cold_calls == first.timing.measured > 0
 
-        second = run_slack_sweep(**GRID, workers=1, cache=cache)
+        second = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
         assert len(count_proxy_runs) == cold_calls  # zero new run_proxy calls
         assert second.timing.measured == 0
         assert second.timing.cached == first.timing.measured
@@ -87,11 +87,11 @@ class TestCacheRoundTrip:
         self, tmp_path, count_proxy_runs
     ):
         cache = PointCache(tmp_path)
-        run_slack_sweep(**GRID, workers=1, cache=cache)
+        run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
         before = len(count_proxy_runs)
 
         extended = dict(GRID, slack_values_s=(1e-6, 1e-4, 1e-2))
-        result = run_slack_sweep(**extended, workers=1, cache=cache)
+        result = run_slack_sweep(**extended, options=SweepOptions(cache=cache))
         # Exactly one new slack point per configuration; baselines and
         # the old slack values all come from the cache.
         configs = len(GRID["matrix_sizes"]) * len(GRID["threads"])
@@ -105,18 +105,18 @@ class TestCacheRoundTrip:
             iterations=5,
         )
         cache = PointCache(tmp_path)
-        first = run_slack_sweep(**grid, workers=1, cache=cache)
+        first = run_slack_sweep(**grid, options=SweepOptions(cache=cache))
         assert len(first.skipped) == 1
         before = len(count_proxy_runs)
 
-        second = run_slack_sweep(**grid, workers=1, cache=cache)
+        second = run_slack_sweep(**grid, options=SweepOptions(cache=cache))
         assert len(count_proxy_runs) == before  # OOM verdicts cached too
         assert second.skipped == first.skipped
 
     def test_cached_points_bitwise_equal(self, tmp_path):
         cache = PointCache(tmp_path)
-        fresh = run_slack_sweep(**GRID, workers=1, cache=cache)
-        cached = run_slack_sweep(**GRID, workers=1, cache=cache)
+        fresh = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
+        cached = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
         # Floats survive the JSON round-trip exactly (repr round-trip).
         assert cached.points == fresh.points
 
@@ -124,21 +124,21 @@ class TestCacheRoundTrip:
 class TestCacheInvalidation:
     def test_config_field_change_invalidates(self, tmp_path, count_proxy_runs):
         cache = PointCache(tmp_path)
-        run_slack_sweep(**GRID, workers=1, cache=cache)
+        run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
         before = len(count_proxy_runs)
 
         changed = dict(GRID, iterations=6)
-        result = run_slack_sweep(**changed, workers=1, cache=cache)
+        result = run_slack_sweep(**changed, options=SweepOptions(cache=cache))
         assert result.timing.cached == 0
         assert len(count_proxy_runs) - before == result.timing.measured > 0
 
     def test_version_tag_change_invalidates(self, tmp_path, count_proxy_runs):
         cache_v1 = PointCache(tmp_path, version="v1")
-        run_slack_sweep(**GRID, workers=1, cache=cache_v1)
+        run_slack_sweep(**GRID, options=SweepOptions(cache=cache_v1))
         before = len(count_proxy_runs)
 
         cache_v2 = PointCache(tmp_path, version="v2")
-        result = run_slack_sweep(**GRID, workers=1, cache=cache_v2)
+        result = run_slack_sweep(**GRID, options=SweepOptions(cache=cache_v2))
         assert result.timing.cached == 0
         assert len(count_proxy_runs) > before
 
@@ -190,11 +190,11 @@ class TestFaultPlanKeying:
             matrix_sizes=(512,), slack_values_s=(1e-4,), threads=(1,),
             iterations=5,
         )
-        run_slack_sweep(**grid, workers=1, cache=cache)
+        run_slack_sweep(**grid, options=SweepOptions(cache=cache))
         before = len(count_proxy_runs)
 
         degraded = run_slack_sweep(
-            **grid, workers=1, cache=cache, faults=self._plan()
+            **grid, options=SweepOptions(cache=cache, faults=self._plan())
         )
         # Every degraded point re-measures: zero healthy entries reused.
         assert degraded.timing.cached == 0
@@ -202,7 +202,7 @@ class TestFaultPlanKeying:
 
         # ... and the degraded run is itself warm on a second pass.
         again = run_slack_sweep(
-            **grid, workers=1, cache=cache, faults=self._plan()
+            **grid, options=SweepOptions(cache=cache, faults=self._plan())
         )
         assert again.timing.measured == 0
         assert again.points == degraded.points

@@ -16,6 +16,7 @@ from repro.proxy import (
     PAPER_MATRIX_SIZES,
     PAPER_SLACK_VALUES_S,
     PAPER_THREAD_COUNTS,
+    SweepOptions,
     run_slack_sweep,
 )
 
@@ -35,8 +36,10 @@ QUICK_PAPER_GRID = dict(
 )
 def test_quick_grid_speedup_at_least_2x():
     workers = min(os.cpu_count() or 1, 8)
-    sequential = run_slack_sweep(**QUICK_PAPER_GRID, workers=1)
-    parallel = run_slack_sweep(**QUICK_PAPER_GRID, workers=workers)
+    sequential = run_slack_sweep(**QUICK_PAPER_GRID)
+    parallel = run_slack_sweep(
+        **QUICK_PAPER_GRID, options=SweepOptions(workers=workers)
+    )
 
     assert parallel.points == sequential.points
     assert parallel.skipped == sequential.skipped
@@ -64,20 +67,22 @@ def test_cache_hit_counts_parity_inline_vs_pool(tmp_path):
     )
     n_points = 3  # baseline + two slack values
 
-    cold = run_slack_sweep(**grid, workers=1,
-                           cache=PointCache(tmp_path / "points"))
+    def cached(workers=1):
+        return SweepOptions(
+            workers=workers, cache=PointCache(tmp_path / "points")
+        )
+
+    cold = run_slack_sweep(**grid, options=cached())
     assert cold.timing.grid_points == n_points
     assert (cold.timing.cached, cold.timing.measured) == (0, n_points)
 
-    warm_inline = run_slack_sweep(**grid, workers=1,
-                                  cache=PointCache(tmp_path / "points"))
+    warm_inline = run_slack_sweep(**grid, options=cached())
     assert (warm_inline.timing.cached, warm_inline.timing.measured) == (
         n_points, 0
     )
 
     if fork_available() and (os.cpu_count() or 1) >= 2:
-        warm_pool = run_slack_sweep(**grid, workers=2,
-                                    cache=PointCache(tmp_path / "points"))
+        warm_pool = run_slack_sweep(**grid, options=cached(workers=2))
         assert (warm_pool.timing.cached, warm_pool.timing.measured) == (
             warm_inline.timing.cached, warm_inline.timing.measured
         )

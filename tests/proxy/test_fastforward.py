@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import SlackModel
-from repro.proxy import FastForwardInfo, ProxyConfig, run_proxy
-from repro.proxy.fastforward import MIN_ITERATIONS, refusal_reason
+from repro.des.fastforward import MIN_ITERATIONS
+from repro.proxy import FastForwardInfo, ProxyConfig, SweepOptions, run_proxy
+from repro.proxy.matmul import refusal_reason
 from repro.trace import RepeatedEpochTrace
 
 
@@ -211,12 +212,12 @@ class TestRefusalGates:
             iterations=20,
         )
         with collecting() as reg:
-            run_slack_sweep(**grid, workers=1, faults=plan)
+            run_slack_sweep(**grid, options=SweepOptions(faults=plan))
         # 2 configs x (baseline + 1 slack point) = 4 full simulations.
         assert reg.counter("proxy.fastforward.fallbacks").value == 4
         assert reg.counter("proxy.fastforward.hits").value == 0
         with collecting() as reg:
-            run_slack_sweep(**grid, workers=1)
+            run_slack_sweep(**grid)
         assert reg.counter("proxy.fastforward.hits").value == 4
         assert reg.counter("proxy.fastforward.fallbacks").value == 0
 

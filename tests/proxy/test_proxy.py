@@ -12,6 +12,7 @@ from repro.proxy import (
     ITERATION_FLOOR,
     ProxyConfig,
     SlackResponseSurface,
+    SweepOptions,
     calibrate_iterations,
     calibrate_matrix_size,
     run_proxy,
@@ -448,5 +449,7 @@ class TestHoistedCalibration:
             iterations=30,
         )
         fast = run_slack_sweep(**kwargs)
-        full = run_slack_sweep(fast_forward=False, **kwargs)
+        full = run_slack_sweep(
+            options=SweepOptions(fast_forward=False), **kwargs
+        )
         assert fast.points == full.points

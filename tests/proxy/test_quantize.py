@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.proxy import (
     SlackResponseSurface,
+    SweepOptions,
     dedupe_slacks,
     run_slack_sweep,
     same_slack,
@@ -63,7 +64,7 @@ def tiny_sweep():
     return run_slack_sweep(
         matrix_sizes=[256], slack_values_s=[1e-5, 1e-4], threads=[1],
         iterations=3, target_compute_s=2.0,
-        workers=1, cache=False,
+        options=SweepOptions(cache=False),
     )
 
 

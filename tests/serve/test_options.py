@@ -1,13 +1,14 @@
-"""The SweepOptions bundle and its resolution contract."""
+"""The SweepOptions bundle: the one spelling of the sweep knobs."""
 
 import dataclasses
 import warnings
 
 import pytest
 
+import repro.proxy
 from repro.experiments import ExperimentContext
 from repro.parallel import PointCache, SweepExecutor
-from repro.proxy import SweepOptions, UNSET, resolve_options, run_slack_sweep
+from repro.proxy import SweepOptions, run_slack_sweep
 
 
 def test_options_are_frozen_and_keyword_only():
@@ -44,22 +45,21 @@ def test_replace_returns_updated_copy():
     assert base.workers == 1 and other.workers == 4
 
 
-def test_point_cache_resolution():
+def test_point_cache_resolution(tmp_path):
     assert SweepOptions(cache=None).point_cache() is None
     assert SweepOptions(cache=False).point_cache() is None
     store = PointCache.__new__(PointCache)  # no disk touch needed
     assert SweepOptions(cache=store).point_cache() is store
+    assert SweepOptions(cache=store).point_cache(tmp_path) is store
+    resolved = SweepOptions(cache=True).point_cache(tmp_path)
+    assert resolved.root == tmp_path / "points"
 
 
-def test_resolve_options_explicit_keywords_win():
-    base = SweepOptions(workers=2, cache=False)
-    merged = resolve_options(base, {"workers": 4, "cache": UNSET})
-    assert merged.workers == 4
-    assert merged.cache is False
-    untouched = resolve_options(base, {"workers": UNSET})
-    assert untouched == base
-    defaulted = resolve_options(None, {"workers": UNSET})
-    assert defaulted == SweepOptions()
+def test_unset_and_resolve_options_are_gone():
+    assert not hasattr(repro.proxy, "UNSET")
+    assert not hasattr(repro.proxy, "resolve_options")
+    with pytest.raises(ImportError):
+        from repro.proxy.options import resolve_options  # noqa: F401
 
 
 def test_run_slack_sweep_accepts_options():
@@ -71,49 +71,58 @@ def test_run_slack_sweep_accepts_options():
     assert len(result.points) == 1
 
 
-def test_run_slack_sweep_explicit_keyword_overrides_options():
-    opts = SweepOptions(workers=4, cache=False)
-    # The explicit workers=1 wins over the options object's 4.
-    result = run_slack_sweep(
-        matrix_sizes=[256], slack_values_s=[1e-5], threads=[1],
-        iterations=3, target_compute_s=2.0, options=opts, workers=1,
-    )
-    assert result.timing.workers == 1
-    assert result.timing.mode == "inline"
-
-
-def test_legacy_positional_grid_still_works_with_warning():
-    with pytest.warns(DeprecationWarning, match="keyword"):
-        result = run_slack_sweep(
-            [256], [1e-5], [1], 3, 2.0, workers=1, cache=False
+@pytest.mark.parametrize(
+    "knob", ["workers", "cache", "fast_forward", "faults", "adaptive", "tol"]
+)
+def test_run_slack_sweep_rejects_per_knob_keywords(knob):
+    with pytest.raises(TypeError, match=knob):
+        run_slack_sweep(
+            matrix_sizes=[256], slack_values_s=[1e-5], iterations=3,
+            **{knob: None},
         )
-    assert len(result.points) == 1
 
 
-def test_executor_accepts_options():
-    ex = SweepExecutor(options=SweepOptions(workers=3, cache=False))
-    assert ex.workers == 3
-    assert ex.cache is None
+def test_positional_grid_is_a_type_error():
+    with pytest.raises(TypeError):
+        run_slack_sweep([256], [1e-5], [1], 3, 2.0)
 
 
-def test_executor_explicit_workers_beat_options():
-    ex = SweepExecutor(workers=2, options=SweepOptions(workers=8))
-    assert ex.workers == 2
+def test_executor_takes_concrete_knobs(tmp_path):
+    store = PointCache(tmp_path)
+    ex = SweepExecutor(3, store, chunk_size=2)
+    assert (ex.workers, ex.cache, ex.chunk_size) == (3, store, 2)
+    assert SweepExecutor(1).cache is None
+
+
+def test_executor_rejects_options_keyword():
+    with pytest.raises(TypeError):
+        SweepExecutor(options=SweepOptions(workers=3))
 
 
 def test_context_accepts_options_bundle():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         ctx = ExperimentContext(options=SweepOptions(workers=2, cache=False))
-    assert ctx.workers == 2
-    assert ctx.cache is False
-    assert ctx.options.workers == 2
+    assert ctx.options == SweepOptions(workers=2, cache=False)
+    assert ctx.point_cache() is None
+    assert ctx._surface_cache_path() is None
 
 
-def test_context_explicit_knob_beats_options():
-    ctx = ExperimentContext(
-        options=SweepOptions(workers=2, cache=False), workers=5
+def test_context_default_and_workers_shorthand():
+    assert ExperimentContext().options == SweepOptions(cache=True)
+    assert ExperimentContext(workers=3).options == SweepOptions(
+        cache=True, workers=3
     )
-    assert ctx.workers == 5
-    assert ctx.options.workers == 5
-    assert ctx.cache is False
+
+
+def test_context_rejects_workers_with_options():
+    with pytest.raises(TypeError, match="not both"):
+        ExperimentContext(options=SweepOptions(workers=2), workers=5)
+
+
+@pytest.mark.parametrize(
+    "attr", ["workers", "cache", "fast_forward", "faults", "adaptive",
+             "tol", "use_cache"]
+)
+def test_context_mirror_attributes_are_gone(attr):
+    assert not hasattr(ExperimentContext(), attr)

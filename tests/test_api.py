@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and its deprecation contracts."""
+"""The stable ``repro.api`` facade, and the removal of its expired shims."""
 
 import warnings
 
@@ -88,46 +88,40 @@ def test_context_knobs_are_keyword_only():
         ExperimentContext(True, None)  # cache_dir positional
 
 
-# -- deprecated kwarg spelling -----------------------------------------------
+# -- removed spellings fail ---------------------------------------------------
 
-def test_context_use_cache_kwarg_warns_but_works():
+def test_context_use_cache_kwarg_is_a_type_error():
     from repro.api import ExperimentContext
 
-    with pytest.warns(DeprecationWarning, match="use_cache"):
-        ctx = ExperimentContext(use_cache=False)
-    assert ctx.cache is False
-    assert ctx.point_cache() is None
-
-    with pytest.warns(DeprecationWarning, match="use_cache"):
-        assert ctx.use_cache is False
+    with pytest.raises(TypeError, match="use_cache"):
+        ExperimentContext(use_cache=False)
 
 
 def test_context_canonical_cache_kwarg_is_silent():
-    from repro.api import ExperimentContext, PointCache
+    from repro.api import ExperimentContext, PointCache, SweepOptions
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        ctx = ExperimentContext(cache=False)
+        ctx = ExperimentContext(options=SweepOptions(cache=False))
         assert ctx.point_cache() is None
         store = PointCache.__new__(PointCache)  # no disk touch needed
-        ctx2 = ExperimentContext(cache=store)
+        ctx2 = ExperimentContext(options=SweepOptions(cache=store))
         assert ctx2.point_cache() is store
 
 
-# -- deprecated module re-exports --------------------------------------------
+def test_context_rejects_options_with_workers():
+    from repro.api import ExperimentContext, SweepOptions
 
-def test_sweep_module_shims_warn_and_alias_canonical():
-    import repro.hw
-    import repro.network
+    with pytest.raises(TypeError):
+        ExperimentContext(options=SweepOptions(), workers=2)
+
+
+def test_sweep_module_shims_are_gone():
     import repro.proxy.sweep as sweep_mod
 
-    with pytest.warns(DeprecationWarning, match="repro.hw"):
-        oom = sweep_mod.OutOfMemoryError
-    assert oom is repro.hw.OutOfMemoryError
-
-    with pytest.warns(DeprecationWarning, match="repro.network"):
-        model = sweep_mod.SlackModel
-    assert model is repro.network.SlackModel
+    for name in ("OutOfMemoryError", "SlackModel"):
+        with pytest.raises(AttributeError):
+            getattr(sweep_mod, name)
 
 
 def test_sweep_module_unknown_attribute_still_raises():
@@ -137,12 +131,16 @@ def test_sweep_module_unknown_attribute_still_raises():
         sweep_mod.does_not_exist
 
 
-# -- deprecated facade aliases ------------------------------------------------
+def test_proxy_fastforward_module_is_gone():
+    import importlib
 
-def test_surrogate_alias_warns_and_resolves_canonical():
-    with pytest.warns(DeprecationWarning, match="SurrogateModel"):
-        alias = api.Surrogate
-    assert alias is api.SurrogateModel
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.proxy.fastforward")
+
+
+def test_surrogate_alias_is_gone():
+    with pytest.raises(AttributeError):
+        api.Surrogate
 
 
 def test_facade_unknown_attribute_still_raises():
@@ -150,12 +148,15 @@ def test_facade_unknown_attribute_still_raises():
         api.does_not_exist
 
 
-def test_legacy_positional_sweep_grid_warns():
+def test_legacy_positional_sweep_grid_is_a_type_error():
     from repro.api import run_slack_sweep
 
-    with pytest.warns(DeprecationWarning, match="keyword"):
-        result = run_slack_sweep(
-            [256], [1e-5], iterations=3, target_compute_s=2.0,
-            workers=1, cache=False,
-        )
-    assert len(result.points) == 1
+    with pytest.raises(TypeError):
+        run_slack_sweep([256], [1e-5], iterations=3, target_compute_s=2.0)
+
+
+def test_run_slack_sweep_per_knob_keyword_is_a_type_error():
+    from repro.api import run_slack_sweep
+
+    with pytest.raises(TypeError, match="workers"):
+        run_slack_sweep(workers=2)

@@ -228,11 +228,13 @@ class TestFaultDeterminismProperties:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_inline_vs_process_pool_bit_identical(self, seed):
-        from repro.proxy import run_slack_sweep
+        from repro.proxy import SweepOptions, run_slack_sweep
 
-        plan = self._plan(seed)
-        inline = run_slack_sweep(**self.GRID, workers=1, faults=plan)
-        pooled = run_slack_sweep(**self.GRID, workers=4, faults=plan)
+        opts = SweepOptions(faults=self._plan(seed))
+        inline = run_slack_sweep(**self.GRID, options=opts)
+        pooled = run_slack_sweep(
+            **self.GRID, options=opts.replace(workers=4)
+        )
         # SweepPoint is a frozen dataclass: == here is exact float
         # equality on every field of every point, in order.
         assert inline.points == pooled.points
@@ -241,11 +243,11 @@ class TestFaultDeterminismProperties:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_repeated_invocations_bit_identical(self, seed):
-        from repro.proxy import run_slack_sweep
+        from repro.proxy import SweepOptions, run_slack_sweep
 
-        plan = self._plan(seed)
-        first = run_slack_sweep(**self.GRID, workers=1, faults=plan)
-        second = run_slack_sweep(**self.GRID, workers=1, faults=plan)
+        opts = SweepOptions(faults=self._plan(seed))
+        first = run_slack_sweep(**self.GRID, options=opts)
+        second = run_slack_sweep(**self.GRID, options=opts)
         assert first.points == second.points
         assert first.skipped == second.skipped
 
@@ -253,12 +255,12 @@ class TestFaultDeterminismProperties:
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_empty_plan_reproduces_healthy_sweep(self, seed):
         from repro.faults import FaultPlan
-        from repro.proxy import run_slack_sweep
+        from repro.proxy import SweepOptions, run_slack_sweep
 
         grid = dict(self.GRID, threads=(1, 2))
-        healthy = run_slack_sweep(**grid, workers=1)
+        healthy = run_slack_sweep(**grid)
         empty = run_slack_sweep(
-            **grid, workers=1, faults=FaultPlan(seed=seed)
+            **grid, options=SweepOptions(faults=FaultPlan(seed=seed))
         )
         assert healthy.points == empty.points
 
