@@ -159,12 +159,19 @@ def test_bench_adaptive_sweep():
         "refined_points": res.refined_points,
         "predicted_points": res.predicted_points,
         "tol": ADAPTIVE_TOL,
-        "max_observed_error": res.max_error,
+        # Largest midpoint error that certified an interval (the bound
+        # predicted points carry) and largest that was refined away.
+        "max_certified": res.max_certified_error,
+        "max_rejected": res.max_rejected_error,
         "worst_predicted_deviation": worst,
         "dense_s": dense_s,
         "adaptive_s": adaptive_s,
         "speedup": dense_s / adaptive_s,
     }
+    assert res.max_certified_error <= ADAPTIVE_TOL, (
+        f"an interval certified at {res.max_certified_error:.2e}, above "
+        f"the {ADAPTIVE_TOL:g} tolerance"
+    )
     assert worst <= ADAPTIVE_TOL, (
         f"predicted penalties deviate {worst:.2e} from the dense "
         f"sweep, above the {ADAPTIVE_TOL:g} tolerance"

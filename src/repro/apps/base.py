@@ -14,13 +14,62 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
+
+import numpy as np
 
 from ..des.fastforward import FastForwardInfo
 from ..obs import get_registry
 from ..trace import Trace
 
-__all__ = ["AppProfile", "ApplicationModel", "publish_fastforward"]
+__all__ = [
+    "AppProfile",
+    "ApplicationModel",
+    "publish_fastforward",
+    "core_fallback_reason",
+    "publish_appcore",
+    "jitter_sigma",
+    "lognormal_mu",
+]
+
+
+def jitter_sigma(fraction: float) -> Any:
+    """Log-normal sigma giving a relative standard deviation ``fraction``."""
+    return np.sqrt(np.log(1 + fraction**2))
+
+
+def lognormal_mu(mean: float, sigma: Any) -> Any:
+    """Log-normal mu whose distribution has mean ``mean`` at ``sigma``.
+
+    An app's jittered timing draws ``rng.lognormal(lognormal_mu(m, s), s)``.
+    """
+    return np.log(mean) - sigma**2 / 2
+
+
+def core_fallback_reason(enabled: bool, faults: Optional[Any]) -> Optional[str]:
+    """Why an app profile must run on the reference DES (None = it need not).
+
+    ``disabled`` — fast-forward was switched off, which selects the
+    event-by-event reference run (the oracle path); ``faults-active`` —
+    a non-empty fault plan, which only the DES models. Otherwise a run
+    fast-forward refuses goes to the app's index core
+    (:mod:`repro.gpusim.flatcore`).
+    """
+    if not enabled:
+        return "disabled"
+    if faults is not None and not faults.is_empty:
+        return "faults-active"
+    return None
+
+
+def publish_appcore(fallback: Optional[str]) -> None:
+    """Count one profiling run on the index core (``appcore.runs``) or
+    one run the core could not take (``appcore.fallbacks.<reason>``)."""
+    reg = get_registry()
+    if fallback is None:
+        reg.counter("appcore.runs").inc()
+    else:
+        reg.counter(f"appcore.fallbacks.{fallback}").inc()
 
 
 def publish_fastforward(info: FastForwardInfo) -> None:

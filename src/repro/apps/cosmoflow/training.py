@@ -22,8 +22,9 @@ metric copies), so the segmented fast-forward engine
 (:mod:`repro.des.fastforward`) certifies each phase's cycle once,
 verifies later structurally identical phases with a single cycle, and
 extrapolates everything else analytically. Jittered configurations
-(the default: real NSys traces wobble) are ineligible and always run
-in full; the profile records which happened in
+(the default: real NSys traces wobble) are ineligible and run in full,
+on the index core (:mod:`repro.apps.cosmoflow.core`) unless a fault
+plan needs the DES; the profile records which happened in
 :attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +46,16 @@ from ...faults import FaultPlan
 from ...gpusim import CudaRuntime, KernelSpec
 from ...hw import A100_SXM4_40GB, GPUSpec, MiB, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import CopyKind, EventKind
-from ..base import AppProfile, publish_fastforward
+from ...trace import CopyKind, EventKind, Trace
+from ..base import (
+    AppProfile,
+    core_fallback_reason,
+    jitter_sigma,
+    lognormal_mu,
+    publish_appcore,
+    publish_fastforward,
+)
+from .core import cosmoflow_core
 from .model import CosmoFlowNet
 
 __all__ = [
@@ -101,6 +110,76 @@ class CosmoFlowProfileConfig:
         return self.epochs * (self.val_samples // self.batch_size)
 
 
+@dataclass(frozen=True)
+class _StepPlan:
+    """Kernel sequences, host costs and transfer sizes of one traced run."""
+
+    train_kernels: List[KernelSpec]
+    val_kernels: List[KernelSpec]
+    #: Host op-dispatch cost per kernel, sized so the launch phase
+    #: covers LAUNCH_PHASE_FRACTION of the sequence's execution time.
+    train_dispatch: float
+    val_dispatch: float
+    prefetch_bytes: int
+    weight_bytes: int
+    #: Steps per cycle: one cycle spans every per-step cadence
+    #: (prefetch, gradient exchange, weight sync, the %2 metric copy),
+    #: so steps at the same offset within a cycle are structurally
+    #: identical and only a step's residue modulo the cycle affects
+    #: its behavior.
+    cycle_len: int
+
+    gradient_bytes = 8 * MiB  # fused gradient buffer
+    loss_bytes = 4 * 1024
+    counter_bytes = 4 * 1024
+    summary_bytes = 100 * 1024
+    metric_bytes = 300 * 1024
+
+    @classmethod
+    def of(cls, config: CosmoFlowProfileConfig) -> "_StepPlan":
+        net = CosmoFlowNet(batch_size=config.batch_size)
+        train_kernels = net.training_step_kernels()
+        val_kernels = net.validation_step_kernels()
+        return cls(
+            train_kernels=train_kernels,
+            val_kernels=val_kernels,
+            train_dispatch=(
+                net.step_gpu_seconds(config.gpu, training=True)
+                * LAUNCH_PHASE_FRACTION
+                / len(train_kernels)
+            ),
+            val_dispatch=(
+                net.step_gpu_seconds(config.gpu, training=False)
+                * LAUNCH_PHASE_FRACTION
+                / len(val_kernels)
+            ),
+            prefetch_bytes=(
+                config.prefetch_batches * config.batch_size
+                * net.sample_bytes()
+            ),
+            # weights + optimizer state
+            weight_bytes=int(3 * 4 * net.parameter_count()),
+            cycle_len=math.lcm(
+                config.prefetch_batches,
+                config.gradient_exchange_every,
+                config.weight_sync_every,
+                2,
+            ),
+        )
+
+    @staticmethod
+    def phases(config: CosmoFlowProfileConfig) -> List[Tuple[bool, int, int]]:
+        """``(training, first step, steps)`` of every phase, in run order:
+        each epoch's train phase, then its validation phase."""
+        train = config.train_samples // config.batch_size
+        val = config.val_samples // config.batch_size
+        out = []
+        for epoch in range(config.epochs):
+            step0 = epoch * (train + val)
+            out += [(True, step0, train), (False, step0 + train, val)]
+        return out
+
+
 def profile_cosmoflow(
     config: Optional[CosmoFlowProfileConfig] = None,
     slack: Optional[SlackModel] = None,
@@ -119,16 +198,70 @@ def profile_cosmoflow(
         already-certified one verify after a single cycle. Same
         profile, O(warmup) events. Jittered configurations, non-base
         slack models, active fault plans and phases of fewer than
-        :data:`~repro.des.fastforward.MIN_ITERATIONS` cycles always
-        run the full simulation; ``profile.fastforward`` records what
-        happened.
+        :data:`~repro.des.fastforward.MIN_ITERATIONS` cycles cannot be
+        fast-forwarded; without a fault plan they run on the index
+        core (:mod:`repro.apps.cosmoflow.core`), which computes the
+        full simulation's profile bit for bit without an event loop.
+        ``False`` runs the reference DES event by event.
+        ``profile.fastforward`` records what happened.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
         for this run. Active plans refuse fast-forward
-        (``reason="faults-active"``).
+        (``reason="faults-active"``) and run on the DES.
     """
     config = config or CosmoFlowProfileConfig()
     slack_model = slack or SlackModel.none()
+    plan = _StepPlan.of(config)
+    max_cycles = max(
+        (config.train_samples // config.batch_size) // plan.cycle_len,
+        (config.val_samples // config.batch_size) // plan.cycle_len,
+    )
+    enabled = True if fast_forward is None else bool(fast_forward)
+    fallback = core_fallback_reason(enabled, faults)
+    reason = None
+    if fallback is None:
+        reason = app_refusal_reason(
+            slack_model, jitter=config.jitter, epochs=max_cycles
+        )
+    if fallback is None and reason is not None:
+        publish_appcore(None)
+        run = cosmoflow_core(config, slack_model, plan)
+        runtime = run.end_s
+        trace = run.trace
+        info = FastForwardInfo(enabled=True, certified=False, reason=reason)
+    else:
+        if fallback is not None:
+            publish_appcore(fallback)
+        runtime, trace, info = _profile_des(
+            config, slack_model, plan, max_cycles, enabled, faults
+        )
+    publish_fastforward(info)
+    # Cheap on a SegmentedEpochTrace: counted from the compression
+    # recipe without expanding the event list.
+    api_calls = trace.count_kind(EventKind.API)
+    # The paper's pessimistic parallelism: launches take ~1/7 of the
+    # sequence, i.e. ~7 kernels deep; halved to 4 as the pessimistic
+    # equivalent queue depth.
+    parallelism = max(1, round(1.0 / LAUNCH_PHASE_FRACTION) // 2 + 1)
+    return AppProfile(
+        name="cosmoflow",
+        trace=trace,
+        runtime_s=runtime,
+        queue_parallelism=parallelism,
+        cuda_calls_per_second=api_calls / runtime,
+        fastforward=info,
+    )
+
+
+def _profile_des(
+    config: CosmoFlowProfileConfig,
+    slack_model: SlackModel,
+    plan: _StepPlan,
+    max_cycles: int,
+    enabled: bool,
+    faults: Optional[FaultPlan],
+) -> Tuple[float, Trace, FastForwardInfo]:
+    """The reference DES run: runtime, trace and fast-forward info."""
     env = Environment()
     injector = faults.compile(env) if faults is not None else None
     rt = CudaRuntime(
@@ -136,51 +269,13 @@ def profile_cosmoflow(
         faults=injector,
     )
     rng = np.random.default_rng(config.seed)
-    net = CosmoFlowNet(batch_size=config.batch_size)
-
-    train_kernels = net.training_step_kernels()
-    val_kernels = net.validation_step_kernels()
-    # Host op-dispatch cost per kernel, sized so the launch phase
-    # covers LAUNCH_PHASE_FRACTION of the sequence's execution time.
-    train_dispatch = (
-        net.step_gpu_seconds(config.gpu, training=True)
-        * LAUNCH_PHASE_FRACTION
-        / len(train_kernels)
-    )
-    val_dispatch = (
-        net.step_gpu_seconds(config.gpu, training=False)
-        * LAUNCH_PHASE_FRACTION
-        / len(val_kernels)
-    )
-
-    prefetch_bytes = (
-        config.prefetch_batches * config.batch_size * net.sample_bytes()
-    )
-    gradient_bytes = 8 * MiB  # fused gradient buffer
-    weight_bytes = int(
-        3 * 4 * net.parameter_count()
-    )  # weights + optimizer state
-    loss_bytes = 4 * 1024
-    counter_bytes = 4 * 1024
-    summary_bytes = 100 * 1024
-    metric_bytes = 300 * 1024
+    sigma = jitter_sigma(config.jitter)
+    cycle_len = plan.cycle_len
 
     def jittered(mean: float) -> float:
         if config.jitter == 0 or mean <= 0:
             return mean
-        sigma = np.sqrt(np.log(1 + config.jitter**2))
-        return float(rng.lognormal(np.log(mean) - sigma**2 / 2, sigma))
-
-    # One cycle spans every per-step cadence below (prefetch, gradient
-    # exchange, weight sync, the %2 metric copy), so steps at the same
-    # offset within a cycle are structurally identical and only a
-    # step's residue modulo the cycle affects its behavior.
-    cycle_len = math.lcm(
-        config.prefetch_batches,
-        config.gradient_exchange_every,
-        config.weight_sync_every,
-        2,
-    )
+        return float(rng.lognormal(lognormal_mu(mean, sigma), sigma))
 
     def run_step(
         stream, kernels: List[KernelSpec], dispatch: float, step: int,
@@ -189,7 +284,8 @@ def profile_cosmoflow(
         # Input prefetch: one large staged H2D every prefetch_batches
         # steps (async — the pipeline keeps a buffer ahead).
         if step % config.prefetch_batches == 0:
-            yield from rt.memcpy_async(prefetch_bytes, CopyKind.H2D, stream)
+            yield from rt.memcpy_async(plan.prefetch_bytes, CopyKind.H2D,
+                                       stream)
         # Dispatch the kernel sequence with per-op host cost
         # (tick-quantized like every simulated device delay, keeping
         # the run on the dyadic grid fast-forward needs).
@@ -203,29 +299,24 @@ def profile_cosmoflow(
             yield from rt.launch(jk, stream)
         if training:
             if step % config.gradient_exchange_every == 0:
-                yield from rt.memcpy(gradient_bytes, CopyKind.D2H, stream)
+                yield from rt.memcpy(plan.gradient_bytes, CopyKind.D2H,
+                                     stream)
             if step % config.weight_sync_every == 0:
-                yield from rt.memcpy(weight_bytes, CopyKind.D2H, stream)
+                yield from rt.memcpy(plan.weight_bytes, CopyKind.D2H, stream)
         # Per-step small copies: loss scalar and step counters always,
         # training summaries and periodic metrics besides — together
         # the ~3.2 sub-MiB transfers per step Table III counts. The
         # host then waits for the sequence ("the CPU performs other
         # tasks in the background and waits for the sequence to
         # complete").
-        yield from rt.memcpy(loss_bytes, CopyKind.D2H, stream)
-        yield from rt.memcpy(counter_bytes, CopyKind.H2D, stream)
+        yield from rt.memcpy(plan.loss_bytes, CopyKind.D2H, stream)
+        yield from rt.memcpy(plan.counter_bytes, CopyKind.H2D, stream)
         if training:
-            yield from rt.memcpy(summary_bytes, CopyKind.D2H, stream)
+            yield from rt.memcpy(plan.summary_bytes, CopyKind.D2H, stream)
         if step % 2 == 0:
-            yield from rt.memcpy(metric_bytes, CopyKind.D2H, stream)
+            yield from rt.memcpy(plan.metric_bytes, CopyKind.D2H, stream)
         yield from rt.synchronize(stream=stream)
 
-    steps_per_epoch_train = config.train_samples // config.batch_size
-    steps_per_epoch_val = config.val_samples // config.batch_size
-    max_cycles = max(
-        steps_per_epoch_train // cycle_len, steps_per_epoch_val // cycle_len
-    )
-    enabled = True if fast_forward is None else bool(fast_forward)
     reason = "disabled" if not enabled else app_refusal_reason(
         slack_model,
         faults=injector,
@@ -269,14 +360,14 @@ def profile_cosmoflow(
     def main() -> Generator[Event, Any, float]:
         t0 = env.now
         stream = rt.create_stream()
-        step0 = 0
-        for _epoch in range(config.epochs):
-            yield from phase(stream, train_kernels, train_dispatch, step0,
-                             steps_per_epoch_train, True, "train")
-            step0 += steps_per_epoch_train
-            yield from phase(stream, val_kernels, val_dispatch, step0,
-                             steps_per_epoch_val, False, "val")
-            step0 += steps_per_epoch_val
+        for training, step0, steps in plan.phases(config):
+            if training:
+                yield from phase(stream, plan.train_kernels,
+                                 plan.train_dispatch, step0, steps, True,
+                                 "train")
+            else:
+                yield from phase(stream, plan.val_kernels, plan.val_dispatch,
+                                 step0, steps, False, "val")
         yield from rt.synchronize()
         return env.now - t0
 
@@ -285,33 +376,13 @@ def profile_cosmoflow(
 
     if monitor is not None and monitor.certified:
         ex = monitor.extrapolate(float(main_proc.value))
-        runtime = ex.loop_runtime_s
-        trace = ex.trace
-        info = ex.info
-    else:
-        if monitor is not None:
-            # Eligible but never certified: the run completed as a
-            # full simulation on its own.
-            reason = "no-fixed-point"
-        runtime = float(main_proc.value)
-        trace = rt.tracer.trace
-        info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
-    publish_fastforward(info)
-    # Cheap on a SegmentedEpochTrace: counted from the compression
-    # recipe without expanding the event list.
-    api_calls = trace.count_kind(EventKind.API)
-    # The paper's pessimistic parallelism: launches take ~1/7 of the
-    # sequence, i.e. ~7 kernels deep; halved to 4 as the pessimistic
-    # equivalent queue depth.
-    parallelism = max(1, round(1.0 / LAUNCH_PHASE_FRACTION) // 2 + 1)
-    return AppProfile(
-        name="cosmoflow",
-        trace=trace,
-        runtime_s=runtime,
-        queue_parallelism=parallelism,
-        cuda_calls_per_second=api_calls / runtime,
-        fastforward=info,
-    )
+        return ex.loop_runtime_s, ex.trace, ex.info
+    if monitor is not None:
+        # Eligible but never certified: the run completed as a full
+        # simulation on its own.
+        reason = "no-fixed-point"
+    info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
+    return float(main_proc.value), rt.tracer.trace, info
 
 
 def cosmoflow_cpu_runtime(

@@ -23,14 +23,16 @@ full neighbour-rebuild cycle) so the steady-state fast-forward engine
 (:mod:`repro.des.fastforward`) can certify a cycle, cap the simulation
 and extrapolate the remainder analytically — same profile, a fraction
 of the events. Jittered configurations (the default: real NSys traces
-wobble) are ineligible and always run in full; the profile records
-which happened in :attr:`~repro.apps.base.AppProfile.fastforward`.
+wobble) are ineligible and run in full, on the index core
+(:mod:`repro.apps.lammps.core`) unless a fault plan needs the DES; the
+profile records which happened in
+:attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +46,16 @@ from ...faults import FaultPlan
 from ...gpusim import CudaRuntime, KernelSpec
 from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import CopyKind, EventKind
-from ..base import AppProfile, publish_fastforward
+from ...trace import CopyKind, EventKind, Trace
+from ..base import (
+    AppProfile,
+    core_fallback_reason,
+    jitter_sigma,
+    lognormal_mu,
+    publish_appcore,
+    publish_fastforward,
+)
+from .core import lammps_core
 from .lj import LJParams
 from .scaling import LammpsScalingModel
 
@@ -84,6 +94,46 @@ class LammpsProfileConfig:
             raise ValueError("neighbor_every must be positive")
 
 
+@dataclass(frozen=True)
+class _StepCosts:
+    """Per-rank, per-timestep sizes and delays of one traced run."""
+
+    pos_bytes: int
+    force_bytes: int
+    neigh_bytes: int
+    #: CPU work per rank per step, from the calibrated scaling model.
+    cpu_step: float
+    comm_step: float
+    pair_time: float
+
+    @property
+    def neigh_time(self) -> float:
+        """Mean duration of the neighbour-list build kernel."""
+        return self.pair_time * 2.5
+
+    @classmethod
+    def of(cls, config: LammpsProfileConfig) -> "_StepCosts":
+        scaling = LammpsScalingModel()
+        params = config.params
+        P = config.processes
+        atoms_local = params.atoms_per_process(P)
+        eff = scaling.thread_efficiency(config.threads)
+        return cls(
+            pos_bytes=int(atoms_local * POSITION_BYTES_PER_ATOM),
+            force_bytes=int(atoms_local * FORCE_BYTES_PER_ATOM),
+            # bin/half-neigh metadata
+            neigh_bytes=max(1, int(atoms_local * 0.5)),
+            cpu_step=(
+                scaling.cpu_fraction
+                * scaling.work_s(params)
+                / (P * config.threads * eff)
+                / params.steps
+            ),
+            comm_step=scaling.comm_s(params, P) / params.steps,
+            pair_time=atoms_local * PAIR_SECONDS_PER_ATOM,
+        )
+
+
 def profile_lammps(
     config: Optional[LammpsProfileConfig] = None,
     slack: Optional[SlackModel] = None,
@@ -102,15 +152,65 @@ def profile_lammps(
         simulated — same profile, O(warmup) events. Jittered
         configurations, non-base slack models, active fault plans and
         runs of fewer than :data:`~repro.des.fastforward.MIN_ITERATIONS`
-        epochs always run the full simulation;
+        epochs cannot be fast-forwarded; without a fault plan they run
+        on the index core (:mod:`repro.apps.lammps.core`), which
+        computes the full simulation's profile bit for bit without an
+        event loop. ``False`` runs the reference DES event by event.
         ``profile.fastforward`` records what happened.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
         for this run. Active plans refuse fast-forward
-        (``reason="faults-active"``).
+        (``reason="faults-active"``) and run on the DES.
     """
     config = config or LammpsProfileConfig()
     slack_model = slack or SlackModel.none()
+    costs = _StepCosts.of(config)
+    enabled = True if fast_forward is None else bool(fast_forward)
+    fallback = core_fallback_reason(enabled, faults)
+    reason = None
+    if fallback is None:
+        reason = app_refusal_reason(
+            slack_model,
+            jitter=config.jitter,
+            epochs=config.params.steps // config.neighbor_every,
+        )
+    if fallback is None and reason is not None:
+        publish_appcore(None)
+        run = lammps_core(config, slack_model, costs)
+        loop_runtime = run.end_s
+        trace = run.trace
+        info = FastForwardInfo(enabled=True, certified=False, reason=reason)
+    else:
+        if fallback is not None:
+            publish_appcore(fallback)
+        loop_runtime, trace, info = _profile_des(
+            config, slack_model, costs, enabled, faults
+        )
+    publish_fastforward(info)
+    runtime = loop_runtime + LammpsScalingModel().setup_s
+    # Cheap on a RepeatedEpochTrace: counted from the compression
+    # recipe without expanding the event list.
+    api_calls = trace.count_kind(EventKind.API)
+    return AppProfile(
+        name="lammps",
+        trace=trace,
+        runtime_s=runtime,
+        # One kernel launcher per MPI rank (the paper reads 8 from its
+        # traces at this configuration).
+        queue_parallelism=config.processes,
+        cuda_calls_per_second=api_calls / runtime,
+        fastforward=info,
+    )
+
+
+def _profile_des(
+    config: LammpsProfileConfig,
+    slack_model: SlackModel,
+    costs: _StepCosts,
+    enabled: bool,
+    faults: Optional[FaultPlan],
+) -> Tuple[float, Trace, FastForwardInfo]:
+    """The reference DES run: loop runtime, trace and fast-forward info."""
     env = Environment()
     injector = faults.compile(env) if faults is not None else None
     rt = CudaRuntime(
@@ -118,31 +218,20 @@ def profile_lammps(
         faults=injector,
     )
     rng = np.random.default_rng(config.seed)
-    scaling = LammpsScalingModel()
 
-    params = config.params
     P = config.processes
-    atoms_local = params.atoms_per_process(P)
-    pos_bytes = int(atoms_local * POSITION_BYTES_PER_ATOM)
-    force_bytes = int(atoms_local * FORCE_BYTES_PER_ATOM)
-    neigh_bytes = max(1, int(atoms_local * 0.5))  # bin/half-neigh metadata
-
-    # CPU work per rank per step, from the calibrated scaling model.
-    eff = scaling.thread_efficiency(config.threads)
-    cpu_step = (
-        scaling.cpu_fraction
-        * scaling.work_s(params)
-        / (P * config.threads * eff)
-        / params.steps
-    )
-    comm_step = scaling.comm_s(params, P) / params.steps
-    pair_time = atoms_local * PAIR_SECONDS_PER_ATOM
+    pos_bytes = costs.pos_bytes
+    force_bytes = costs.force_bytes
+    neigh_bytes = costs.neigh_bytes
+    cpu_step = costs.cpu_step
+    comm_step = costs.comm_step
+    pair_time = costs.pair_time
+    sigma = jitter_sigma(config.jitter)
 
     def jittered(mean: float) -> float:
         if config.jitter == 0:
             return mean
-        sigma = np.sqrt(np.log(1 + config.jitter**2))
-        return float(rng.lognormal(np.log(mean) - sigma**2 / 2, sigma))
+        return float(rng.lognormal(lognormal_mu(mean, sigma), sigma))
 
     step_barrier = Barrier(env, P)
 
@@ -152,10 +241,9 @@ def profile_lammps(
     # preserved whether or not the epoch loop gets capped — including
     # for the tail steps of a step count that is not a multiple of the
     # cadence.
-    total_epochs = params.steps // config.neighbor_every
-    tail_steps = params.steps % config.neighbor_every
+    total_epochs = config.params.steps // config.neighbor_every
+    tail_steps = config.params.steps % config.neighbor_every
 
-    enabled = True if fast_forward is None else bool(fast_forward)
     reason = "disabled" if not enabled else app_refusal_reason(
         slack_model,
         faults=injector,
@@ -178,7 +266,7 @@ def profile_lammps(
             yield from rt.launch(
                 KernelSpec(
                     name="k_neigh_build",
-                    duration_s=jittered(pair_time * 2.5),
+                    duration_s=jittered(costs.neigh_time),
                 ),
                 stream,
                 rank_id,
@@ -220,31 +308,12 @@ def profile_lammps(
     main_proc = env.process(main(), name="lammps-main")
     env.run()
 
-    setup_s = LammpsScalingModel().setup_s
     if monitor is not None and monitor.certified:
         ex = monitor.extrapolate(float(main_proc.value))
-        runtime = ex.loop_runtime_s + setup_s
-        trace = ex.trace
-        info = ex.info
-    else:
-        if monitor is not None:
-            # Eligible but never certified: the run completed as a
-            # full simulation on its own.
-            reason = "no-fixed-point"
-        runtime = float(main_proc.value) + setup_s
-        trace = rt.tracer.trace
-        info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
-    publish_fastforward(info)
-    # Cheap on a RepeatedEpochTrace: counted from the compression
-    # recipe without expanding the event list.
-    api_calls = trace.count_kind(EventKind.API)
-    return AppProfile(
-        name="lammps",
-        trace=trace,
-        runtime_s=runtime,
-        # One kernel launcher per MPI rank (the paper reads 8 from its
-        # traces at this configuration).
-        queue_parallelism=P,
-        cuda_calls_per_second=api_calls / runtime,
-        fastforward=info,
-    )
+        return ex.loop_runtime_s, ex.trace, ex.info
+    if monitor is not None:
+        # Eligible but never certified: the run completed as a full
+        # simulation on its own.
+        reason = "no-fixed-point"
+    info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
+    return float(main_proc.value), rt.tracer.trace, info

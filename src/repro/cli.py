@@ -298,9 +298,10 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
                              "(recompute everything)")
     parser.add_argument("--no-fast-forward", action="store_true",
                         dest="no_fast_forward",
-                        help="disable steady-state fast-forward and run "
-                             "every proxy iteration in full (results are "
-                             "bit-identical; only slower)")
+                        help="disable steady-state fast-forward: run "
+                             "every proxy iteration in full and profile the "
+                             "apps on the reference DES event by event "
+                             "(results are bit-identical; only slower)")
     parser.add_argument("--metrics-out", metavar="PATH", dest="metrics_out",
                         help="enable the metrics registry for this run and "
                              "write a RunReport JSON to PATH")

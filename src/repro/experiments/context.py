@@ -78,8 +78,10 @@ class ExperimentContext:
       :class:`~repro.parallel.PointCache` instance substitutes a
       custom per-point store.
     * ``fast_forward`` reaches the proxy's steady-state fast-forward
-      (``None`` = proxy default, on; the surface is bit-identical
-      either way).
+      and the app profilers (``None`` = default, on; the surface and
+      the profiles are bit-identical either way). ``False`` runs every
+      proxy iteration in full and profiles the apps on the reference
+      DES event by event instead of their index cores.
     * ``faults`` makes :meth:`surface` a *degraded-mode* response
       surface (the plan joins the surface-cache key, so healthy and
       degraded surfaces never alias; an empty plan is stored as
@@ -287,7 +289,9 @@ class ExperimentContext:
             cache = self.profile_cache()
             profile = cache.get(app, config) if cache is not None else None
             if profile is None:
-                profile = builder(config)
+                profile = builder(
+                    config, fast_forward=self.options.fast_forward
+                )
                 if cache is not None:
                     cache.put(app, config, profile)
             publish_trace_store(profile.trace)

@@ -28,7 +28,7 @@ from typing import Generator, Optional
 from ..des import Environment, Event, Resource, UtilizationTracker, quantize
 from ..hw import GPUSpec
 
-__all__ = ["DeviceActivity", "Engine", "ComputeEngine", "CopyEngine", "ExecutionReceipt"]
+__all__ = ["DeviceActivity", "starvation_charge", "Engine", "ComputeEngine", "CopyEngine", "ExecutionReceipt"]
 
 
 class DeviceActivity:
@@ -49,6 +49,19 @@ class DeviceActivity:
         if not self.ever_busy:
             return 0.0
         return max(0.0, now - self.busy_until)
+
+
+def starvation_charge(gpu: GPUSpec, idle_gap_s: float) -> float:
+    """The compute engine's extra busy time after an ``idle_gap_s`` gap.
+
+    :meth:`GPUSpec.starvation_cost`, tick-quantized
+    (repro.des.timebase) so starvation totals and the event times they
+    extend stay exactly representable. A busy device (no gap) pays
+    nothing, without the two calls.
+    """
+    if idle_gap_s <= 0.0:
+        return 0.0
+    return quantize(gpu.starvation_cost(idle_gap_s))
 
 
 @dataclass(frozen=True)
@@ -142,9 +155,7 @@ class ComputeEngine(Engine):
         self.total_starvation_cost = 0.0
 
     def _pre_execution_cost(self) -> float:
-        # Tick-quantized (repro.des.timebase) so starvation totals and
-        # the event times they extend stay exactly representable.
-        cost = quantize(self.gpu.starvation_cost(self.activity.idle_gap(self.env.now)))
+        cost = starvation_charge(self.gpu, self.activity.idle_gap(self.env.now))
         self.total_starvation_cost += cost
         if self.faults is not None:
             cost += self.faults.charge_stall(self.env.now)

@@ -1,0 +1,605 @@
+"""Index core of the simulated GPU: the device model without an event loop.
+
+:class:`CudaRuntime` drives the device through DES processes — one
+generator per host thread, one dispatcher process per stream, a
+``Resource`` per engine — so a traced application run costs a Python
+generator resumption for every event. :class:`FlatDevice` computes the
+same run from plain state: host programs are flat instruction lists,
+hosts and streams are small state records, and the whole run is one
+loop over a ``heapq`` of future times plus a FIFO of same-time
+wake-ups. It holds the runtime's device model and nothing else:
+
+* the three FIFO engines (compute, H2D copy, D2H copy), each a held
+  flag and a queue of waiting streams;
+* :class:`~repro.gpusim.engines.DeviceActivity` and the compute
+  engine's :func:`~repro.gpusim.engines.starvation_charge`;
+* per-stream in-order execution and completion;
+* the host API and launch overheads (:func:`host_overheads`) and the
+  quantized transfer and kernel times;
+* slack through the same ``slack.is_zero`` and ``slack.sample()``
+  calls :meth:`SlackInjector.after_call` makes, at the same points and
+  in the same order, so any :class:`~repro.network.SlackModel` works
+  and ends in the same state as after a DES run.
+
+**Parity.** The DES orders events by (time, priority, insertion
+sequence). Every event scheduled while the clock stands at ``t`` gets
+a later sequence number than every event that was already waiting for
+``t``, so the events at one time run as a FIFO: first those scheduled
+earlier (in scheduling order), then each zero-delay event in the order
+it was triggered. The loop keeps exactly that order — future events
+in a heap keyed ``(time, seq)``, and on reaching a time all of its
+heap entries move to the FIFO before any of them runs. Wake-ups the
+DES processes with no effect (a sync memcpy's ``StorePut``, the
+completion of an op nobody waits for, an engine ``Release``) are not
+modelled; dropping them leaves the relative order of the rest intact.
+The trace rows, correlation ids, random draws, name interning and
+kernel metas therefore come out exactly as the DES records them;
+``tests/apps/test_appcore.py`` holds the parity properties.
+
+Not modelled, because neither app driver needs it: fault injection
+(fault plans run on the DES), the occupancy (concurrent-kernel)
+compute engine, blocking launches, and stream queues as deep as a
+``Store``'s default capacity (which raises).
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..des import quantize
+from ..hw import GPUSpec, PCIeSpec
+from ..network import SlackModel
+from ..trace import CopyKind, EventKind
+from ..trace.store import (
+    COLUMNS,
+    COPY_CODE,
+    KIND_CODE,
+    NO_CODE,
+    ColumnarTrace,
+    ColumnStore,
+)
+from .engines import DeviceActivity, starvation_charge
+from .kernels import explicit_execution_time
+from .runtime import host_overheads, transfer_delay
+
+__all__ = ["FlatDevice", "FlatRun"]
+
+# Instruction opcodes (first field of every program entry). The two
+# that may draw jitter come first and carry their log-normal mu (or
+# None) second.
+_OP_CPU = 0
+_OP_LAUNCH = 1
+_OP_MEMCPY = 2
+_OP_ASYNC = 3
+_OP_SYNC_STREAM = 4
+_OP_SYNC_DEVICE = 5
+_OP_BARRIER = 6
+
+#: API name each host call records.
+_API_NAMES = {
+    _OP_MEMCPY: "cudaMemcpy",
+    _OP_ASYNC: "cudaMemcpyAsync",
+    _OP_LAUNCH: "cudaLaunchKernel",
+    _OP_SYNC_STREAM: "cudaStreamSynchronize",
+    _OP_SYNC_DEVICE: "cudaDeviceSynchronize",
+}
+
+# Wake-ups of a stream's dispatcher.
+_GET = 0  # it receives its next op
+_GRANT = 1  # its engine is granted to the op
+_DONE = 2  # the op's engine time is over
+# Wake-ups of a host thread.
+_SUBMIT = 3  # the call's host overhead has elapsed: submit its op
+_RETURNED = 4  # the call's op was accepted / completed / drained
+_RUN = 5  # execute the next instruction
+_SLACKED = 6  # the injected slack has elapsed
+_DRAINING = 7  # one stream of a device sync has drained
+_EXIT = 8  # the host program has returned
+
+# Engines (index into the held / waiting tables).
+_COMPUTE = 0
+_H2D = 1
+_D2H = 2
+
+# Trace rows are recorded as flat float fields (see _trace), so every
+# code and id below is kept as a float.
+_KERNEL = float(KIND_CODE[EventKind.KERNEL])
+_MEMCPY = float(KIND_CODE[EventKind.MEMCPY])
+_API = float(KIND_CODE[EventKind.API])
+_SYNC = float(KIND_CODE[EventKind.SYNC])
+_SLACK = float(KIND_CODE[EventKind.SLACK])
+_NONE = float(NO_CODE)
+
+#: Rows recorded between two conversions to a float64 block.
+_BLOCK_ROWS = 1 << 16
+
+#: A ``Store``'s default capacity, which a stream's queue must not reach
+#: (the DES would block the submitting host; the core does not model it).
+MAX_STREAM_DEPTH = 1024
+
+
+class _Host:
+    """One host thread: its program, position and the call in flight."""
+
+    __slots__ = ("thread", "stream", "program", "pc", "call", "start",
+                 "corr", "busy", "drained")
+
+    def __init__(self, thread: int, stream: "_Stream", program) -> None:
+        self.thread = float(thread)
+        self.stream = stream
+        self.program = program
+        self.pc = 0
+        self.call: Tuple = ()
+        self.start = 0.0
+        self.corr = 0.0
+        self.busy = 0.0
+        self.drained = 0
+
+
+class _Stream:
+    """One stream: queued ops, the op in hand and drain waiters."""
+
+    __slots__ = ("sid", "items", "outstanding", "waiting", "op", "drain",
+                 "start", "extra")
+
+    def __init__(self, sid: int) -> None:
+        self.sid = float(sid)
+        self.items: deque = deque()
+        self.outstanding = 0
+        self.waiting = True  # the dispatcher waits for an op
+        self.op: Optional[Tuple] = None
+        #: Wake-ups to push once the stream has drained.
+        self.drain: List[Tuple[int, _Host]] = []
+        self.start = 0.0
+        self.extra = 0.0
+
+
+class FlatRun(NamedTuple):
+    """What one :meth:`FlatDevice.run` produced."""
+
+    #: The recorded trace, rows in DES record order.
+    trace: ColumnarTrace
+    #: Simulated time of the last event.
+    end_s: float
+
+
+class FlatDevice:
+    """One simulated GPU and its host threads, without an event loop.
+
+    Parameters
+    ----------
+    gpu, pcie:
+        Device and host link, as for :class:`CudaRuntime`.
+    slack:
+        The slack model every API call passes through (sampled exactly
+        as :class:`SlackInjector` samples it).
+    rng, sigma:
+        Source and log-normal sigma of the application's own timing
+        jitter: an instruction carrying a ``mu`` takes the value of
+        ``rng.lognormal(mu, sigma)`` drawn when its host reaches it,
+        the point where the DES program evaluates its ``jittered()``
+        (see :meth:`_jitter_tables`); ``rng`` ends in the state the
+        DES leaves it in.
+    """
+
+    def __init__(
+        self,
+        gpu: GPUSpec,
+        pcie: PCIeSpec,
+        slack: SlackModel,
+        *,
+        rng: Optional[np.random.Generator] = None,
+        sigma: Any = None,
+    ) -> None:
+        self.gpu = gpu
+        self.pcie = pcie
+        self.slack = slack
+        self.rng = rng
+        self.sigma = sigma
+        self.api_overhead_s, self.launch_overhead_s = host_overheads(gpu)
+
+    # -- program instructions ---------------------------------------------------
+    @staticmethod
+    def cpu(mean: float, mu: Any = None, div: float = 1, add: float = 0.0):
+        """Host work of ``quantize(x / div + add)`` seconds, where ``x``
+        is ``mean`` or, with ``mu``, a jitter draw."""
+        return (_OP_CPU, _mu(mu), mean, div, add)
+
+    def memcpy(self, nbytes: int, kind: CopyKind, *, sync: bool = True):
+        """``cudaMemcpy`` (or ``cudaMemcpyAsync``) on the host's stream."""
+        if nbytes <= 0:
+            raise ValueError("nbytes must be positive")
+        if kind is CopyKind.D2D:
+            raise ValueError("D2D copies do not cross the host link")
+        return (
+            _OP_MEMCPY if sync else _OP_ASYNC,
+            _H2D if kind is CopyKind.H2D else _D2H,
+            transfer_delay(self.pcie, nbytes),
+            float(nbytes),
+            float(COPY_CODE[kind]),
+            f"memcpy{kind.value}",
+        )
+
+    @staticmethod
+    def launch(name: str, mean: float, mu: Any = None,
+               meta: Optional[Dict[str, Any]] = None):
+        """Launch kernel ``name`` of duration ``mean`` (or, with ``mu``,
+        a jitter draw); ``meta`` joins its trace row's meta."""
+        return (_OP_LAUNCH, _mu(mu), mean, name, meta or {})
+
+    #: ``cudaStreamSynchronize`` of the host's stream.
+    SYNC_STREAM = (_OP_SYNC_STREAM,)
+    #: ``cudaDeviceSynchronize``: every stream, in creation order.
+    SYNC_DEVICE = (_OP_SYNC_DEVICE,)
+    #: A barrier over all hosts (released in arrival order).
+    BARRIER = (_OP_BARRIER,)
+
+    # -- the run ------------------------------------------------------------------
+    def run(
+        self,
+        programs: Sequence[Sequence[Tuple]],
+        threads: Sequence[int],
+        join: Optional[Sequence[Tuple]] = None,
+    ) -> FlatRun:
+        """Run host programs to completion.
+
+        Host ``i`` runs ``programs[i]`` as thread ``threads[i]`` on its
+        own stream (stream ``i + 1``; stream 0 is the runtime's default
+        stream), and all hosts start at time 0 in order. ``join``, if
+        given, runs on thread 0 once every host has returned — the DES
+        ``main`` process waiting on ``all_of`` the host processes.
+        """
+        gpu = self.gpu
+        slack = self.slack
+        jitter = self._jitter_tables(
+            list(programs) + ([join] if join is not None else [])
+        )
+        draws = 0
+        api_s = self.api_overhead_s
+        launch_s = self.launch_overhead_s
+        activity = DeviceActivity()
+        idle_gap = activity.idle_gap
+        note = activity.note
+
+        streams = [_Stream(sid) for sid in range(len(programs) + 1)]
+        hosts = [
+            _Host(thread, streams[i + 1], program)
+            for i, (thread, program) in enumerate(zip(threads, programs))
+        ]
+        main = (
+            _Host(0, streams[0], join) if join is not None else None
+        )
+        parties = len(hosts)
+        barrier: List[_Host] = []
+        exited = 0
+
+        held = [False, False, False]
+        waiting: List[deque] = [deque(), deque(), deque()]
+
+        # Each trace row is nine consecutive floats of ``rows`` (the
+        # fields of COLUMNS), turned into float64 blocks as they fill.
+        rows: List[float] = []
+        blocks: List[np.ndarray] = []
+        block_len = _BLOCK_ROWS * len(COLUMNS)
+        metas: List[Optional[Dict[str, Any]]] = []
+        add_meta = metas.append
+        names: List[str] = []
+        codes: Dict[str, float] = {}
+        corr = 0.0
+        seq = 0
+
+        # Wake-up kinds and opcodes as locals: the loop below runs once
+        # per DES event that has an effect.
+        RUN, SUBMIT, RETURNED, SLACKED, DRAINING, EXIT = (
+            _RUN, _SUBMIT, _RETURNED, _SLACKED, _DRAINING, _EXIT
+        )
+        GET, GRANT, DONE = _GET, _GRANT, _DONE
+        KERNEL, MEMCPY_ROW, API, SYNC, SLACK = (
+            _KERNEL, _MEMCPY, _API, _SYNC, _SLACK
+        )
+        COMPUTE = _COMPUTE
+        NONE = _NONE
+        OP_CPU, OP_LAUNCH, OP_MEMCPY, OP_BARRIER = (
+            _OP_CPU, _OP_LAUNCH, _OP_MEMCPY, _OP_BARRIER
+        )
+        OP_SYNC_STREAM, OP_SYNC_DEVICE = _OP_SYNC_STREAM, _OP_SYNC_DEVICE
+
+        fifo: deque = deque((RUN, h) for h in hosts)
+        popleft = fifo.popleft
+        push = fifo.append
+        heap: List[Tuple[float, int, int, Any]] = []
+        now = 0.0
+
+        while True:
+            if fifo:
+                what, obj = popleft()
+            elif heap:
+                now, _, what, obj = heappop(heap)
+                while heap and heap[0][0] == now:
+                    entry = heappop(heap)
+                    push((entry[2], entry[3]))
+            else:
+                break
+
+            if what == GET:
+                # The dispatcher requests its engine (FIFO per engine).
+                e = obj.op[0]
+                if held[e]:
+                    waiting[e].append(obj)
+                else:
+                    held[e] = True
+                    push((GRANT, obj))
+                continue
+
+            if what == GRANT:
+                dev = obj.op
+                busy = dev[1]
+                if dev[0] == COMPUTE:
+                    extra = starvation_charge(gpu, idle_gap(now))
+                else:
+                    extra = 0.0
+                obj.start = now
+                obj.extra = extra
+                note(now + busy + extra)
+                t = now + (busy + extra)
+                if t > now:
+                    seq += 1
+                    heappush(heap, (t, seq, DONE, obj))
+                else:
+                    push((DONE, obj))
+                continue
+
+            if what == DONE:
+                s = obj
+                dev = s.op
+                e = dev[0]
+                note(now)
+                queue = waiting[e]
+                if queue:
+                    push((GRANT, queue.popleft()))
+                else:
+                    held[e] = False
+                name = dev[5]
+                code = codes.get(name)
+                if code is None:
+                    code = codes[name] = float(len(names))
+                    names.append(name)
+                if e == COMPUTE:
+                    rows += (s.start, now, s.sid, 0.0, dev[3], dev[4],
+                             KERNEL, code, NONE)
+                    add_meta({"starvation_cost": s.extra, **dev[6]})
+                else:
+                    rows += (s.start, now, s.sid, dev[6], dev[3], dev[4],
+                             MEMCPY_ROW, code, dev[7])
+                    add_meta(None)
+                s.outstanding -= 1
+                if dev[2] is not None:
+                    # A sync memcpy's host waits for the completion.
+                    push((RETURNED, dev[2]))
+                if not s.outstanding and s.drain:
+                    for w in s.drain:
+                        push(w)
+                    s.drain = []
+                if s.items:
+                    s.op = s.items.popleft()
+                    push((GET, s))
+                else:
+                    s.waiting = True
+                    s.op = None
+                continue
+
+            h = obj
+            if what == SUBMIT:
+                call = h.call
+                op = call[0]
+                s = h.stream
+                if op == OP_SYNC_STREAM:
+                    if s.outstanding:
+                        s.drain.append((RETURNED, h))
+                    else:
+                        push((RETURNED, h))
+                    continue
+                if op == OP_SYNC_DEVICE:
+                    h.drained = 0
+                    s = streams[0]
+                    if s.outstanding:
+                        s.drain.append((DRAINING, h))
+                    else:
+                        push((DRAINING, h))
+                    continue
+                # Submit the op to the stream. An accepted async op
+                # resumes its host first (the StorePut), then hands the
+                # op to a waiting dispatcher (the StoreGet).
+                if op == OP_LAUNCH:
+                    dev = (COMPUTE, h.busy, None, h.corr, h.thread,
+                           call[3], call[4])
+                    push((RETURNED, h))
+                elif op == OP_MEMCPY:
+                    dev = (call[1], call[2], h, h.corr, h.thread, call[5],
+                           call[3], call[4])
+                else:
+                    dev = (call[1], call[2], None, h.corr, h.thread, call[5],
+                           call[3], call[4])
+                    push((RETURNED, h))
+                s.outstanding += 1
+                if s.waiting:
+                    s.waiting = False
+                    s.op = dev
+                    push((GET, s))
+                else:
+                    if len(s.items) >= MAX_STREAM_DEPTH:
+                        raise NotImplementedError(
+                            "stream queue deeper than the Store capacity"
+                        )
+                    s.items.append(dev)
+                continue
+
+            if what == DRAINING:
+                h.drained += 1
+                if h.drained < len(streams):
+                    s = streams[h.drained]
+                    if s.outstanding:
+                        s.drain.append((DRAINING, h))
+                    else:
+                        push((DRAINING, h))
+                    continue
+                what = RETURNED
+
+            if what == RETURNED:
+                op = h.call[0]
+                api = _API_NAMES[op]
+                code = codes.get(api)
+                if code is None:
+                    code = codes[api] = float(len(names))
+                    names.append(api)
+                if op >= OP_SYNC_STREAM:
+                    rows += (h.start, now, NONE, 0.0, h.corr, h.thread,
+                             SYNC, code, NONE)
+                else:
+                    rows += (h.start, now, NONE, 0.0, h.corr, h.thread,
+                             API, code, NONE)
+                add_meta(None)
+                if not slack.is_zero:
+                    delay = slack.sample()
+                    if delay > 0.0:
+                        h.start = now
+                        t = now + delay
+                        if t > now:
+                            seq += 1
+                            heappush(heap, (t, seq, SLACKED, h))
+                        else:
+                            push((SLACKED, h))
+                        continue
+            elif what == SLACKED:
+                api = _API_NAMES[h.call[0]]
+                name = "slack:" + api
+                code = codes.get(name)
+                if code is None:
+                    code = codes[name] = float(len(names))
+                    names.append(name)
+                rows += (h.start, now, NONE, 0.0, 0.0, h.thread, SLACK, code,
+                         NONE)
+                add_meta({"api": api})
+            elif what == EXIT:
+                exited += 1
+                if exited == parties:
+                    push((RUN, main))
+                continue
+
+            # RUN: execute the host's next instruction.
+            if len(rows) >= block_len:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows.clear()
+            program = h.program
+            pc = h.pc
+            if pc == len(program):
+                if main is not None:
+                    push((EXIT, h))
+                continue
+            call = program[pc]
+            h.pc = pc + 1
+            op = call[0]
+            if op == OP_CPU:
+                mu = call[1]
+                if mu is None:
+                    x = call[2]
+                else:
+                    x = jitter[mu][draws]
+                    draws += 1
+                t = now + quantize(x / call[3] + call[4])
+                what = RUN
+            elif op == OP_BARRIER:
+                barrier.append(h)
+                if len(barrier) >= parties:
+                    for w in barrier:
+                        push((RUN, w))
+                    barrier = []
+                continue
+            else:
+                if op == OP_LAUNCH:
+                    mu = call[1]
+                    if mu is None:
+                        d = call[2]
+                    else:
+                        d = jitter[mu][draws]
+                        draws += 1
+                    h.busy = quantize(explicit_execution_time(d, gpu))
+                    t = now + launch_s
+                else:
+                    t = now + api_s
+                h.call = call
+                h.start = now
+                corr += 1.0
+                h.corr = corr
+                what = SUBMIT
+            if t > now:
+                seq += 1
+                heappush(heap, (t, seq, what, h))
+            else:
+                push((what, h))
+
+        blocks.append(np.array(rows, dtype=np.float64))
+        return FlatRun(_trace(blocks, names, metas), now)
+
+    def _jitter_tables(
+        self, programs: Sequence[Sequence[Tuple]]
+    ) -> Dict[float, List[float]]:
+        """Every jitter draw of a run, drawn up front.
+
+        Returns ``tables`` such that the run's ``j``-th draw, made for
+        an instruction with log-normal mu ``mu``, is ``tables[mu][j]``.
+        Numpy's log-normal is the exponential of a normal variate, so
+        each draw consumes the generator the same way whatever its mu:
+        the ``j``-th draw's variate is fixed, only its mu depends on
+        which host gets there first. With one drawing host the draw
+        order is its program order and one batched call with the mus in
+        that order suffices; with several, each distinct mu gets the
+        whole sequence of draws from the same starting state. Both equal
+        the sequential scalar draws bit for bit.
+        """
+        rng = self.rng
+        mus: Dict[int, List[float]] = {}  # hosts may share one program
+        for program in programs:
+            if id(program) not in mus:
+                mus[id(program)] = [
+                    call[1] for call in program
+                    if call[0] <= _OP_LAUNCH and call[1] is not None
+                ]
+        order = [mus[id(program)] for program in programs]
+        total = sum(len(mus) for mus in order)
+        if not total:
+            return {}
+        drawing = [mus for mus in order if mus]
+        if len(drawing) == 1:
+            values = rng.lognormal(np.array(drawing[0]), self.sigma).tolist()
+            return dict.fromkeys(drawing[0], values)
+        start = rng.bit_generator.state
+        tables: Dict[float, List[float]] = {}
+        for mu in dict.fromkeys(m for mus in drawing for m in mus):
+            rng.bit_generator.state = start
+            tables[mu] = rng.lognormal(mu, self.sigma, size=total).tolist()
+        return tables
+
+
+def _mu(mu: Any) -> Optional[float]:
+    """An instruction's log-normal mu, as a plain float (or None)."""
+    return None if mu is None else float(mu)
+
+
+def _trace(
+    blocks: List[np.ndarray],
+    names: List[str],
+    metas: List[Optional[Dict[str, Any]]],
+) -> ColumnarTrace:
+    """The ``gpu0`` trace of the recorded rows (fields in :data:`COLUMNS`
+    order, flattened into float64 ``blocks``)."""
+    # Every int field is far below 2**53, so float64 holds all nine
+    # fields exactly; the store casts the int columns back.
+    table = np.concatenate(blocks).reshape(len(metas), len(COLUMNS))
+    columns = {col: table[:, i] for i, col in enumerate(COLUMNS)}
+    store = ColumnStore.from_columns(columns, names, metas)
+    return ColumnarTrace(name="gpu0", store=store)

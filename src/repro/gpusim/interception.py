@@ -55,16 +55,12 @@ class SlackInjector:
         self.model = model or SlackModel.none()
         self.faults = faults
         self.calls_intercepted = 0
-
-    @property
-    def total_injected_s(self) -> float:
-        """Total delay injected so far (for Equation 1)."""
-        return self.model.total_injected_s
-
-    @property
-    def calls_delayed(self) -> int:
-        """Number of calls that received a delay."""
-        return self.model.calls_delayed
+        #: Delay this injector has injected (for Equation 1). Counted
+        #: here rather than read off the model, whose own totals keep
+        #: growing when one model is reused across runs.
+        self.total_injected_s = 0.0
+        #: Calls this injector had the model delay.
+        self.calls_delayed = 0
 
     def after_call(
         self, api_name: str, thread: int = 0
@@ -81,9 +77,13 @@ class SlackInjector:
             # Faults precede the is_zero fast path on purpose: a
             # degraded fabric perturbs the zero-slack baseline too.
             yield from self.faults.perturb_call(api_name)
-        if self.model.is_zero:
+        model = self.model
+        if model.is_zero:
             return 0.0
-        delay = self.model.sample()
+        calls = model.calls_delayed
+        delay = model.sample()
+        self.calls_delayed += model.calls_delayed - calls
+        self.total_injected_s += delay
         if delay <= 0.0:
             return 0.0
         start = self.env.now

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 
 from ..hw import GPUSpec
 
-__all__ = ["KernelSpec", "matmul_kernel", "matmul_efficiency", "matmul_sm_fraction", "MATMUL_EFF_HALF_N"]
+__all__ = ["KernelSpec", "explicit_execution_time", "matmul_kernel", "matmul_efficiency", "matmul_sm_fraction", "MATMUL_EFF_HALF_N"]
 
 #: Matrix dimension at which SGEMM reaches half its peak efficiency.
 #: Small GEMMs underutilize the SMs (tile quantization, launch ramp);
@@ -65,7 +65,7 @@ class KernelSpec:
         GPU's minimum kernel time.
         """
         if self.duration_s is not None:
-            return max(self.duration_s, gpu.min_kernel_time_s)
+            return explicit_execution_time(self.duration_s, gpu)
         compute_t = (
             self.flops / (gpu.peak_flops * self.efficiency) if self.flops else 0.0
         )
@@ -75,6 +75,16 @@ class KernelSpec:
             else 0.0
         )
         return max(compute_t, memory_t, gpu.min_kernel_time_s)
+
+
+def explicit_execution_time(duration_s: float, gpu: GPUSpec) -> float:
+    """Busy time of a kernel given an explicit duration on ``gpu``.
+
+    The duration, floored at the GPU's minimum kernel time (what
+    :meth:`KernelSpec.execution_time` returns for ``duration_s``
+    kernels).
+    """
+    return max(duration_s, gpu.min_kernel_time_s)
 
 
 def matmul_efficiency(n: int, half_n: float = MATMUL_EFF_HALF_N) -> float:

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ..network import SlackModel
 from ..trace import Tracer
-from .runtime import CudaRuntime
+from .runtime import API_OVERHEAD_S, CudaRuntime
 
 __all__ = ["RemotingSpec", "make_remoting_runtime"]
 
@@ -98,6 +98,6 @@ def make_remoting_runtime(
         pcie=spec.as_link_spec(pcie),
         tracer=tracer,
         slack=SlackModel(spec.rpc_latency_s),
-        api_overhead_s=1.5e-6 + spec.per_call_overhead_s,
+        api_overhead_s=API_OVERHEAD_S + spec.per_call_overhead_s,
         faults=faults.compile(env) if faults is not None else None,
     )

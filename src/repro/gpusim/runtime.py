@@ -21,7 +21,7 @@ process with ``yield from``::
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..des import Environment, Event, quantize
 from ..hw import (
@@ -39,7 +39,29 @@ from .interception import SlackInjector
 from .kernels import KernelSpec
 from .stream import CopyOp, KernelOp, Stream
 
-__all__ = ["CudaRuntime"]
+__all__ = ["CudaRuntime", "API_OVERHEAD_S", "host_overheads", "transfer_delay"]
+
+#: Host driver cost of a memcpy/sync API call (the default of
+#: :class:`CudaRuntime`'s ``api_overhead_s``).
+API_OVERHEAD_S = 1.5e-6
+
+
+def host_overheads(
+    gpu: GPUSpec, api_overhead_s: float = API_OVERHEAD_S
+) -> Tuple[float, float]:
+    """Tick-quantized host costs ``(memcpy/sync call, kernel launch)``.
+
+    All delays the runtime feeds into the simulation are snapped to the
+    dyadic tick grid (repro.des.timebase): event timestamps stay
+    exactly representable, which is what lets the steady-state
+    fast-forward engine certify bit-exact periodicity.
+    """
+    return quantize(api_overhead_s), quantize(gpu.launch_overhead_s)
+
+
+def transfer_delay(pcie: PCIeSpec, nbytes: int) -> float:
+    """Copy-engine busy time of one ``nbytes`` transfer, tick-quantized."""
+    return quantize(pcie.transfer_time(nbytes))
 
 
 class CudaRuntime:
@@ -77,7 +99,7 @@ class CudaRuntime:
         pcie: PCIeSpec = PCIE_GEN4_X16,
         tracer: Optional[Tracer] = None,
         slack: Optional[SlackModel] = None,
-        api_overhead_s: float = 1.5e-6,
+        api_overhead_s: float = API_OVERHEAD_S,
         concurrent_kernels: bool = False,
         faults: Optional[Any] = None,
     ) -> None:
@@ -88,14 +110,12 @@ class CudaRuntime:
         self.pcie = pcie
         self.tracer = tracer or Tracer(env, name="gpu0")
         self.memory = DeviceMemory(gpu.memory_bytes)
-        # All delays this runtime feeds into the DES are snapped to the
-        # dyadic tick grid (repro.des.timebase): event timestamps stay
-        # exactly representable, which is what lets the steady-state
-        # fast-forward engine certify bit-exact periodicity. The memo
-        # dicts double as a hot-path win — transfer and kernel times
-        # for the proxy's handful of distinct shapes are computed once.
-        self.api_overhead_s = quantize(api_overhead_s)
-        self._launch_overhead_s = quantize(gpu.launch_overhead_s)
+        # Quantized host costs (see host_overheads). The memo dicts
+        # below are a hot-path win — transfer and kernel times for the
+        # proxy's handful of distinct shapes are computed once.
+        self.api_overhead_s, self._launch_overhead_s = host_overheads(
+            gpu, api_overhead_s
+        )
         self._transfer_time_memo: Dict[int, float] = {}
         self._kernel_time_memo: Dict[int, Any] = {}
 
@@ -314,7 +334,7 @@ class CudaRuntime:
         """PCIe transfer time for ``nbytes``, tick-quantized and memoized."""
         t = self._transfer_time_memo.get(nbytes)
         if t is None:
-            t = quantize(self.pcie.transfer_time(nbytes))
+            t = transfer_delay(self.pcie, nbytes)
             self._transfer_time_memo[nbytes] = t
         return t
 

@@ -126,13 +126,20 @@ class AdaptiveSweepResult:
     refined_points: int
     #: Dense grid points predicted instead of measured.
     predicted_points: int
-    #: Largest observed midpoint interpolation error (penalty units).
+    #: Largest observed midpoint interpolation error (penalty units),
+    #: certified or not — an error bound only when it is within ``tol``.
     max_error: float
     #: Points a dense sweep of the same grid would run
     #: (``series x (slacks + baseline)``).
     dense_grid_points: int
     #: Points this adaptive sweep ran (baselines + seeds + midpoints).
     measured_grid_points: int
+    #: Largest midpoint error that certified its interval (<= ``tol``):
+    #: the error bound every predicted point carries.
+    max_certified_error: float = 0.0
+    #: Largest midpoint error that failed certification (> ``tol``; the
+    #: interval was split and refined, so no prediction carries it).
+    max_rejected_error: float = 0.0
 
     @property
     def measured_fraction(self) -> float:
@@ -297,7 +304,8 @@ def adaptive_slack_sweep(
         )
 
     refined_points = 0
-    max_error = 0.0
+    max_certified = 0.0
+    max_rejected = 0.0
     while any(s.pending for s in series_list):
         batch: List[PointTask] = []
         batch_owners: List[Tuple[_Series, int, int, int]] = []
@@ -320,14 +328,15 @@ def adaptive_slack_sweep(
                 slacks[mid],
             )
             err = abs(pen - predicted)
-            max_error = max(max_error, err)
             if err <= tol:
+                max_certified = max(max_certified, err)
                 # Certified: the interior of both halves inherits the
                 # observed deviation as its error bound.
                 for k in range(lo + 1, hi):
                     if k != mid:
                         series.bounds[k] = err
             else:
+                max_rejected = max(max_rejected, err)
                 for a, b in ((lo, mid), (mid, hi)):
                     if b - a > 1:
                         series.pending.append((a, b))
@@ -421,9 +430,11 @@ def adaptive_slack_sweep(
         seed_points=seed_points,
         refined_points=refined_points,
         predicted_points=predicted_points,
-        max_error=max_error,
+        max_error=max(max_certified, max_rejected),
         dense_grid_points=len(series_list) * (n + 1),
         measured_grid_points=len(series_list) + seed_points + refined_points,
+        max_certified_error=max_certified,
+        max_rejected_error=max_rejected,
     )
 
     reg = get_registry()
@@ -436,7 +447,9 @@ def adaptive_slack_sweep(
         reg.counter("sweep.adaptive.seed_points").inc(seed_points)
         reg.counter("sweep.adaptive.refined_points").inc(refined_points)
         reg.counter("sweep.adaptive.skipped_points").inc(predicted_points)
-        reg.gauge("sweep.adaptive.max_error").set(max_error)
+        reg.gauge("sweep.adaptive.max_error").set(result.max_error)
+        reg.gauge("sweep.adaptive.max_certified_error").set(max_certified)
+        reg.gauge("sweep.adaptive.max_rejected_error").set(max_rejected)
         report = RunReport.collect(
             reg,
             kind="sweep",

@@ -48,21 +48,28 @@ import numpy as np
 from .container import Trace
 from .events import CopyKind, EventKind, TraceEvent
 
-__all__ = ["ColumnStore", "ColumnarTrace"]
+__all__ = [
+    "ColumnStore",
+    "ColumnarTrace",
+    "COLUMNS",
+    "KIND_CODE",
+    "COPY_CODE",
+    "NO_CODE",
+]
 
 #: Fixed kind/copy code tables (enum declaration order).
 _KINDS: Tuple[EventKind, ...] = tuple(EventKind)
-_KIND_CODE: Dict[EventKind, int] = {k: i for i, k in enumerate(_KINDS)}
+KIND_CODE: Dict[EventKind, int] = {k: i for i, k in enumerate(_KINDS)}
 _COPIES: Tuple[CopyKind, ...] = tuple(CopyKind)
-_COPY_CODE: Dict[CopyKind, int] = {c: i for i, c in enumerate(_COPIES)}
+COPY_CODE: Dict[CopyKind, int] = {c: i for i, c in enumerate(_COPIES)}
 
 #: Code standing for "absent" in the stream / copy-kind columns.
-_NONE = -1
+NO_CODE = -1
 
-_MEMCPY_CODE = _KIND_CODE[EventKind.MEMCPY]
+_MEMCPY_CODE = KIND_CODE[EventKind.MEMCPY]
 
 #: The per-row numpy columns of a :class:`ColumnStore`.
-_COLUMNS = ("start", "end", "stream", "nbytes", "corr", "thread",
+COLUMNS = ("start", "end", "stream", "nbytes", "corr", "thread",
             "kind", "name_code", "copy")
 
 #: Bounds of a meta value that may live in an int64 column.
@@ -140,7 +147,7 @@ class ColumnStore:
 
     def _grow(self) -> None:
         new_cap = self.capacity * 2
-        for col in _COLUMNS:
+        for col in COLUMNS:
             old = getattr(self, col)
             grown = np.empty(new_cap, dtype=old.dtype)
             grown[: self.n] = old[: self.n]
@@ -173,14 +180,14 @@ class ColumnStore:
             )
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if kind_code == _MEMCPY_CODE and copy_code == _NONE:
+        if kind_code == _MEMCPY_CODE and copy_code == NO_CODE:
             raise ValueError("memcpy events need a copy_kind")
         i = self.n
         if i == self.capacity:
             self._grow()
         self.start[i] = start
         self.end[i] = end
-        self.stream[i] = _NONE if stream is None else stream
+        self.stream[i] = NO_CODE if stream is None else stream
         self.nbytes[i] = nbytes
         self.corr[i] = correlation_id
         self.thread[i] = thread
@@ -199,7 +206,7 @@ class ColumnStore:
         end: np.ndarray,
         stream: Optional[np.ndarray] = None,
         nbytes: Optional[np.ndarray] = None,
-        copy_code: int = _NONE,
+        copy_code: int = NO_CODE,
         correlation_id: Optional[np.ndarray] = None,
         thread: Optional[np.ndarray] = None,
     ) -> int:
@@ -229,13 +236,13 @@ class ColumnStore:
             np.min(nbytes)
         ) < 0:
             raise ValueError("nbytes must be non-negative")
-        if kind_code == _MEMCPY_CODE and copy_code == _NONE:
+        if kind_code == _MEMCPY_CODE and copy_code == NO_CODE:
             raise ValueError("memcpy events need a copy_kind")
         i = self.n
         if i + m > self.capacity:
             while self.capacity < i + m:
                 self.capacity *= 2
-            for col in _COLUMNS:
+            for col in COLUMNS:
                 old = getattr(self, col)
                 grown = np.empty(self.capacity, dtype=old.dtype)
                 grown[:i] = old[:i]
@@ -244,7 +251,7 @@ class ColumnStore:
         sl = slice(i, i + m)
         self.start[sl] = start
         self.end[sl] = end
-        self.stream[sl] = _NONE if stream is None else stream
+        self.stream[sl] = NO_CODE if stream is None else stream
         self.nbytes[sl] = 0 if nbytes is None else nbytes
         self.corr[sl] = 0 if correlation_id is None else correlation_id
         self.thread[sl] = 0 if thread is None else thread
@@ -266,9 +273,9 @@ class ColumnStore:
             name=self._names[self.name_code[row]],
             start=float(self.start[row]),
             end=float(self.end[row]),
-            stream=None if stream == _NONE else stream,
+            stream=None if stream == NO_CODE else stream,
             nbytes=int(self.nbytes[row]),
-            copy_kind=None if copy_code == _NONE else _COPIES[copy_code],
+            copy_kind=None if copy_code == NO_CODE else _COPIES[copy_code],
             correlation_id=int(self.corr[row]),
             thread=int(self.thread[row]),
             meta=dict(meta) if meta else {},
@@ -277,7 +284,7 @@ class ColumnStore:
     @property
     def nbytes_allocated(self) -> int:
         """Bytes currently held by the numpy columns (== peak)."""
-        return sum(getattr(self, col).nbytes for col in _COLUMNS)
+        return sum(getattr(self, col).nbytes for col in COLUMNS)
 
     def stats(self) -> Dict[str, float]:
         """Flat metrics for ``repro.obs`` (``trace.store.*`` section)."""
@@ -334,7 +341,7 @@ class ColumnStore:
         :meth:`from_arrays` restores every value with its exact type.
         """
         n = self.n
-        arrays = {col: getattr(self, col)[:n] for col in _COLUMNS}
+        arrays = {col: getattr(self, col)[:n] for col in COLUMNS}
         patterns: Dict[Tuple[str, ...], int] = {}
         rows: List[int] = []
         codes: List[int] = []
@@ -423,6 +430,39 @@ class ColumnStore:
         )
 
     @classmethod
+    def from_columns(
+        cls,
+        columns: Mapping[str, Any],
+        names: Sequence[str],
+        metas: List[Optional[Dict[str, Any]]],
+    ) -> "ColumnStore":
+        """A store holding ``columns`` (one per :data:`COLUMNS` entry,
+        rows in record order), the interned ``names`` and one meta (or
+        ``None``) per row.
+
+        For writers that produce whole columns at once; the result
+        equals recording the same rows one by one with
+        :meth:`append_row`, capacity and growth count included.
+        """
+        n = len(metas)
+        capacity, growths = 256, 0
+        while capacity < n:
+            capacity *= 2
+            growths += 1
+        store = cls(capacity=capacity)
+        for col in COLUMNS:
+            values = np.asarray(columns[col])
+            if values.shape != (n,):
+                raise ValueError(f"column {col!r} does not hold {n} rows")
+            getattr(store, col)[:n] = values
+        store.n = n
+        store.growths = growths
+        store._names = list(names)
+        store._name_codes = {s: i for i, s in enumerate(store._names)}
+        store.metas = list(metas)
+        return store
+
+    @classmethod
     def _assemble(
         cls,
         columns: Mapping[str, Any],
@@ -434,7 +474,7 @@ class ColumnStore:
         n = len(columns["start"])
         store = cls(capacity=max(1, n))
         store.n = n
-        for col in _COLUMNS:
+        for col in COLUMNS:
             dest = getattr(store, col)
             values = np.asarray(columns[col], dtype=dest.dtype)
             if values.shape != (n,):
@@ -525,13 +565,13 @@ class ColumnarTrace(Trace):
         if self._selection is not None:
             raise TypeError("cannot record into a filtered trace view")
         self._store.append_row(
-            _KIND_CODE[kind],
+            KIND_CODE[kind],
             name,
             start,
             end,
             stream,
             nbytes,
-            _NONE if copy_kind is None else _COPY_CODE[copy_kind],
+            NO_CODE if copy_kind is None else COPY_CODE[copy_kind],
             correlation_id,
             thread,
             meta,
@@ -567,13 +607,13 @@ class ColumnarTrace(Trace):
                 count=len(names),
             )
         self._store.extend_rows(
-            _KIND_CODE[kind],
+            KIND_CODE[kind],
             codes,
             start,
             end,
             stream=stream,
             nbytes=nbytes,
-            copy_code=_NONE if copy_kind is None else _COPY_CODE[copy_kind],
+            copy_code=NO_CODE if copy_kind is None else COPY_CODE[copy_kind],
             correlation_id=correlation_id,
             thread=thread,
         )
@@ -679,13 +719,13 @@ class ColumnarTrace(Trace):
         codes = self._store.kind[rows]
         mask = np.zeros(len(_KINDS), dtype=bool)
         for k in kinds:
-            mask[_KIND_CODE[k]] = True
+            mask[KIND_CODE[k]] = True
         return self._view(rows[mask[codes]])
 
     def count_kind(self, kind: EventKind) -> int:
         """Number of events of ``kind`` (no materialization)."""
         rows = self._rows()
-        return int((self._store.kind[rows] == _KIND_CODE[kind]).sum())
+        return int((self._store.kind[rows] == KIND_CODE[kind]).sum())
 
     def kernels(self) -> "ColumnarTrace":
         return self.of_kinds(EventKind.KERNEL)
@@ -695,7 +735,7 @@ class ColumnarTrace(Trace):
         if direction is None:
             return copies
         rows = copies._rows()
-        sel = rows[self._store.copy[rows] == _COPY_CODE[direction]]
+        sel = rows[self._store.copy[rows] == COPY_CODE[direction]]
         return self._view(sel)
 
     def by_name(self) -> Dict[str, "ColumnarTrace"]:

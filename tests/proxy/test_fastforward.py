@@ -260,3 +260,29 @@ class TestRepeatedEpochTrace:
         kernels = trace.kernels()
         corr = [e.correlation_id for e in kernels]
         assert len(set(corr)) == len(corr)
+
+
+class TestReusedSlackModel:
+    """A slack model reused across runs reports each run's own slack."""
+
+    @pytest.mark.parametrize("iterations", [5, 30])
+    def test_reused_model_reports_the_fresh_run(self, iterations):
+        config = ProxyConfig(matrix_size=512, iterations=iterations)
+        fresh = run_proxy(config, SlackModel(1e-4), fast_forward=False)
+        reused = SlackModel(1e-4)
+        runs = [
+            run_proxy(config, reused, fast_forward=ff)
+            for ff in (False, True, False, True)
+        ]
+        fabric = {
+            k: v for k, v in fresh.sim_metrics.items()
+            if k.startswith("fabric.")
+        }
+        for run in runs:
+            assert run.injected_slack_s == fresh.injected_slack_s
+            assert run.loop_runtime_s == fresh.loop_runtime_s
+            assert run.starvation_cost_s == fresh.starvation_cost_s
+            assert {
+                k: v for k, v in run.sim_metrics.items()
+                if k.startswith("fabric.")
+            } == fabric
