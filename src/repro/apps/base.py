@@ -21,6 +21,7 @@ import numpy as np
 from ..des.fastforward import FastForwardInfo
 from ..obs import get_registry
 from ..trace import Trace
+from ..trace.store import ColumnarTrace
 
 __all__ = [
     "AppProfile",
@@ -28,6 +29,7 @@ __all__ = [
     "publish_fastforward",
     "core_fallback_reason",
     "publish_appcore",
+    "iteration_ordered",
     "jitter_sigma",
     "lognormal_mu",
 ]
@@ -70,6 +72,22 @@ def publish_appcore(fallback: Optional[str]) -> None:
         reg.counter("appcore.runs").inc()
     else:
         reg.counter(f"appcore.fallbacks.{fallback}").inc()
+
+
+def iteration_ordered(trace: Trace) -> Trace:
+    """A profile's trace with its rows in iteration order.
+
+    An app that profiles on several engines records its rows in an
+    order that depends on the engine: the DES and the index cores in
+    the order the run completes them, a fast-forwarded run's epoch
+    trace only as time-sorted events. ``list(trace)`` is the same on
+    every engine, so storing the rows in that order makes the profile,
+    and its cache entry, the same bytes whichever engine built it.
+    Epoch traces already iterate in that order and stay lazy.
+    """
+    if isinstance(trace, ColumnarTrace):
+        return trace.time_ordered()
+    return trace
 
 
 def publish_fastforward(info: FastForwardInfo) -> None:

@@ -50,6 +50,7 @@ from ...trace import CopyKind, EventKind, Trace
 from ..base import (
     AppProfile,
     core_fallback_reason,
+    iteration_ordered,
     jitter_sigma,
     lognormal_mu,
     publish_appcore,
@@ -235,6 +236,7 @@ def profile_cosmoflow(
         runtime, trace, info = _profile_des(
             config, slack_model, plan, max_cycles, enabled, faults
         )
+    trace = iteration_ordered(trace)
     publish_fastforward(info)
     # Cheap on a SegmentedEpochTrace: counted from the compression
     # recipe without expanding the event list.

@@ -50,6 +50,7 @@ from ...trace import CopyKind, EventKind, Trace
 from ..base import (
     AppProfile,
     core_fallback_reason,
+    iteration_ordered,
     jitter_sigma,
     lognormal_mu,
     publish_appcore,
@@ -186,6 +187,7 @@ def profile_lammps(
         loop_runtime, trace, info = _profile_des(
             config, slack_model, costs, enabled, faults
         )
+    trace = iteration_ordered(trace)
     publish_fastforward(info)
     runtime = loop_runtime + LammpsScalingModel().setup_s
     # Cheap on a RepeatedEpochTrace: counted from the compression

@@ -43,7 +43,10 @@ __all__ = ["PROFILE_CACHE_VERSION", "AppProfileCache", "profile_key"]
 
 #: Bump whenever app-model or simulator changes alter what a profiling
 #: run records — stale traces must not survive a behavioral change.
-PROFILE_CACHE_VERSION = "2026.08-9"
+#: 2026.10-1: LAMMPS and CosmoFlow profiles hold their rows in
+#: iteration order (``repro.apps.base.iteration_ordered``), no longer in
+#: the building engine's record order.
+PROFILE_CACHE_VERSION = "2026.10-1"
 
 #: Per-process temp-name sequence (as in :mod:`repro.parallel.pointcache`):
 #: with the pid it makes every writer's temp file unique.

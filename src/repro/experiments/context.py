@@ -77,11 +77,12 @@ class ExperimentContext:
       disables caching entirely (every run re-measures), and a
       :class:`~repro.parallel.PointCache` instance substitutes a
       custom per-point store.
-    * ``fast_forward`` reaches the proxy's steady-state fast-forward
-      and the app profilers (``None`` = default, on; the surface and
-      the profiles are bit-identical either way). ``False`` runs every
-      proxy iteration in full and profiles the apps on the reference
-      DES event by event instead of their index cores.
+    * ``fast_forward`` reaches the proxy runs and the app profilers
+      (``None`` = their default: steady-state fast-forward or the
+      index cores, whichever is faster; the surface and the profiles
+      are bit-identical either way). ``False`` runs every proxy
+      iteration and profiles the apps on the reference DES event by
+      event.
     * ``faults`` makes :meth:`surface` a *degraded-mode* response
       surface (the plan joins the surface-cache key, so healthy and
       degraded surfaces never alias; an empty plan is stored as

@@ -36,10 +36,12 @@ The trace rows, correlation ids, random draws, name interning and
 kernel metas therefore come out exactly as the DES records them;
 ``tests/apps/test_appcore.py`` holds the parity properties.
 
-Not modelled, because neither app driver needs it: fault injection
-(fault plans run on the DES), the occupancy (concurrent-kernel)
-compute engine, blocking launches, and stream queues as deep as a
-``Store``'s default capacity (which raises).
+Not modelled, because no driver needs it: fault injection (fault
+plans run on the DES), the occupancy (concurrent-kernel) compute
+engine, and stream queues as deep as a ``Store``'s default capacity
+(which raises). The drivers are the two paper apps
+(``repro.apps.{lammps,cosmoflow}.core``) and the matmul proxy
+(:mod:`repro.proxy.core`).
 """
 
 from __future__ import annotations
@@ -165,6 +167,16 @@ class FlatRun(NamedTuple):
     trace: ColumnarTrace
     #: Simulated time of the last event.
     end_s: float
+    #: Starvation cost the compute engine charged, summed in grant
+    #: order (``ComputeEngine.total_starvation_cost``).
+    starvation_s: float
+    #: Slack the hosts slept, summed in call order, and the calls the
+    #: slack model delayed (``SlackInjector.total_injected_s`` and
+    #: ``calls_delayed``).
+    injected_slack_s: float
+    slack_calls: int
+    #: Calls whose slack was a positive sleep (one DES timeout each).
+    slack_sleeps: int
 
 
 class FlatDevice:
@@ -226,10 +238,13 @@ class FlatDevice:
 
     @staticmethod
     def launch(name: str, mean: float, mu: Any = None,
-               meta: Optional[Dict[str, Any]] = None):
+               meta: Optional[Dict[str, Any]] = None, *,
+               blocking: bool = False):
         """Launch kernel ``name`` of duration ``mean`` (or, with ``mu``,
-        a jitter draw); ``meta`` joins its trace row's meta."""
-        return (_OP_LAUNCH, _mu(mu), mean, name, meta or {})
+        a jitter draw); ``meta`` joins its trace row's meta. A
+        ``blocking`` launch returns once the kernel has completed, as a
+        sync ``cudaMemcpy`` returns once its copy has."""
+        return (_OP_LAUNCH, _mu(mu), mean, name, meta or {}, blocking)
 
     #: ``cudaStreamSynchronize`` of the host's stream.
     SYNC_STREAM = (_OP_SYNC_STREAM,)
@@ -259,6 +274,9 @@ class FlatDevice:
             list(programs) + ([join] if join is not None else [])
         )
         draws = 0
+        starved = injected = 0.0
+        sleeps = 0
+        delayed = slack.calls_delayed
         api_s = self.api_overhead_s
         launch_s = self.launch_overhead_s
         activity = DeviceActivity()
@@ -340,6 +358,7 @@ class FlatDevice:
                 busy = dev[1]
                 if dev[0] == COMPUTE:
                     extra = starvation_charge(gpu, idle_gap(now))
+                    starved += extra
                 else:
                     extra = 0.0
                 obj.start = now
@@ -378,7 +397,8 @@ class FlatDevice:
                     add_meta(None)
                 s.outstanding -= 1
                 if dev[2] is not None:
-                    # A sync memcpy's host waits for the completion.
+                    # The host of a sync memcpy or a blocking launch
+                    # waits for the completion.
                     push((RETURNED, dev[2]))
                 if not s.outstanding and s.drain:
                     for w in s.drain:
@@ -415,9 +435,11 @@ class FlatDevice:
                 # resumes its host first (the StorePut), then hands the
                 # op to a waiting dispatcher (the StoreGet).
                 if op == OP_LAUNCH:
-                    dev = (COMPUTE, h.busy, None, h.corr, h.thread,
-                           call[3], call[4])
-                    push((RETURNED, h))
+                    blocking = call[5]
+                    dev = (COMPUTE, h.busy, h if blocking else None, h.corr,
+                           h.thread, call[3], call[4])
+                    if not blocking:
+                        push((RETURNED, h))
                 elif op == OP_MEMCPY:
                     dev = (call[1], call[2], h, h.corr, h.thread, call[5],
                            call[3], call[4])
@@ -465,7 +487,9 @@ class FlatDevice:
                 add_meta(None)
                 if not slack.is_zero:
                     delay = slack.sample()
+                    injected += delay
                     if delay > 0.0:
+                        sleeps += 1
                         h.start = now
                         t = now + delay
                         if t > now:
@@ -543,7 +567,14 @@ class FlatDevice:
                 push((what, h))
 
         blocks.append(np.array(rows, dtype=np.float64))
-        return FlatRun(_trace(blocks, names, metas), now)
+        return FlatRun(
+            _trace(blocks, names, metas),
+            now,
+            starved,
+            injected,
+            slack.calls_delayed - delayed,
+            sleeps,
+        )
 
     def _jitter_tables(
         self, programs: Sequence[Sequence[Tuple]]

@@ -206,6 +206,14 @@ class SweepExecutor:
                         ff_skipped += m.fastforward_events_skipped  # type: ignore[union-attr]
                     elif m.ok:  # type: ignore[union-attr]
                         ff_fallbacks += 1
+                    if m.ok:  # type: ignore[union-attr]
+                        # Which engine measured the point: the index
+                        # core, or the DES and why.
+                        fallback = m.core_fallback  # type: ignore[union-attr]
+                        reg.counter(
+                            "proxycore.runs" if fallback is None
+                            else f"proxycore.fallbacks.{fallback}"
+                        ).inc()
             if ff_hits or ff_fallbacks:
                 reg.counter("proxy.fastforward.hits").inc(ff_hits)
                 reg.counter("proxy.fastforward.fallbacks").inc(ff_fallbacks)

@@ -45,9 +45,9 @@ class PointTask:
     #: the worker calibrates itself (direct ``measure_point`` use).
     kernel_time_s: Optional[float] = None
     #: Steady-state fast-forward knob, passed through to
-    #: :func:`repro.proxy.run_proxy`. ``None`` = the proxy's default
-    #: (on). Not part of the cache key: fast-forwarded results are
-    #: bit-identical to full simulations by construction.
+    #: :func:`repro.proxy.run_proxy`. ``None`` = the proxy's default.
+    #: Not part of the cache key: fast-forwarded and index-core results
+    #: are bit-identical to full simulations by construction.
     fast_forward: Optional[bool] = None
     #: Optional :class:`~repro.faults.FaultPlan` degrading this point's
     #: fabric. Part of the cache key (a degraded point is a different
@@ -90,6 +90,10 @@ class PointMeasurement:
     fastforward_hit: bool = field(default=False, compare=False)
     fastforward_events_skipped: int = field(default=0, compare=False)
     fastforward_reason: str = field(default="", compare=False)
+    #: Why the proxy's index core did not measure the point (None: it
+    #: did), from :attr:`ProxyResult.core_fallback`; compare=False like
+    #: the fast-forward fields.
+    core_fallback: Optional[str] = field(default=None, compare=False)
 
     def to_doc(self) -> Dict[str, Any]:
         """Plain-dict form for the on-disk point cache."""
@@ -107,6 +111,7 @@ class PointMeasurement:
             "fastforward_hit": self.fastforward_hit,
             "fastforward_events_skipped": self.fastforward_events_skipped,
             "fastforward_reason": self.fastforward_reason,
+            "core_fallback": self.core_fallback,
         }
 
     @classmethod
@@ -130,6 +135,7 @@ class PointMeasurement:
                 doc.get("fastforward_events_skipped", 0)
             ),
             fastforward_reason=str(doc.get("fastforward_reason", "")),
+            core_fallback=doc.get("core_fallback"),
         )
 
 
@@ -176,4 +182,5 @@ def measure_point(task: PointTask) -> PointMeasurement:
         fastforward_hit=bool(ff is not None and ff.certified),
         fastforward_events_skipped=ff.events_skipped if ff is not None else 0,
         fastforward_reason=(ff.reason or "") if ff is not None else "",
+        core_fallback=run.core_fallback,
     )

@@ -169,8 +169,9 @@ def options_digest(options: SweepOptions) -> str:
     """
     doc = {
         "faults": faults_digest(options.faults),
-        # None means "the proxy default, on" — normalize so an
-        # explicit fast_forward=True merges with the default.
+        # None and True select the same engines (fast-forward or the
+        # index core) — normalize so an explicit fast_forward=True
+        # merges with the default.
         "fast_forward": options.fast_forward is not False,
     }
     payload = json.dumps(doc, sort_keys=True)

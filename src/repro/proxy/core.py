@@ -1,0 +1,147 @@
+"""Index core of the matmul proxy.
+
+Builds the proxy's loop (see :mod:`repro.proxy.matmul`) as one flat
+program per OpenMP thread and runs the threads on
+:class:`~repro.gpusim.flatcore.FlatDevice`: the same run as the DES,
+bit for bit, without an event loop. Each thread repeats
+``[H2D, H2D, launch(blocking), D2H, cudaStreamSynchronize]`` on its own
+stream; the threads free-run against the shared engines.
+
+The run's telemetry is rebuilt to equal what
+:func:`repro.obs.simulation_snapshot` reads off the DES:
+
+* the ``gpu.*`` counts follow from the program, and the three engine
+  utilizations sum the same busy and idle intervals, in the same order,
+  as :class:`~repro.des.UtilizationTracker`;
+* the ``fabric.*`` values are the core's own slack accounting, made
+  like :class:`~repro.gpusim.interception.SlackInjector`'s;
+* the ``des.*`` values are DES-equivalent counts: the events the
+  reference run dispatches (30 per thread iteration, 3 per thread, 4
+  for the run, 1 per positive slack sleep), its final callback pool
+  and an empty heap. ``tests/proxy/test_proxycore.py`` checks the whole
+  dict against the DES.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Dict, List, Tuple
+
+import numpy as np
+
+from ..gpusim import matmul_kernel
+from ..gpusim.flatcore import FlatDevice, FlatRun
+from ..network import SlackModel
+from ..trace import CopyKind, EventKind
+from ..trace.store import COPY_CODE, KIND_CODE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .matmul import ProxyConfig
+
+__all__ = ["proxy_core"]
+
+#: DES events of one proxy thread iteration, of one thread, and of the
+#: run itself (main process, its ``all_of`` and the runtime's default
+#: stream). Every positive slack sleep adds one timeout event.
+_EVENTS_PER_ITERATION = 30
+_EVENTS_PER_THREAD = 3
+_EVENTS_PER_RUN = 4
+#: Event callbacks left in the DES's free pool: per thread and per run.
+_POOL_PER_THREAD = 3
+_POOL_PER_RUN = 3
+
+_KERNEL = KIND_CODE[EventKind.KERNEL]
+_MEMCPY = KIND_CODE[EventKind.MEMCPY]
+
+
+def proxy_core(
+    config: "ProxyConfig", slack: SlackModel, iterations: int
+) -> Tuple[FlatRun, Dict[str, float]]:
+    """Run ``iterations`` proxy iterations of ``config`` on the index core.
+
+    Returns the run (``end_s`` is the loop runtime) and its simulator
+    telemetry, equal to the DES run's ``sim_metrics``.
+    """
+    kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
+    dev = FlatDevice(config.gpu, config.pcie, slack)
+    nbytes = config.matrix_bytes
+    h2d = dev.memcpy(nbytes, CopyKind.H2D)
+    iteration = [
+        h2d,
+        h2d,
+        dev.launch(
+            kernel.name,
+            kernel.execution_time(config.gpu),
+            meta=kernel.meta,
+            blocking=True,
+        ),
+        dev.memcpy(nbytes, CopyKind.D2H),
+        FlatDevice.SYNC_STREAM,
+    ]
+    threads = config.threads
+    run = dev.run([iteration * iterations] * threads, range(threads))
+    return run, _sim_metrics(run, threads * iterations, threads, nbytes)
+
+
+def _sim_metrics(
+    run: FlatRun, loops: int, threads: int, nbytes: int
+) -> Dict[str, float]:
+    """:func:`repro.obs.simulation_snapshot` of the equivalent DES run,
+    for ``loops`` thread iterations over ``threads`` threads."""
+    events = float(
+        _EVENTS_PER_ITERATION * loops
+        + _EVENTS_PER_THREAD * threads
+        + _EVENTS_PER_RUN
+        + run.slack_sleeps
+    )
+    store = run.trace.store
+    n = store.n
+    start, end = store.start[:n], store.end[:n]
+    kind, copy = store.kind[:n], store.copy[:n]
+    memcpy = kind == _MEMCPY
+    engines = (
+        kind == _KERNEL,
+        memcpy & (copy == COPY_CODE[CopyKind.H2D]),
+        memcpy & (copy == COPY_CODE[CopyKind.D2H]),
+    )
+    compute, copy_h2d, copy_d2h = (
+        _utilization(start[rows], end[rows], run.end_s) for rows in engines
+    )
+    calls = 5.0 * loops
+    return {
+        "des.events_scheduled": events,
+        "des.events_dispatched": events,
+        "des.heap_depth": 0.0,
+        "des.cb_pool_free": float(_POOL_PER_THREAD * threads + _POOL_PER_RUN),
+        "des.sim_time_s": run.end_s,
+        "gpu.kernel_launches": float(loops),
+        "gpu.api_calls": calls,
+        "gpu.memcpy_h2d_bytes": float(2 * loops * nbytes),
+        "gpu.memcpy_d2h_bytes": float(loops * nbytes),
+        "gpu.memcpy_count": 3.0 * loops,
+        "gpu.stream_count": float(threads + 1),
+        "gpu.compute_utilization": compute,
+        "gpu.copy_h2d_utilization": copy_h2d,
+        "gpu.copy_d2h_utilization": copy_d2h,
+        "gpu.starvation_cost_s": run.starvation_s,
+        "fabric.calls_intercepted": calls,
+        "fabric.slack_calls": float(run.slack_calls),
+        "fabric.slack_injected_s": run.injected_slack_s,
+    }
+
+
+def _utilization(starts: np.ndarray, ends: np.ndarray, end_s: float) -> float:
+    """One engine's :meth:`UtilizationTracker.utilization` at ``end_s``.
+
+    The engine ran its ops over ``[starts[i], ends[i]]`` in order; the
+    tracker closes a busy interval per op and an idle one per gap and
+    after the last op, keeping the positive ones, and sums each kind
+    in interval order.
+    """
+    if not len(starts):
+        return 0.0
+    busy: List[float] = [d for d in (ends - starts).tolist() if d > 0]
+    gaps = np.append(starts[1:], end_s) - ends
+    idle: List[float] = [d for d in gaps.tolist() if d > 0]
+    busy_s, idle_s = sum(busy), sum(idle)
+    total = busy_s + idle_s
+    return busy_s / total if total > 0 else 0.0

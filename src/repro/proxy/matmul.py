@@ -8,6 +8,12 @@ own three matrices), which is the paper's controlled knob for queue
 parallelism. Kernel launches are blocking ("synchronous is used to
 capture the pessimistic case"), keeping every injected delay on the
 critical path so Equation 1's correction is exact.
+
+:func:`run_proxy` computes a run on one of three engines with the same
+result: the reference DES, the DES with steady-state fast-forward
+(long fault-free runs), or the index core of :mod:`repro.proxy.core`
+(everything else the core covers); :func:`core_fallback_reason` is the
+rule.
 """
 
 from __future__ import annotations
@@ -19,16 +25,26 @@ from ..des import Barrier, Environment, Event
 from ..des.fastforward import EpochMonitor, FastForwardInfo, MIN_ITERATIONS
 from ..faults import FaultPlan
 from ..gpusim import CudaRuntime, matmul_kernel
-from ..hw import A100_SXM4_40GB, GPUSpec, OutOfMemoryError, PCIE_GEN4_X16, PCIeSpec
+from ..hw import (
+    A100_SXM4_40GB,
+    DeviceMemory,
+    GPUSpec,
+    OutOfMemoryError,
+    PCIE_GEN4_X16,
+    PCIeSpec,
+)
 from ..network import SlackModel
 from ..obs import simulation_snapshot
 from ..trace import CopyKind, Trace
 from .calibration import calibrate_iterations, time_single_kernel
+from .core import proxy_core
 
 __all__ = [
     "ProxyConfig",
     "ProxyResult",
     "CUDA_CALLS_PER_ITERATION",
+    "CORE_CROSSOVER_ITERATIONS",
+    "core_fallback_reason",
     "run_proxy",
     "FastForwardInfo",
 ]
@@ -36,6 +52,11 @@ __all__ = [
 #: The paper's count for Equation 1: 3 matrix transfers + 1 kernel
 #: launch + 1 host-device synchronization per loop iteration.
 CUDA_CALLS_PER_ITERATION = 5
+
+#: Iteration count above which a fast-forward-eligible run is cheaper
+#: on the DES with fast-forward than on the index core, which simulates
+#: every iteration (docs/performance.md has the measured table).
+CORE_CROSSOVER_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -102,6 +123,10 @@ class ProxyResult:
     #: Excluded from comparison: a fast-forwarded result is the same
     #: result, reached cheaper.
     fastforward: Optional[FastForwardInfo] = field(default=None, compare=False)
+    #: Why the index core did not compute this run (None: it did); see
+    #: :func:`core_fallback_reason`. Excluded from comparison like
+    #: ``fastforward``.
+    core_fallback: Optional[str] = field(default=None, compare=False)
 
     @property
     def cuda_calls(self) -> int:
@@ -155,6 +180,43 @@ def refusal_reason(
     return None
 
 
+def core_fallback_reason(
+    config: ProxyConfig,
+    slack: SlackModel,
+    iterations: int,
+    *,
+    fast_forward: Optional[bool] = None,
+    faults: Optional[FaultPlan] = None,
+) -> Optional[str]:
+    """Why a run goes to the DES rather than the index core (None = core).
+
+    ``disabled`` — ``fast_forward=False`` selects the event-by-event
+    reference run; ``faults-active``, ``phase-barrier``,
+    ``iteration-spacing`` and ``thread-launch-offset`` — what only the
+    DES models; ``fast-forward`` — a run fast-forward can certify that
+    is longer than :data:`CORE_CROSSOVER_ITERATIONS`. Everything else
+    (slack jitter, slack-model subclasses such as ``PreloadShim``, short
+    runs) runs on the core. ``fast_forward=None`` and ``True`` dispatch
+    alike.
+    """
+    if fast_forward is False:
+        return "disabled"
+    if faults is not None and not faults.is_empty:
+        return "faults-active"
+    if config.phase_barrier:
+        return "phase-barrier"
+    if config.iteration_spacing_s > 0:
+        return "iteration-spacing"
+    if config.thread_launch_offset_s > 0:
+        return "thread-launch-offset"
+    if (
+        iterations > CORE_CROSSOVER_ITERATIONS
+        and refusal_reason(config, slack, iterations) is None
+    ):
+        return "fast-forward"
+    return None
+
+
 def run_proxy(
     config: ProxyConfig,
     slack: Optional[SlackModel] = None,
@@ -172,13 +234,16 @@ def run_proxy(
         mini-simulation; sweeps hoist it so every point of one matrix
         size shares the calibration).
     fast_forward:
-        Steady-state fast-forward (default on): once the loop is
-        certified bit-exactly periodic, the remaining iterations are
-        extrapolated analytically instead of simulated — same result,
-        O(warmup) events. Ineligible configurations (phase barriers,
-        iteration spacing, launch offsets, jittered slack, active
-        fault plans) always run the full simulation;
-        ``result.fastforward`` records what happened.
+        Steady-state fast-forward: once the loop is certified
+        bit-exactly periodic, the remaining iterations are extrapolated
+        analytically instead of simulated — same result, O(warmup)
+        events. On (``None``, the default, or ``True``), eligible runs
+        longer than :data:`CORE_CROSSOVER_ITERATIONS` take it and the
+        rest are computed on the index core (:mod:`repro.proxy.core`)
+        where the core covers the configuration (see
+        :func:`core_fallback_reason`). ``False`` runs the reference DES
+        event by event. ``result.fastforward`` and
+        ``result.core_fallback`` record what happened.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
         for this run (compiled per simulation, seeded, fully
@@ -198,12 +263,6 @@ def run_proxy(
         some call (propagates from the simulated waiting process).
     """
     slack = slack or SlackModel.none()
-    env = Environment()
-    injector = faults.compile(env) if faults is not None else None
-    rt = CudaRuntime(
-        env, gpu=config.gpu, pcie=config.pcie, slack=slack, faults=injector
-    )
-
     kernel_time = (
         kernel_time_s
         if kernel_time_s is not None
@@ -214,25 +273,43 @@ def run_proxy(
     iterations = config.iterations or calibrate_iterations(
         kernel_time, target_s=config.target_compute_s
     )
+    fallback = core_fallback_reason(
+        config, slack, iterations, fast_forward=fast_forward, faults=faults
+    )
+    if fallback is None:
+        _allocate(config, DeviceMemory(config.gpu.memory_bytes))
+        run, sim_metrics = proxy_core(config, slack, iterations)
+        return ProxyResult(
+            config=config,
+            slack_s=slack.slack_s,
+            iterations=iterations,
+            kernel_time_s=kernel_time,
+            loop_runtime_s=run.end_s,
+            injected_slack_s=run.injected_slack_s,
+            starvation_cost_s=run.starvation_s,
+            trace=run.trace,
+            sim_metrics=sim_metrics,
+            fastforward=FastForwardInfo(
+                enabled=True,
+                certified=False,
+                reason=refusal_reason(config, slack, iterations)
+                or "below-crossover",
+            ),
+        )
 
-    enabled = True if fast_forward is None else bool(fast_forward)
+    env = Environment()
+    injector = faults.compile(env) if faults is not None else None
+    rt = CudaRuntime(
+        env, gpu=config.gpu, pcie=config.pcie, slack=slack, faults=injector
+    )
+    enabled = fast_forward is not False
     reason = "disabled" if not enabled else refusal_reason(
         config, slack, iterations, faults=injector
     )
     monitor = EpochMonitor(env, rt, config.threads, iterations) if (
         enabled and reason is None
     ) else None
-
-    # Allocate every thread's matrices up front (fail fast on OOM,
-    # mirroring the proxy's startup allocation).
-    if config.device_bytes_needed > rt.memory.capacity:
-        raise OutOfMemoryError(
-            f"{config.threads} threads x 3 matrices of {config.matrix_bytes} B "
-            f"exceed device memory ({rt.memory.capacity} B)"
-        )
-    for t in range(config.threads):
-        for name in "ABC":
-            rt.malloc(config.matrix_bytes, tag=f"thread{t}-{name}")
+    _allocate(config, rt.memory)
 
     kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
     nbytes = config.matrix_bytes
@@ -314,6 +391,7 @@ def run_proxy(
             trace=ex.trace,
             sim_metrics=ex.sim_metrics,
             fastforward=ex.info,
+            core_fallback=fallback,
         )
 
     if monitor is not None:
@@ -333,4 +411,18 @@ def run_proxy(
         fastforward=FastForwardInfo(
             enabled=enabled, certified=False, reason=reason
         ),
+        core_fallback=fallback,
     )
+
+
+def _allocate(config: ProxyConfig, memory: DeviceMemory) -> None:
+    """Allocate every thread's matrices up front (fail fast on OOM,
+    mirroring the proxy's startup allocation)."""
+    if config.device_bytes_needed > memory.capacity:
+        raise OutOfMemoryError(
+            f"{config.threads} threads x 3 matrices of {config.matrix_bytes} B "
+            f"exceed device memory ({memory.capacity} B)"
+        )
+    for t in range(config.threads):
+        for name in "ABC":
+            memory.malloc(config.matrix_bytes, tag=f"thread{t}-{name}")

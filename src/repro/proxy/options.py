@@ -62,7 +62,9 @@ class SweepOptions:
         repo-local store under ``.cache/points/``, or a concrete
         :class:`~repro.parallel.PointCache`.
     ``fast_forward``
-        Steady-state fast-forward knob (``None`` = proxy default, on).
+        Steady-state fast-forward knob, passed to
+        :func:`~repro.proxy.run_proxy` (``None`` = its default: the
+        faster of fast-forward and the index core).
     ``faults``
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric.
     ``adaptive`` / ``tol``

@@ -388,8 +388,8 @@ def run_slack_sweep(
     * ``cache`` attaches a per-point result store so previously
       measured points are never re-run.
     * ``fast_forward`` reaches every point's
-      :func:`repro.proxy.run_proxy` (``None`` = the proxy default,
-      on; results are bit-identical either way).
+      :func:`repro.proxy.run_proxy` (``None`` = the proxy default;
+      results are bit-identical either way).
     * ``faults`` attaches a :class:`~repro.faults.FaultPlan` to every
       point of the grid (baselines included — the fabric is degraded,
       period), producing a degraded-mode response surface. The plan

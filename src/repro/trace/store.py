@@ -693,6 +693,33 @@ class ColumnarTrace(Trace):
         store = self._store
         return [store.event_at(int(i)) for i in self._rows()]
 
+    def time_ordered(self) -> "ColumnarTrace":
+        """A root copy of this trace in iteration order.
+
+        Rows come in (start, end)-sorted order and names are interned
+        in order of first appearance in it, so the copy equals
+        recording ``list(self)`` into a fresh trace, whatever order the
+        rows were recorded in.
+        """
+        store = self._store
+        perm = self._sorted_rows()
+        codes = store.name_code[perm]
+        used, first = np.unique(codes, return_index=True)
+        used = used[np.argsort(first, kind="stable")]
+        remap = np.zeros(len(store._names), dtype=codes.dtype)
+        remap[used] = np.arange(len(used), dtype=codes.dtype)
+        columns = {col: getattr(store, col)[perm] for col in COLUMNS}
+        columns["name_code"] = remap[codes]
+        metas = store.metas
+        return ColumnarTrace(
+            name=self.name,
+            store=ColumnStore.from_columns(
+                columns,
+                [store._names[c] for c in used.tolist()],
+                [metas[i] for i in perm.tolist()],
+            ),
+        )
+
     def __len__(self) -> int:
         return self._row_count()
 

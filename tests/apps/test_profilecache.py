@@ -15,8 +15,9 @@ from repro.apps import (
     AppProfile,
     profile_key,
 )
-from repro.apps.lammps import LammpsProfileConfig
-from repro.apps.profilecache import _profile_doc
+from repro.apps.cosmoflow import CosmoFlowProfileConfig
+from repro.apps.lammps import LammpsProfileConfig, LJParams
+from repro.apps.profilecache import _profile_arrays, _profile_doc
 from repro.experiments import ExperimentContext
 from repro.obs import collecting
 from repro.trace import ColumnarTrace, CopyKind, EventKind, Trace, TraceEvent
@@ -357,3 +358,57 @@ class TestMetrics:
             assert reg.counter("profilecache.hits").value == 1
             assert reg.counter("profilecache.writes").value == 1
             assert reg.counter("profilecache.invalidated").value == 1
+
+
+class TestOneEncodingPerProfile:
+    """A profile's cache entry does not depend on the engine that built it.
+
+    Jitter-free paper-app configs can be built three ways: DES plus
+    fast-forward (the default), the reference DES
+    (``fast_forward=False``) and the index core (forced here by making
+    fast-forward refuse). All three store the same bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "module, profiler, config",
+        [
+            (
+                "repro.apps.lammps.gpu_offload",
+                "profile_lammps",
+                lambda: LammpsProfileConfig(
+                    params=LJParams(40, steps=12 * 17 + 5), jitter=0.0
+                ),
+            ),
+            (
+                "repro.apps.cosmoflow.training",
+                "profile_cosmoflow",
+                lambda: CosmoFlowProfileConfig(
+                    epochs=2, train_samples=128, val_samples=64, jitter=0.0
+                ),
+            ),
+        ],
+        ids=["lammps", "cosmoflow"],
+    )
+    def test_fast_forward_des_and_core_store_the_same_bytes(
+        self, monkeypatch, module, profiler, config
+    ):
+        import importlib
+
+        mod = importlib.import_module(module)
+        profile = getattr(mod, profiler)
+        fast = profile(config())
+        assert fast.fastforward.certified
+        des = profile(config(), fast_forward=False)
+        with collecting() as reg:
+            monkeypatch.setattr(
+                mod, "app_refusal_reason", lambda *a, **k: "forced"
+            )
+            core = profile(config())
+        assert reg.counter("appcore.runs").value == 1
+        expected = _profile_arrays(des)
+        for built in (fast, core):
+            got = _profile_arrays(built)
+            assert got.keys() == expected.keys()
+            for key in expected:
+                assert got[key].dtype == expected[key].dtype, key
+                assert got[key].tobytes() == expected[key].tobytes(), key

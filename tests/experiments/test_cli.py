@@ -294,3 +294,32 @@ class TestPredictAndServe:
         doc = json.loads(report.read_text())
         assert doc["kind"] == "serve"
         assert doc["meta"]["surrogate_method"] == "loglinear"
+
+
+def test_main_freezes_start_up_objects():
+    # In a fresh interpreter: the test process's own collector state
+    # must not leak into the check. A second call freezes nothing more
+    # (frozen objects that die still leave the permanent generation).
+    import os
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import gc, io, contextlib\n"
+        "from repro.cli import main\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['list'])\n"
+        "    first = gc.get_freeze_count()\n"
+        "    main(['list'])\n"
+        "assert gc.get_freeze_count() <= first\n"
+        "print(first)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [_sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert int(out) > 0

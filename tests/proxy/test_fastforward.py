@@ -16,8 +16,16 @@ from hypothesis import strategies as st
 from repro.network import SlackModel
 from repro.des.fastforward import MIN_ITERATIONS
 from repro.proxy import FastForwardInfo, ProxyConfig, SweepOptions, run_proxy
+from repro.proxy import matmul
 from repro.proxy.matmul import refusal_reason
 from repro.trace import RepeatedEpochTrace
+
+
+@pytest.fixture(autouse=True)
+def _fast_forward_every_eligible_run(monkeypatch):
+    """Short eligible runs go to the index core by default; these tests
+    are about fast-forward itself, so every eligible run takes it."""
+    monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", 0)
 
 
 def _pair(config, slack_s):
@@ -266,14 +274,16 @@ class TestReusedSlackModel:
     """A slack model reused across runs reports each run's own slack."""
 
     @pytest.mark.parametrize("iterations", [5, 30])
-    def test_reused_model_reports_the_fresh_run(self, iterations):
+    def test_reused_model_reports_the_fresh_run(self, iterations, monkeypatch):
         config = ProxyConfig(matrix_size=512, iterations=iterations)
         fresh = run_proxy(config, SlackModel(1e-4), fast_forward=False)
         reused = SlackModel(1e-4)
-        runs = [
-            run_proxy(config, reused, fast_forward=ff)
-            for ff in (False, True, False, True)
-        ]
+        runs = []
+        # Reference DES, fast-forward where eligible, index core; twice.
+        for ff, crossover in ((False, 0), (True, 0), (None, 10**9)) * 2:
+            monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", crossover)
+            runs.append(run_proxy(config, reused, fast_forward=ff))
+        assert runs[2].core_fallback is None and runs[5].core_fallback is None
         fabric = {
             k: v for k, v in fresh.sim_metrics.items()
             if k.startswith("fabric.")
