@@ -283,7 +283,8 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=["loglinear", "pchip"],
                         default="loglinear",
                         help="surrogate interpolation rule (loglinear = "
-                             "exact surface parity; pchip needs scipy)")
+                             "exact surface parity; pchip = monotone "
+                             "cubic)")
     parser.add_argument("--cold", action="store_true",
                         help="measure refused queries with the real DES "
                              "cold path and refine the surrogate online")
@@ -973,8 +974,6 @@ def _serve_setup(args: argparse.Namespace):
 
     ctx = ExperimentContext(quick=not args.full)
     model = ctx.surrogate(method=args.method)
-    for note in model.notes:
-        print(f"[surrogate: {note}]", file=sys.stderr)
     cold = ColdPathConfig() if args.cold else None
     return model, cold
 

@@ -8,7 +8,6 @@ and self-validates the methodology on proxy traces (Section IV-D).
 from .adaptive import DEFAULT_TOL, AdaptiveSweepResult, adaptive_slack_sweep
 from .surrogate import (
     BOUND_SAFETY_FACTOR,
-    PCHIP_AVAILABLE,
     SURROGATE_METHODS,
     TrainingSeries,
     crossval_bounds,
@@ -48,7 +47,6 @@ __all__ = [
     "interp_penalty",
     "BOUND_SAFETY_FACTOR",
     "SURROGATE_METHODS",
-    "PCHIP_AVAILABLE",
     "equation1_remove_direct_slack",
     "equation2_total_slack_penalty",
     "equation3_binned_slack_penalty",

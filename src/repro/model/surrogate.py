@@ -28,7 +28,7 @@ validate it against sweeps directly:
   serving tests pin exactly that regime.
 
 An optional monotone PCHIP fit (shape-preserving cubic in log-slack,
-via scipy when present) is exposed through ``method="pchip"``; the
+via scipy) is exposed through ``method="pchip"``; the
 default stays ``"loglinear"`` because only that rule is exactly the
 surface's own.
 """
@@ -45,17 +45,8 @@ from ..proxy.quantize import slack_bucket
 from ..proxy.response import SlackResponseSurface
 from ..proxy.sweep import SweepPoint, SweepResult
 
-try:  # pragma: no cover - exercised only where scipy is present
-    from scipy.interpolate import PchipInterpolator
-
-    PCHIP_AVAILABLE = True
-except Exception:  # pragma: no cover - scipy genuinely absent
-    PchipInterpolator = None
-    PCHIP_AVAILABLE = False
-
 __all__ = [
     "BOUND_SAFETY_FACTOR",
-    "PCHIP_AVAILABLE",
     "SURROGATE_METHODS",
     "TrainingSeries",
     "crossval_bounds",
@@ -65,8 +56,8 @@ __all__ = [
 
 #: Interpolation rules a surrogate can be fit with. ``loglinear`` is
 #: the surface's own rule (exact parity); ``pchip`` is a monotone
-#: shape-preserving cubic in log-slack (needs scipy; falls back to
-#: loglinear with a recorded reason when scipy is missing).
+#: shape-preserving cubic in log-slack (scipy, imported on first fit
+#: so that start-up does not pay for ``scipy.interpolate``).
 SURROGATE_METHODS = ("loglinear", "pchip")
 
 #: Cross-validated interval bounds are observed deviations, not
@@ -123,9 +114,11 @@ class TrainingSeries:
         return len(self.slacks) >= 2
 
     def pchip(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """Monotone PCHIP fit in log-slack, or ``None`` without scipy."""
-        if not PCHIP_AVAILABLE or not self.viable:
+        """Monotone PCHIP fit in log-slack, or ``None`` if not viable."""
+        if not self.viable:
             return None
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(
             np.log(self.slacks), self.penalties, extrapolate=False
         )

@@ -1,20 +1,24 @@
 """CDI fabric topologies: rack-, row- and cluster-scale.
 
-Builds a networkx graph of hosts, fabric switches and GPU chassis with
-physically-motivated cable lengths, and derives the *slack* a given
-host-chassis pairing experiences from the path: NIC costs at both
-endpoints, per-switch hop latency, and fibre time-of-flight over the
-accumulated cable length. This is how experiment configurations turn
-"this GPU lives two racks away" into a per-CUDA-call delay.
+Builds the tree of hosts, fabric switches and GPU chassis (host -> tor
+-> row -> core, with each chassis on its rack's tor) as plain adjacency
+dicts with physically-motivated cable lengths, and derives the *slack*
+a given host-chassis pairing experiences from the path: NIC costs at
+both endpoints, per-switch hop latency, and fibre time-of-flight over
+the accumulated cable length. This is how experiment configurations
+turn "this GPU lives two racks away" into a per-CUDA-call delay.
+
+Because the topology is a tree, every pair of nodes has exactly one
+path; a breadth-first search finds it, and a failed component simply
+removes every path through it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .slack import SlackModel, latency_for_fibre_distance
 
@@ -75,91 +79,117 @@ class PathInfo:
 
 
 class Fabric:
-    """A populated CDI fabric graph.
+    """A populated CDI fabric.
 
     Node names: ``host:<rack>:<i>``, ``tor:<rack>`` (top-of-rack
-    switch), ``row:<row>`` (row/spine switch), ``chassis:<rack>``.
-    Edges carry ``cable_m``. Rack-scale paths go host->tor->chassis;
-    row-scale adds the row switch; cluster-scale adds a core switch.
+    switch), ``row:<row>`` (row/spine switch), ``core`` and
+    ``chassis:<rack>``. :attr:`kind` maps each node to ``"host"``,
+    ``"switch"`` or ``"chassis"``; :attr:`adj` maps each node to its
+    neighbours and the cable length (m) to each. Rack-scale paths go
+    host->tor->chassis; row-scale adds the row switch; cluster-scale
+    adds the core switch.
     """
 
     def __init__(self, spec: FabricSpec) -> None:
         self.spec = spec
-        self.graph = nx.Graph()
+        self.kind: Dict[str, str] = {}
+        self.adj: Dict[str, Dict[str, float]] = {}
         self._build()
 
     # -- construction ----------------------------------------------------------
+    def _add(self, node: str, kind: str) -> None:
+        self.kind[node] = kind
+        self.adj[node] = {}
+
+    def _link(self, a: str, b: str, cable_m: float) -> None:
+        self.adj[a][b] = cable_m
+        self.adj[b][a] = cable_m
+
     def _build(self) -> None:
         s = self.spec
-        g = self.graph
         total_racks = s.racks_per_row * s.rows
-        g.add_node("core", kind="switch")
+        self._add("core", "switch")
         for row in range(s.rows):
             row_sw = f"row:{row}"
-            g.add_node(row_sw, kind="switch")
-            g.add_edge(row_sw, "core", cable_m=s.inter_row_cable_m)
+            self._add(row_sw, "switch")
+            self._link(row_sw, "core", s.inter_row_cable_m)
         for rack in range(total_racks):
             row = rack // s.racks_per_row
             pos_in_row = rack % s.racks_per_row
             tor = f"tor:{rack}"
-            g.add_node(tor, kind="switch")
-            g.add_edge(
-                tor,
-                f"row:{row}",
-                cable_m=s.inter_rack_cable_m * (pos_in_row + 1),
-            )
+            self._add(tor, "switch")
+            self._link(tor, f"row:{row}", s.inter_rack_cable_m * (pos_in_row + 1))
             for i in range(s.hosts_per_rack):
                 host = f"host:{rack}:{i}"
-                g.add_node(host, kind="host")
-                g.add_edge(host, tor, cable_m=s.intra_rack_cable_m)
+                self._add(host, "host")
+                self._link(host, tor, s.intra_rack_cable_m)
         for rack in s.chassis_racks:
             chassis = f"chassis:{rack}"
-            g.add_node(chassis, kind="chassis")
-            g.add_edge(chassis, f"tor:{rack}", cable_m=s.intra_rack_cable_m)
+            self._add(chassis, "chassis")
+            self._link(chassis, f"tor:{rack}", s.intra_rack_cable_m)
 
-    # -- queries ---------------------------------------------------------------
-    def hosts(self) -> List[str]:
-        """All host node names."""
-        return sorted(
-            n for n, d in self.graph.nodes(data=True) if d["kind"] == "host"
-        )
+    def _route(
+        self, src: str, dst: str, excluded: AbstractSet[str] = frozenset()
+    ) -> Optional[List[str]]:
+        """Nodes on the path ``src`` -> ``dst`` avoiding ``excluded``.
 
-    def chassis(self) -> List[str]:
-        """All GPU chassis node names."""
-        return sorted(
-            n for n, d in self.graph.nodes(data=True) if d["kind"] == "chassis"
-        )
+        Breadth-first, so the path has the fewest hops; on the tree it
+        is the only path. ``None`` when no path avoids ``excluded``.
+        """
+        parent: Dict[str, Optional[str]] = {src: None}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            if node == dst:
+                nodes = []
+                while node is not None:
+                    nodes.append(node)
+                    node = parent[node]
+                return nodes[::-1]
+            for nb in self.adj[node]:
+                if nb not in parent and nb not in excluded:
+                    parent[nb] = node
+                    queue.append(nb)
+        return None
 
-    def path(self, host: str, chassis: str) -> PathInfo:
-        """Resolve the shortest path and its slack.
+    def _path_info(self, nodes: List[str]) -> PathInfo:
+        """Slack of the path ``nodes`` (host first, chassis last).
 
         Slack = 2 NIC traversals + hops * switch latency + fibre
         time-of-flight over the path's total cable length (one-way),
         matching the paper's Figure 1 decomposition.
         """
-        if host not in self.graph:
-            raise KeyError(f"unknown host {host!r}")
-        if chassis not in self.graph:
-            raise KeyError(f"unknown chassis {chassis!r}")
-        nodes = nx.shortest_path(self.graph, host, chassis)
-        switch_hops = sum(
-            1 for n in nodes[1:-1] if self.graph.nodes[n]["kind"] == "switch"
-        )
-        cable_m = sum(
-            self.graph.edges[a, b]["cable_m"] for a, b in zip(nodes, nodes[1:])
-        )
+        switch_hops = sum(1 for n in nodes[1:-1] if self.kind[n] == "switch")
+        cable_m = sum(self.adj[a][b] for a, b in zip(nodes, nodes[1:]))
         slack = (
             2 * self.spec.nic_latency_s
             + switch_hops * self.spec.switch_hop_latency_s
             + latency_for_fibre_distance(cable_m)
         )
         return PathInfo(
-            host=host,
-            chassis=chassis,
+            host=nodes[0],
+            chassis=nodes[-1],
             switch_hops=switch_hops,
             cable_m=cable_m,
             slack_s=slack,
         )
+
+    # -- queries ---------------------------------------------------------------
+    def hosts(self) -> List[str]:
+        """All host node names."""
+        return sorted(n for n, k in self.kind.items() if k == "host")
+
+    def chassis(self) -> List[str]:
+        """All GPU chassis node names."""
+        return sorted(n for n, k in self.kind.items() if k == "chassis")
+
+    def path(self, host: str, chassis: str) -> PathInfo:
+        """Resolve the host-to-chassis path and its slack."""
+        if host not in self.kind:
+            raise KeyError(f"unknown host {host!r}")
+        if chassis not in self.kind:
+            raise KeyError(f"unknown chassis {chassis!r}")
+        return self._path_info(self._route(host, chassis))
 
     def nearest_chassis(self, host: str) -> PathInfo:
         """The minimum-slack chassis reachable from ``host``."""
@@ -188,31 +218,14 @@ class Fabric:
         raises.
         """
         for f in failed:
-            if f not in self.graph:
+            if f not in self.kind:
                 raise KeyError(f"unknown fabric component {f!r}")
             if f == host or f == chassis:
                 return None
-        degraded = self.graph.copy()
-        degraded.remove_nodes_from(failed)
-        if host not in degraded or chassis not in degraded:
+        if host not in self.kind or chassis not in self.kind:
             return None
-        try:
-            nodes = nx.shortest_path(degraded, host, chassis)
-        except nx.NetworkXNoPath:
-            return None
-        switch_hops = sum(
-            1 for n in nodes[1:-1] if degraded.nodes[n]["kind"] == "switch"
-        )
-        cable_m = sum(
-            degraded.edges[a, b]["cable_m"] for a, b in zip(nodes, nodes[1:])
-        )
-        slack = (
-            2 * self.spec.nic_latency_s
-            + switch_hops * self.spec.switch_hop_latency_s
-            + latency_for_fibre_distance(cable_m)
-        )
-        return PathInfo(host=host, chassis=chassis, switch_hops=switch_hops,
-                        cable_m=cable_m, slack_s=slack)
+        nodes = self._route(host, chassis, frozenset(failed))
+        return None if nodes is None else self._path_info(nodes)
 
     def survivable(
         self, host: str, failed: Sequence[str]

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..model.surrogate import (
     BOUND_SAFETY_FACTOR,
-    PCHIP_AVAILABLE,
     SURROGATE_METHODS,
     TrainingSeries,
     crossval_bounds,
@@ -147,8 +146,6 @@ class SurrogateModel:
     ``method`` selects the interpolation rule: ``"loglinear"`` (the
     surface's own rule, exact parity at measured points — default) or
     ``"pchip"`` (monotone shape-preserving cubic in log-slack, scipy).
-    When scipy is absent a requested ``"pchip"`` falls back to
-    ``"loglinear"`` and the downgrade is recorded in :attr:`notes`.
     """
 
     def __init__(
@@ -162,13 +159,6 @@ class SurrogateModel:
             raise ValueError(
                 f"method must be one of {SURROGATE_METHODS}, got {method!r}"
             )
-        self.notes: List[str] = []
-        if method == "pchip" and not PCHIP_AVAILABLE:
-            self.notes.append(
-                "pchip requested but scipy is unavailable; "
-                "falling back to loglinear"
-            )
-            method = "loglinear"
         self.method = method
         self.safety = safety
         #: Refusal counts by reason code, across predict/evaluate.
@@ -288,9 +278,7 @@ class SurrogateModel:
                         penalties=self._pen[off:off + cnt].copy(),
                         interval_bounds=self._ibound[off:off + cnt - 1].copy(),
                     )
-                    fitted = ts.pchip()
-                    if fitted is not None:
-                        self._pchips[idx] = fitted
+                    self._pchips[idx] = ts.pchip()
 
     # -- domain introspection -------------------------------------------------
     @property

@@ -2,7 +2,7 @@
 
 The paper presents kernel-duration and memcpy-size distributions as
 violin plots. :class:`ViolinSummary` captures everything a violin
-shows (quartiles, extrema, a kernel-density profile), and
+shows (count, quartiles, extrema), and
 :func:`kernel_duration_profile` / :func:`memcpy_size_profile` build
 the per-name + Total panels of Figures 4 and 5 from a trace.
 """
@@ -10,10 +10,9 @@ the per-name + Total panels of Figures 4 and 5 from a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .container import Trace
 from .events import CopyKind
@@ -41,8 +40,6 @@ class ViolinSummary:
     maximum: float
     mean: float
     std: float
-    density_x: Tuple[float, ...] = ()
-    density_y: Tuple[float, ...] = ()
 
     @property
     def iqr(self) -> float:
@@ -51,33 +48,15 @@ class ViolinSummary:
 
 
 def summarize(
-    values: Sequence[float] | np.ndarray,
-    label: str = "",
-    density_points: int = 64,
+    values: Sequence[float] | np.ndarray, label: str = ""
 ) -> ViolinSummary:
-    """Compute violin statistics (and a KDE profile) for ``values``.
-
-    The KDE is evaluated on a linear grid between min and max; for
-    degenerate samples (constant, or fewer than 3 points) the density
-    is omitted.
-    """
+    """Compute violin statistics for ``values``."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError(f"cannot summarize empty sample {label!r}")
     if np.any(~np.isfinite(arr)):
         raise ValueError(f"sample {label!r} contains non-finite values")
     q1, med, q3 = np.percentile(arr, [25, 50, 75])
-    density_x: Tuple[float, ...] = ()
-    density_y: Tuple[float, ...] = ()
-    if arr.size >= 3 and np.ptp(arr) > 0:
-        try:
-            kde = stats.gaussian_kde(arr)
-            xs = np.linspace(arr.min(), arr.max(), density_points)
-            ys = kde(xs)
-            density_x = tuple(float(x) for x in xs)
-            density_y = tuple(float(y) for y in ys)
-        except np.linalg.LinAlgError:  # singular samples
-            pass
     return ViolinSummary(
         label=label,
         count=int(arr.size),
@@ -88,8 +67,6 @@ def summarize(
         maximum=float(arr.max()),
         mean=float(arr.mean()),
         std=float(arr.std()),
-        density_x=density_x,
-        density_y=density_y,
     )
 
 

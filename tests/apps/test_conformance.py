@@ -26,6 +26,8 @@ from repro.apps import AppProfileCache, registered_apps
 from repro.apps.profilecache import _profile_doc
 from repro.trace.store import ColumnarTrace
 
+from ..bytesdiff import assert_same_document
+
 APPS = registered_apps()
 APP_IDS = [app.name for app in APPS]
 
@@ -63,7 +65,7 @@ class TestDeterminism:
         cfg = app.conformance_config()
         a = app.profiler(cfg)
         b = app.profiler(cfg)
-        assert profile_doc_json(a) == profile_doc_json(b)
+        assert_same_document(profile_doc_json(a), profile_doc_json(b))
 
     def test_profile_name_matches_registry_name(self, app):
         assert app.profiler(app.conformance_config()).name == app.name
@@ -104,7 +106,7 @@ class TestProfileCacheWarmRun:
         warm = cache.get(app.name, cfg)
         assert warm is not None
         assert cache.hits == 1 and cache.corrupt == 0
-        assert profile_doc_json(warm) == profile_doc_json(cold)
+        assert_same_document(profile_doc_json(warm), profile_doc_json(cold))
 
     def test_model_version_partitions_the_cache(self, app, tmp_path):
         # A bumped model_version must never serve the old entry; the
@@ -160,6 +162,7 @@ class TestFastForwardRefusals:
         cache.put(app.name, cfg, cold)
         warm = cache.get(app.name, cfg)
         assert warm.fastforward is None
-        assert profile_doc_json(warm) == profile_doc_json(
-            dataclasses.replace(cold, fastforward=None)
+        assert_same_document(
+            profile_doc_json(warm),
+            profile_doc_json(dataclasses.replace(cold, fastforward=None)),
         )

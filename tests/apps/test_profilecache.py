@@ -22,6 +22,8 @@ from repro.experiments import ExperimentContext
 from repro.obs import collecting
 from repro.trace import ColumnarTrace, CopyKind, EventKind, Trace, TraceEvent
 
+from ..bytesdiff import assert_same_document
+
 
 def small_profile(name="app"):
     trace = ColumnarTrace(name=name)
@@ -238,7 +240,7 @@ class TestCrashConsistency:
             # Zip fields the reader never uses (timestamps, version
             # fields, local copies of sizes) cannot change content.
             assert not any(lo <= pos < hi for lo, hi in spans.values()), pos
-            assert profile_doc_json(got) == clean_doc, pos
+            assert_same_document(profile_doc_json(got), clean_doc, pos)
         assert cache.corrupt == cache.misses == misses
         assert misses >= len(spans) * 6
 
@@ -277,9 +279,9 @@ class TestCrashConsistency:
                 again = ExperimentContext(cache_dir=root).app_profile("inference")
                 assert reg.counter("profilecache.invalidated").value == 1
                 assert reg.counter("profilecache.writes").value == 1
-            assert profile_doc_json(again) == clean_doc
+            assert_same_document(profile_doc_json(again), clean_doc)
             warm = ExperimentContext(cache_dir=root).app_profile("inference")
-            assert profile_doc_json(warm) == clean_doc
+            assert_same_document(profile_doc_json(warm), clean_doc)
             assert path.read_bytes() == clean
 
     def test_killed_writers_temp_file_is_a_miss(self, inference_entry, tmp_path):
@@ -292,9 +294,9 @@ class TestCrashConsistency:
         assert cache.get("inference", cfg) is None
         assert cache.misses == 1 and cache.corrupt == 0 and len(cache) == 0
         again = ExperimentContext(cache_dir=tmp_path).app_profile("inference")
-        assert profile_doc_json(again) == clean_doc
+        assert_same_document(profile_doc_json(again), clean_doc)
         loaded = cache.get("inference", cfg)
-        assert profile_doc_json(loaded) == clean_doc
+        assert_same_document(profile_doc_json(loaded), clean_doc)
         assert len(cache) == 1
         assert cache.clear() == 2 and not leftover.exists()
 
@@ -325,7 +327,7 @@ class TestConcurrentWrites:
         assert cache.write_races == other.write_races == 0
         assert list(cache.root.rglob("*.tmp")) == []
         loaded = cache.get("lammps", cfg)
-        assert profile_doc_json(loaded) == profile_doc_json(profile)
+        assert_same_document(profile_doc_json(loaded), profile_doc_json(profile))
 
     def test_lost_race_is_counted_not_raised(self, cache, monkeypatch):
         cfg = LammpsProfileConfig()

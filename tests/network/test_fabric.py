@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.network import (
@@ -13,6 +15,7 @@ from repro.network import (
     NIC,
     NICSpec,
     Scale,
+    latency_for_fibre_distance,
     utilization_for_inflation,
 )
 
@@ -214,3 +217,98 @@ class TestFabricFailures:
         fabric = Fabric(FabricSpec())
         with pytest.raises(KeyError):
             fabric.path_with_failures("host:0:0", "chassis:0", ["nope"])
+
+
+def tree_route(spec, rack_a, rack_b):
+    """Closed form of the unique host:rack_a -> chassis:rack_b path.
+
+    Returns the switches on the path, its switch hops and its cable
+    length: 2 m to the tor at each end, 1.5 m x (position + 1) from
+    each tor to its row switch, and 30 m from each row switch to the
+    core when the racks sit in different rows.
+    """
+    row_a, pos_a = divmod(rack_a, spec.racks_per_row)
+    row_b, pos_b = divmod(rack_b, spec.racks_per_row)
+    ends = 2 * spec.intra_rack_cable_m
+    if rack_a == rack_b:
+        return {f"tor:{rack_a}"}, 1, ends
+    same_row = ends + spec.inter_rack_cable_m * (pos_a + 1 + pos_b + 1)
+    tors = {f"tor:{rack_a}", f"tor:{rack_b}"}
+    if row_a == row_b:
+        return tors | {f"row:{row_a}"}, 3, same_row
+    rows = {f"row:{row_a}", f"row:{row_b}", "core"}
+    return tors | rows, 5, same_row + 2 * spec.inter_row_cable_m
+
+
+def oracle_slack(spec, hops, cable_m):
+    return (
+        2 * spec.nic_latency_s
+        + hops * spec.switch_hop_latency_s
+        + latency_for_fibre_distance(cable_m)
+    )
+
+
+@st.composite
+def fabric_case(draw):
+    racks_per_row = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 4))
+    total = racks_per_row * rows
+    spec = FabricSpec(
+        racks_per_row=racks_per_row,
+        rows=rows,
+        hosts_per_rack=draw(st.integers(1, 4)),
+        chassis_racks=tuple(sorted(draw(st.sets(
+            st.integers(0, total - 1), min_size=1
+        )))),
+    )
+    components = (
+        ["core"]
+        + [f"row:{r}" for r in range(rows)]
+        + [f"tor:{r}" for r in range(total)]
+        + [f"chassis:{r}" for r in spec.chassis_racks]
+    )
+    failed = draw(st.lists(st.sampled_from(components), unique=True,
+                           max_size=4))
+    rack = draw(st.integers(0, total - 1))
+    host = f"host:{rack}:{draw(st.integers(0, spec.hosts_per_rack - 1))}"
+    return spec, failed, rack, host
+
+
+class TestFabricTreeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(fabric_case())
+    def test_paths_match_the_closed_form(self, case):
+        spec, failed, rack, host = case
+        fabric = Fabric(spec)
+        survivors = []
+        for c in spec.chassis_racks:
+            chassis = f"chassis:{c}"
+            switches, hops, cable_m = tree_route(spec, rack, c)
+            slack = oracle_slack(spec, hops, cable_m)
+            info = fabric.path(host, chassis)
+            assert (info.host, info.chassis) == (host, chassis)
+            assert info.switch_hops == hops
+            assert info.cable_m == pytest.approx(cable_m, rel=1e-12)
+            assert info.slack_s == pytest.approx(slack, rel=1e-12)
+            degraded = fabric.path_with_failures(host, chassis, failed)
+            if (switches | {chassis}) & set(failed):
+                assert degraded is None
+            else:
+                assert degraded == info
+                survivors.append(info)
+        assert fabric.survivable(host, failed) == sorted(
+            survivors, key=lambda p: p.chassis
+        )
+        near = fabric.nearest_chassis(host)
+        assert near.slack_s == pytest.approx(
+            min(oracle_slack(spec, *tree_route(spec, rack, c)[1:])
+                for c in spec.chassis_racks),
+            rel=1e-12,
+        )
+        assert near == fabric.path(host, near.chassis)
+        assert fabric.worst_case_slack() == pytest.approx(
+            max(oracle_slack(spec, *tree_route(spec, r, c)[1:])
+                for r in range(spec.racks_per_row * spec.rows)
+                for c in spec.chassis_racks),
+            rel=1e-12,
+        )

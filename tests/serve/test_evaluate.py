@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import repro.serve.surrogate as surrogate_module
 from repro.model import (
-    PCHIP_AVAILABLE,
     TrainingSeries,
     crossval_bounds,
     extract_training_series,
@@ -40,7 +39,7 @@ TINY_SLACKS = (1.000287562209372e-12, 1.7e-12, 2.5e-12, 1e-9, 1e-6)
 #: in float64 for this ``s``: the snap tolerance is inclusive.
 TINY_BOUNDARY = 2.8756220908444614e-16
 
-METHODS = ["loglinear"] + (["pchip"] if PCHIP_AVAILABLE else [])
+METHODS = ["loglinear", "pchip"]
 
 
 def build_model(method):

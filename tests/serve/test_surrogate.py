@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.model import (
     BOUND_SAFETY_FACTOR,
-    PCHIP_AVAILABLE,
     TrainingSeries,
     crossval_bounds,
     extract_training_series,
@@ -197,7 +196,6 @@ def test_observe_ignores_nonpositive_slack(sweep):
 
 # -- pchip method -------------------------------------------------------------
 
-@pytest.mark.skipif(not PCHIP_AVAILABLE, reason="scipy unavailable")
 def test_pchip_keeps_measured_point_parity(sweep, surface):
     pchip = SurrogateModel.fit(sweep, method="pchip")
     assert assert_parity(pchip, surface) == len(SIZES) * len(THREADS) * len(
@@ -205,7 +203,6 @@ def test_pchip_keeps_measured_point_parity(sweep, surface):
     )
 
 
-@pytest.mark.skipif(not PCHIP_AVAILABLE, reason="scipy unavailable")
 def test_pchip_interior_is_monotone_between_points(sweep):
     pchip = SurrogateModel.fit(sweep, method="pchip")
     s = np.ascontiguousarray(np.geomspace(SLACKS[0], SLACKS[-1], 200))
@@ -214,13 +211,6 @@ def test_pchip_interior_is_monotone_between_points(sweep):
     )
     assert (reason == 0).all()
     assert (np.diff(pen) >= -1e-12).all()
-
-
-def test_pchip_falls_back_when_scipy_missing(sweep, monkeypatch):
-    monkeypatch.setattr("repro.serve.surrogate.PCHIP_AVAILABLE", False)
-    downgraded = SurrogateModel.fit(sweep, method="pchip")
-    assert downgraded.method == "loglinear"
-    assert any("scipy" in note for note in downgraded.notes)
 
 
 def test_unknown_method_rejected(sweep):

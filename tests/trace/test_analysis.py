@@ -1,6 +1,5 @@
 """Unit tests for trace analysis (violin summaries, parallelism) and export."""
 
-import numpy as np
 import pytest
 
 from repro.trace import (
@@ -39,24 +38,13 @@ class TestSummarize:
         assert s.count == 5
         assert s.iqr == s.q3 - s.q1
 
-    def test_density_profile_present(self):
-        rng = np.random.default_rng(0)
-        s = summarize(rng.normal(10, 1, 500))
-        assert len(s.density_x) == 64
-        assert len(s.density_y) == 64
-        # Density peaks near the mean.
-        peak_x = s.density_x[int(np.argmax(s.density_y))]
-        assert abs(peak_x - 10) < 1.0
-
     def test_degenerate_constant_sample(self):
         s = summarize([2.0, 2.0, 2.0])
         assert s.median == 2.0
-        assert s.density_x == ()
 
     def test_small_sample(self):
         s = summarize([1.0])
         assert s.count == 1
-        assert s.density_x == ()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
