@@ -16,6 +16,7 @@ meaningless (or null) speedup.
 
 import os
 
+from repro.obs import collecting
 from repro.parallel import GridSpec, ShardCoordinator
 from repro.proxy import SweepOptions, run_slack_sweep
 
@@ -164,17 +165,23 @@ FF_GRID = dict(
 def test_bench_fastforward(benchmark, bench_extra):
     full = run_slack_sweep(**FF_GRID, options=SweepOptions(fast_forward=False))
 
-    fast = benchmark.pedantic(
-        lambda: run_slack_sweep(
-            **FF_GRID, options=SweepOptions(fast_forward=True)
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    with collecting() as reg:
+        fast = benchmark.pedantic(
+            lambda: run_slack_sweep(
+                **FF_GRID, options=SweepOptions(fast_forward=True)
+            ),
+            rounds=1,
+            iterations=1,
+        )
 
     # The engine's contract: every SweepPoint field bit-identical.
     assert fast.points == full.points
     assert fast.skipped == full.skipped
+    # The floor below measures the steady-state skip, not a silent
+    # fallback: every point of the fast sweep was certified and skipped.
+    assert fast.timing.measured == fast.timing.grid_points
+    assert reg.counter("proxy.fastforward.hits").value == fast.timing.measured
+    assert reg.counter("proxy.fastforward.fallbacks").value == 0
 
     speedup = (
         full.timing.wall_s / fast.timing.wall_s

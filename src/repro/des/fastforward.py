@@ -7,9 +7,10 @@ warmup: every per-cycle quantity (the wall-time delta, the injected
 slack, the starvation cost, the relative heap shape at the cycle
 boundary) repeats bit for bit, guaranteed by the dyadic time grid
 (:mod:`repro.des.timebase`). This module is the workload-independent
-machinery that exploits it. It grew out of the proxy-only engine (the
-proxy's own eligibility rule is
-:func:`repro.proxy.matmul.refusal_reason`) and offers two monitors:
+machinery that exploits it on the DES. The proxy now skips its steady
+state on its index core instead (:mod:`repro.gpusim.flatcore`; the
+proxy's eligibility rule is :func:`repro.proxy.matmul.refusal_reason`),
+so the monitors serve the application profiles. There are two:
 
 * :class:`EpochMonitor` — the original multi-worker engine: watches
   thread-0 epoch boundaries, certifies a fixed point once
@@ -17,7 +18,7 @@ proxy's own eligibility rule is
   every worker at a uniform epoch count two cycles past certification
   (so multi-thread contention plays out its natural tail *inside the
   same simulation*), and extrapolates the skipped cycles analytically.
-  Used by the proxy (OpenMP threads) and LAMMPS (MPI ranks).
+  Used by LAMMPS (MPI ranks).
 
 * :class:`SegmentedEpochMonitor` — for single-process runs composed of
   consecutive *labeled periodic segments* (CosmoFlow's per-epoch train
@@ -110,7 +111,8 @@ class FastForwardInfo:
     #: DES events the skipped cycles would have scheduled.
     events_skipped: int = 0
     #: The certified steady-state cycle period (for segmented runs,
-    #: the period of the segment that skipped the most cycles).
+    #: the period of the segment that skipped the most cycles; on the
+    #: proxy's index core, a period may span several iterations).
     cycle_period_s: float = 0.0
 
 

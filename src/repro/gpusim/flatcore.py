@@ -36,6 +36,27 @@ The trace rows, correlation ids, random draws, name interning and
 kernel metas therefore come out exactly as the DES records them;
 ``tests/apps/test_appcore.py`` holds the parity properties.
 
+**Steady state.** Programs given as a body run ``count`` times over
+(the matmul proxy's loop) may skip most of their cycles. The
+simulation is deterministic, so once the plain state at one thread-0
+cycle start equals the state at an earlier one — times taken
+relative to ``now``, correlation ids relative to the last one issued,
+each host's position relative to thread 0's cycle — the cycles in
+between repeat from then on (a period spans several cycles when
+free-running threads take turns on the engines). The loop then jumps
+over ``S`` whole periods, leaving every host at least one cycle
+before its end: absolute times shift by ``S * period``, positions by
+the bodies skipped, correlation ids and the additive totals
+(starvation, slack, sleeps, the slack model's counters) by ``S``
+times their per-period change, and ``S`` shifted copies of the
+period's trace rows are appended in record order. Every delay sits on
+the dyadic tick grid (:mod:`repro.des.timebase`), so each shifted
+value is the float the full run reaches. The loop plays out the
+tail. Only runs whose every cycle can repeat bit for bit are
+watched: no jitter draws, no barrier, and exactly a jitter-free
+:class:`~repro.network.SlackModel` (:func:`skip_refusal`); the rest
+run in full and :attr:`FlatRun.refusal` names why.
+
 Not modelled, because no driver needs it: fault injection (fault
 plans run on the DES), the occupancy (concurrent-kernel) compute
 engine, and stream queues as deep as a ``Store``'s default capacity
@@ -53,6 +74,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..des import quantize
+from ..des.fastforward import MAX_WARMUP_EPOCHS, MIN_ITERATIONS
 from ..hw import GPUSpec, PCIeSpec
 from ..network import SlackModel
 from ..trace import CopyKind, EventKind
@@ -68,7 +90,7 @@ from .engines import DeviceActivity, starvation_charge
 from .kernels import explicit_execution_time
 from .runtime import host_overheads, transfer_delay
 
-__all__ = ["FlatDevice", "FlatRun"]
+__all__ = ["FlatDevice", "FlatRun", "skip_refusal"]
 
 # Instruction opcodes (first field of every program entry). The two
 # that may draw jitter come first and carry their log-normal mu (or
@@ -118,6 +140,9 @@ _NONE = float(NO_CODE)
 
 #: Rows recorded between two conversions to a float64 block.
 _BLOCK_ROWS = 1 << 16
+
+#: Trace fields a skipped cycle's copies shift.
+_START, _END, _CORR = (COLUMNS.index(c) for c in ("start", "end", "corr"))
 
 #: A ``Store``'s default capacity, which a stream's queue must not reach
 #: (the DES would block the submitting host; the core does not model it).
@@ -177,6 +202,14 @@ class FlatRun(NamedTuple):
     slack_calls: int
     #: Calls whose slack was a positive sleep (one DES timeout each).
     slack_sleeps: int
+    #: Whole cycles skipped once the steady state was certified (0: the
+    #: run was simulated in full), the certified period (one cycle or
+    #: several), and the positive slack sleeps among them.
+    cycles_skipped: int = 0
+    cycle_period_s: float = 0.0
+    sleeps_skipped: int = 0
+    #: Why no cycle was skipped (None when some were).
+    refusal: Optional[str] = None
 
 
 class FlatDevice:
@@ -259,20 +292,25 @@ class FlatDevice:
         programs: Sequence[Sequence[Tuple]],
         threads: Sequence[int],
         join: Optional[Sequence[Tuple]] = None,
+        *,
+        count: int = 1,
     ) -> FlatRun:
         """Run host programs to completion.
 
-        Host ``i`` runs ``programs[i]`` as thread ``threads[i]`` on its
-        own stream (stream ``i + 1``; stream 0 is the runtime's default
-        stream), and all hosts start at time 0 in order. ``join``, if
-        given, runs on thread 0 once every host has returned — the DES
-        ``main`` process waiting on ``all_of`` the host processes.
+        Host ``i`` runs ``programs[i]`` ``count`` times over as thread
+        ``threads[i]`` on its own stream (stream ``i + 1``; stream 0 is
+        the runtime's default stream), and all hosts start at time 0 in
+        order. ``join``, if given, runs on thread 0 once every host has
+        returned — the DES ``main`` process waiting on ``all_of`` the
+        host processes. A run of ``count`` cycles may skip its steady
+        state (see the module docstring).
         """
         gpu = self.gpu
         slack = self.slack
-        jitter = self._jitter_tables(
-            list(programs) + ([join] if join is not None else [])
-        )
+        bodies = list(programs)
+        programs = [list(body) * count for body in bodies]
+        jitter = self._jitter_tables(bodies, count, join)
+        refusal = skip_refusal(slack, count) or _program_refusal(bodies)
         draws = 0
         starved = injected = 0.0
         sleeps = 0
@@ -299,7 +337,8 @@ class FlatDevice:
         waiting: List[deque] = [deque(), deque(), deque()]
 
         # Each trace row is nine consecutive floats of ``rows`` (the
-        # fields of COLUMNS), turned into float64 blocks as they fill.
+        # fields of COLUMNS), turned into float64 blocks of one row per
+        # field (see _block) as they fill.
         rows: List[float] = []
         blocks: List[np.ndarray] = []
         block_len = _BLOCK_ROWS * len(COLUMNS)
@@ -331,6 +370,16 @@ class FlatDevice:
         push = fifo.append
         heap: List[Tuple[float, int, int, Any]] = []
         now = 0.0
+
+        # Thread 0's host while its cycle starts are watched for the
+        # steady state (None once the watch is over).
+        watch = lead = None
+        lead_body = 0
+        if refusal is None:
+            watch = _Watch(bodies, hosts, streams, held, waiting, fifo, heap,
+                           activity, slack)
+            lead = hosts[0]
+            lead_body = len(bodies[0])
 
         while True:
             if fifo:
@@ -516,7 +565,7 @@ class FlatDevice:
 
             # RUN: execute the host's next instruction.
             if len(rows) >= block_len:
-                blocks.append(np.array(rows, dtype=np.float64))
+                blocks.append(_block(rows))
                 rows.clear()
             program = h.program
             pc = h.pc
@@ -524,6 +573,19 @@ class FlatDevice:
                 if main is not None:
                     push((EXIT, h))
                 continue
+            if h is lead and pc and not pc % lead_body:
+                skip = watch.cycle_start(now, corr, starved, injected, sleeps,
+                                         rows, blocks, metas)
+                if skip is not None:
+                    m, (period, dcorr, dstarved, dinjected, dsleeps) = skip
+                    now += m * period
+                    corr += m * dcorr
+                    starved += m * dstarved
+                    injected += m * dinjected
+                    sleeps += m * dsleeps
+                    pc = h.pc
+                if not watch.watching:
+                    lead = None
             call = program[pc]
             h.pc = pc + 1
             op = call[0]
@@ -566,7 +628,9 @@ class FlatDevice:
             else:
                 push((what, h))
 
-        blocks.append(np.array(rows, dtype=np.float64))
+        blocks.append(_block(rows))
+        if watch is not None:
+            refusal = watch.refusal
         return FlatRun(
             _trace(blocks, names, metas),
             now,
@@ -574,12 +638,20 @@ class FlatDevice:
             injected,
             slack.calls_delayed - delayed,
             sleeps,
+            watch.skipped if watch is not None else 0,
+            watch.period if watch is not None else 0.0,
+            watch.sleeps_skipped if watch is not None else 0,
+            refusal,
         )
 
     def _jitter_tables(
-        self, programs: Sequence[Sequence[Tuple]]
+        self,
+        bodies: Sequence[Sequence[Tuple]],
+        count: int,
+        join: Optional[Sequence[Tuple]],
     ) -> Dict[float, List[float]]:
-        """Every jitter draw of a run, drawn up front.
+        """Every jitter draw of a run (host ``i`` runs ``bodies[i]``
+        ``count`` times, then ``join`` runs once), drawn up front.
 
         Returns ``tables`` such that the run's ``j``-th draw, made for
         an instruction with log-normal mu ``mu``, is ``tables[mu][j]``.
@@ -593,14 +665,13 @@ class FlatDevice:
         the sequential scalar draws bit for bit.
         """
         rng = self.rng
-        mus: Dict[int, List[float]] = {}  # hosts may share one program
-        for program in programs:
-            if id(program) not in mus:
-                mus[id(program)] = [
-                    call[1] for call in program
-                    if call[0] <= _OP_LAUNCH and call[1] is not None
-                ]
-        order = [mus[id(program)] for program in programs]
+        mus: Dict[int, List[float]] = {}  # hosts may share one body
+        for body in bodies:
+            if id(body) not in mus:
+                mus[id(body)] = _mus(body) * count
+        order = [mus[id(body)] for body in bodies]
+        if join is not None:
+            order.append(_mus(join))
         total = sum(len(mus) for mus in order)
         if not total:
             return {}
@@ -616,6 +687,196 @@ class FlatDevice:
         return tables
 
 
+def skip_refusal(slack: SlackModel, cycles: int) -> Optional[str]:
+    """Why a run of ``cycles`` cycles under ``slack`` may not skip its
+    steady state (None: it may, if its programs allow).
+
+    Only the exact base model without jitter hands out the same delay
+    on every call; subclasses (e.g. ``PreloadShim``) may sample. Below
+    :data:`~repro.des.fastforward.MIN_ITERATIONS` cycles a skip saves
+    nothing.
+    """
+    if type(slack) is not SlackModel:
+        return "slack-model-subclass"
+    if slack.jitter_fraction > 0:
+        return "slack-jitter"
+    if cycles < MIN_ITERATIONS:
+        return "too-few-iterations"
+    return None
+
+
+def _program_refusal(bodies: Sequence[Sequence[Tuple]]) -> Optional[str]:
+    """Why these program bodies may not skip cycles (None: they may):
+    jitter draws differ from cycle to cycle, and a barrier's waiting
+    list is state the watch does not take."""
+    if any(_mus(body) for body in bodies):
+        return "jitter"
+    if any(call[0] == _OP_BARRIER for body in bodies for call in body):
+        return "phase-barrier"
+    return None
+
+
+def _mus(program: Sequence[Tuple]) -> List[float]:
+    """The log-normal mus of a program's jitter draws, in order."""
+    return [
+        call[1] for call in program
+        if call[0] <= _OP_LAUNCH and call[1] is not None
+    ]
+
+
+class _Watch:
+    """Certifies a run's steady state at thread 0's cycle starts and
+    skips the cycles it proves (see the module docstring).
+
+    The state may repeat only every few cycles (free-running threads
+    that take turns on the engines), so each cycle start is compared
+    with every earlier one; the most recent match gives the period.
+    The watch holds the run's mutable containers; the loop passes it
+    the scalar state it keeps in locals, and applies the skip to those.
+    """
+
+    def __init__(self, bodies, hosts, streams, held, waiting, fifo, heap,
+                 activity, slack) -> None:
+        self.bodies = [len(body) for body in bodies]
+        self.hosts = hosts
+        self.streams = streams
+        self.held = held
+        self.waiting = waiting
+        self.fifo = fifo
+        self.heap = heap
+        self.activity = activity
+        self.slack = slack
+        self.watching = True
+        self.refusal: Optional[str] = "too-few-iterations"
+        self.skipped = 0
+        self.period = 0.0
+        self.sleeps_skipped = 0
+        #: (state, counters) at every watched cycle start.
+        self._seen: List[Tuple[tuple, Tuple[float, ...]]] = []
+
+    def cycle_start(self, now, corr, starved, injected, sleeps, rows, blocks,
+                    metas):
+        """Thread 0 is about to start a cycle. Returns ``None``, or the
+        number ``m`` of periods skipped and the per-period change of
+        ``(now, corr, starved, injected, sleeps)`` the loop must add
+        ``m`` times.
+        """
+        hosts, bodies, seen = self.hosts, self.bodies, self._seen
+        # Whole cycles every host can skip and still run one more.
+        room = min(
+            (len(h.program) - h.pc) // body
+            for h, body in zip(hosts, bodies) if body
+        ) - 1
+        if room < 1 or len(seen) >= MAX_WARMUP_EPOCHS:
+            if room >= 1:
+                self.refusal = "no-fixed-point"
+            self.watching = False
+            return None
+        slack = self.slack
+        state = self._state(now, corr)
+        counters = (now, corr, starved, injected, sleeps, slack.calls_delayed,
+                    slack.total_injected_s, len(metas))
+        for j in range(len(seen) - 1, -1, -1):
+            if seen[j][0] == state:
+                break
+        else:
+            seen.append((state, counters))
+            return None
+        self.watching = False
+        cycles = len(seen) - j  # thread-0 cycles per period
+        m = room // cycles
+        if m < 1:
+            return None
+        before = seen[j][1]
+        delta = [b - a for a, b in zip(before, counters)]
+        period, dcorr = delta[0], delta[1]
+        shift, corr_shift = m * period, m * dcorr
+        for h, body in zip(hosts, bodies):
+            h.pc += m * cycles * body
+            h.start += shift
+            h.corr += corr_shift
+        for s in self.streams:
+            s.start += shift
+            if s.op is not None:
+                s.op = _renumbered(s.op, corr_shift)
+            s.items = deque(_renumbered(dev, corr_shift) for dev in s.items)
+        self.heap[:] = [(t + shift, q, w, o) for t, q, w, o in self.heap]
+        if self.activity.ever_busy:
+            self.activity.busy_until += shift
+        slack.calls_delayed += m * int(delta[5])
+        slack.total_injected_s += m * delta[6]
+        _repeat_rows(rows, blocks, metas, int(before[7]), m, period, dcorr)
+        self.refusal = None
+        self.skipped = m * cycles
+        self.period = period
+        self.sleeps_skipped = m * int(delta[4])
+        return m, tuple(delta[:5])
+
+    def _state(self, now: float, corr: float) -> tuple:
+        """The plain state, times relative to ``now``, ids to ``corr``."""
+        cycle = self.hosts[0].pc // self.bodies[0]
+        activity = self.activity
+        return (
+            tuple(
+                (h.pc - cycle * body, h.call, h.start - now, corr - h.corr,
+                 h.busy, h.drained)
+                for h, body in zip(self.hosts, self.bodies)
+            ),
+            tuple(
+                (s.outstanding, s.waiting, _relative(s.op, corr),
+                 tuple(_relative(dev, corr) for dev in s.items),
+                 tuple(s.drain), s.extra,
+                 None if s.op is None else s.start - now)
+                for s in self.streams
+            ),
+            tuple(self.held),
+            tuple(tuple(queue) for queue in self.waiting),
+            tuple(self.fifo),
+            tuple((t - now, w, o) for t, _, w, o in sorted(self.heap)),
+            activity.busy_until - now if activity.ever_busy else None,
+        )
+
+
+def _relative(dev: Optional[Tuple], corr: float) -> Optional[Tuple]:
+    """A queued op with its correlation id relative to ``corr``."""
+    return None if dev is None else dev[:3] + (corr - dev[3],) + dev[4:]
+
+
+def _renumbered(dev: Tuple, corr_shift: float) -> Tuple:
+    """A queued op with its correlation id advanced by ``corr_shift``."""
+    return dev[:3] + (dev[3] + corr_shift,) + dev[4:]
+
+
+def _repeat_rows(
+    rows: List[float],
+    blocks: List[np.ndarray],
+    metas: List[Optional[Dict[str, Any]]],
+    first: int,
+    n: int,
+    period: float,
+    dcorr: float,
+) -> None:
+    """Append ``n`` copies of the trace rows from ``first`` on, copy
+    ``k`` shifted by ``k`` periods and (non-zero ids) ``k * dcorr``."""
+    blocks.append(_block(rows))
+    rows.clear()
+    table = np.concatenate(blocks, axis=1)
+    cycle = table[:, first:]
+    copies = np.tile(cycle, n)
+    tiles = copies.reshape(len(COLUMNS), n, -1)
+    k = np.arange(1.0, n + 1.0)[:, np.newaxis]
+    tiles[_START] += k * period
+    tiles[_END] += k * period
+    tiles[_CORR] += (k * dcorr) * (cycle[_CORR] != 0.0)
+    blocks[:] = [table, copies]
+    metas.extend(metas[first:] * n)
+
+
+def _block(rows: List[float]) -> np.ndarray:
+    """Recorded rows as a float64 block holding one row per field."""
+    return np.array(rows, dtype=np.float64).reshape(-1, len(COLUMNS)).T
+
+
 def _mu(mu: Any) -> Optional[float]:
     """An instruction's log-normal mu, as a plain float (or None)."""
     return None if mu is None else float(mu)
@@ -626,11 +887,11 @@ def _trace(
     names: List[str],
     metas: List[Optional[Dict[str, Any]]],
 ) -> ColumnarTrace:
-    """The ``gpu0`` trace of the recorded rows (fields in :data:`COLUMNS`
-    order, flattened into float64 ``blocks``)."""
+    """The ``gpu0`` trace of the recorded rows (float64 ``blocks`` of
+    one row per :data:`COLUMNS` field)."""
     # Every int field is far below 2**53, so float64 holds all nine
     # fields exactly; the store casts the int columns back.
-    table = np.concatenate(blocks).reshape(len(metas), len(COLUMNS))
-    columns = {col: table[:, i] for i, col in enumerate(COLUMNS)}
+    table = np.concatenate(blocks, axis=1)
+    columns = {col: table[i] for i, col in enumerate(COLUMNS)}
     store = ColumnStore.from_columns(columns, names, metas)
     return ColumnarTrace(name="gpu0", store=store)

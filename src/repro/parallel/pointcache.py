@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..faults import FaultPlan
 from ..obs import get_registry
@@ -100,6 +100,11 @@ class PointCache:
         #: :meth:`put`) — harmless by construction, counted so shared
         #: caches under multi-shard load stay observable.
         self.write_races = 0
+        #: Entry path of each missed point, keyed by the identities of
+        #: its (config, slack, faults) objects, until its :meth:`put`:
+        #: a cold point's key is hashed once. The entry holds the three
+        #: objects, so no other live object can take their ids.
+        self._missed: Dict[Tuple[int, int, int], Tuple[Any, Path]] = {}
 
     @property
     def hit_rate(self) -> float:
@@ -126,11 +131,13 @@ class PointCache:
         """Cached measurement for a point, or ``None`` on a miss."""
         path = self.path_for(config, slack_s, faults)
         reg = get_registry()
+        missed = (id(config), id(slack_s), id(faults))
         try:
             text = path.read_text()
         except OSError:
             self.misses += 1
             reg.counter("cache.misses").inc()
+            self._missed[missed] = ((config, slack_s, faults), path)
             return None
         try:
             measurement = PointMeasurement.from_doc(json.loads(text))
@@ -140,6 +147,7 @@ class PointCache:
             self.misses += 1
             reg.counter("cache.invalidated").inc()
             reg.counter("cache.misses").inc()
+            self._missed[missed] = ((config, slack_s, faults), path)
             return None
         self.hits += 1
         reg.counter("cache.hits").inc()
@@ -166,7 +174,11 @@ class PointCache:
         is harmless by construction — the key is content-addressed, so
         the competing writer stored the same measurement.
         """
-        path = self.path_for(config, slack_s, faults)
+        missed = self._missed.pop((id(config), id(slack_s), id(faults)), None)
+        path = (
+            missed[1] if missed is not None
+            else self.path_for(config, slack_s, faults)
+        )
         reg = get_registry()
         tmp: Optional[Path] = None
         try:

@@ -1,11 +1,14 @@
 """Index core of the matmul proxy.
 
-Builds the proxy's loop (see :mod:`repro.proxy.matmul`) as one flat
-program per OpenMP thread and runs the threads on
+Builds the proxy's loop (see :mod:`repro.proxy.matmul`) as one loop
+body per OpenMP thread and runs the threads on
 :class:`~repro.gpusim.flatcore.FlatDevice`: the same run as the DES,
 bit for bit, without an event loop. Each thread repeats
 ``[H2D, H2D, launch(blocking), D2H, cudaStreamSynchronize]`` on its own
-stream; the threads free-run against the shared engines.
+stream; the threads free-run against the shared engines. Once the loop
+is certified periodic the core skips its steady state, which makes a
+run cost O(warm-up) iterations; :class:`FastForwardInfo` records the
+skip or why there was none.
 
 The run's telemetry is rebuilt to equal what
 :func:`repro.obs.simulation_snapshot` reads off the DES:
@@ -20,14 +23,18 @@ The run's telemetry is rebuilt to equal what
   for the run, 1 per positive slack sleep), its final callback pool
   and an empty heap. ``tests/proxy/test_proxycore.py`` checks the whole
   dict against the DES.
+
+The engine utilizations are computed from the full trace, skipped
+cycles included, so they need no extrapolation of their own.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
+from ..des.fastforward import FastForwardInfo
 from ..gpusim import matmul_kernel
 from ..gpusim.flatcore import FlatDevice, FlatRun
 from ..network import SlackModel
@@ -55,11 +62,12 @@ _MEMCPY = KIND_CODE[EventKind.MEMCPY]
 
 def proxy_core(
     config: "ProxyConfig", slack: SlackModel, iterations: int
-) -> Tuple[FlatRun, Dict[str, float]]:
+) -> Tuple[FlatRun, Dict[str, float], FastForwardInfo]:
     """Run ``iterations`` proxy iterations of ``config`` on the index core.
 
-    Returns the run (``end_s`` is the loop runtime) and its simulator
-    telemetry, equal to the DES run's ``sim_metrics``.
+    Returns the run (``end_s`` is the loop runtime), its simulator
+    telemetry, equal to the DES run's ``sim_metrics``, and the record
+    of its steady-state skip.
     """
     kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
     dev = FlatDevice(config.gpu, config.pcie, slack)
@@ -78,8 +86,25 @@ def proxy_core(
         FlatDevice.SYNC_STREAM,
     ]
     threads = config.threads
-    run = dev.run([iteration * iterations] * threads, range(threads))
-    return run, _sim_metrics(run, threads * iterations, threads, nbytes)
+    run = dev.run([iteration] * threads, range(threads), count=iterations)
+    skipped = run.cycles_skipped
+    if skipped:
+        info = FastForwardInfo(
+            enabled=True,
+            certified=True,
+            warmup_iterations=iterations - skipped,
+            skipped_iterations=skipped,
+            events_skipped=(
+                _EVENTS_PER_ITERATION * threads * skipped + run.sleeps_skipped
+            ),
+            cycle_period_s=run.cycle_period_s,
+        )
+    else:
+        info = FastForwardInfo(
+            enabled=True, certified=False, reason=run.refusal
+        )
+    sim_metrics = _sim_metrics(run, threads * iterations, threads, nbytes)
+    return run, sim_metrics, info
 
 
 def _sim_metrics(
@@ -135,13 +160,14 @@ def _utilization(starts: np.ndarray, ends: np.ndarray, end_s: float) -> float:
     The engine ran its ops over ``[starts[i], ends[i]]`` in order; the
     tracker closes a busy interval per op and an idle one per gap and
     after the last op, keeping the positive ones, and sums each kind
-    in interval order.
+    in interval order (jittered slack puts times off the dyadic grid,
+    where the order of the sum matters).
     """
     if not len(starts):
         return 0.0
-    busy: List[float] = [d for d in (ends - starts).tolist() if d > 0]
-    gaps = np.append(starts[1:], end_s) - ends
-    idle: List[float] = [d for d in gaps.tolist() if d > 0]
-    busy_s, idle_s = sum(busy), sum(idle)
+    busy = ends - starts
+    idle = np.append(starts[1:], end_s) - ends
+    busy_s = sum(busy[busy > 0].tolist())
+    idle_s = sum(idle[idle > 0].tolist())
     total = busy_s + idle_s
     return busy_s / total if total > 0 else 0.0

@@ -9,11 +9,11 @@ parallelism. Kernel launches are blocking ("synchronous is used to
 capture the pessimistic case"), keeping every injected delay on the
 critical path so Equation 1's correction is exact.
 
-:func:`run_proxy` computes a run on one of three engines with the same
-result: the reference DES, the DES with steady-state fast-forward
-(long fault-free runs), or the index core of :mod:`repro.proxy.core`
-(everything else the core covers); :func:`core_fallback_reason` is the
-rule.
+:func:`run_proxy` computes a run on one of two engines with the same
+result: the index core of :mod:`repro.proxy.core`, which skips the
+loop's steady state once it is certified, for everything it covers;
+or the reference DES, for ``fast_forward=False`` and what only the DES
+models. :func:`core_fallback_reason` is the rule.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from ..des import Barrier, Environment, Event
-from ..des.fastforward import EpochMonitor, FastForwardInfo, MIN_ITERATIONS
+from ..des.fastforward import FastForwardInfo
 from ..faults import FaultPlan
 from ..gpusim import CudaRuntime, matmul_kernel
+from ..gpusim.flatcore import skip_refusal
 from ..hw import (
     A100_SXM4_40GB,
     DeviceMemory,
@@ -43,7 +44,6 @@ __all__ = [
     "ProxyConfig",
     "ProxyResult",
     "CUDA_CALLS_PER_ITERATION",
-    "CORE_CROSSOVER_ITERATIONS",
     "core_fallback_reason",
     "run_proxy",
     "FastForwardInfo",
@@ -52,11 +52,6 @@ __all__ = [
 #: The paper's count for Equation 1: 3 matrix transfers + 1 kernel
 #: launch + 1 host-device synchronization per loop iteration.
 CUDA_CALLS_PER_ITERATION = 5
-
-#: Iteration count above which a fast-forward-eligible run is cheaper
-#: on the DES with fast-forward than on the index core, which simulates
-#: every iteration (docs/performance.md has the measured table).
-CORE_CROSSOVER_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -150,34 +145,24 @@ def refusal_reason(
     iterations: int,
     faults: Optional[object] = None,
 ) -> Optional[str]:
-    """Why this run is ineligible for fast-forward (None = eligible).
+    """Why this run cannot skip its steady state (None = it may try).
 
-    Everything here is a configuration whose periodicity the monitor
-    either cannot certify (jitter breaks bit-identity) or should not
-    try to (barriers and spacing/offset knobs exist precisely to
-    perturb the steady state the paper's control experiments probe).
+    An active fault injector makes the run time-inhomogeneous: fault
+    windows open and close at absolute times, so no cycle certificate
+    can extend over the skipped interval. Barriers and the
+    spacing/offset knobs exist precisely to perturb the steady state
+    the paper's control experiments probe. The slack and length gates
+    are the index core's (:func:`~repro.gpusim.flatcore.skip_refusal`).
     """
     if faults is not None:
-        # An active fault injector makes the run time-inhomogeneous:
-        # fault windows open and close at absolute times, so no cycle
-        # certificate can extend over the skipped interval. Refuse
-        # outright rather than wasting boundary snapshots.
         return "faults-active"
-    if type(slack) is not SlackModel:
-        # Subclasses (e.g. the PreloadShim coverage model) may sample
-        # stochastically; only the exact base model is certified.
-        return "slack-model-subclass"
-    if slack.jitter_fraction > 0:
-        return "slack-jitter"
     if config.phase_barrier:
         return "phase-barrier"
     if config.iteration_spacing_s > 0:
         return "iteration-spacing"
     if config.thread_launch_offset_s > 0:
         return "thread-launch-offset"
-    if iterations < MIN_ITERATIONS:
-        return "too-few-iterations"
-    return None
+    return skip_refusal(slack, iterations)
 
 
 def core_fallback_reason(
@@ -193,11 +178,9 @@ def core_fallback_reason(
     ``disabled`` — ``fast_forward=False`` selects the event-by-event
     reference run; ``faults-active``, ``phase-barrier``,
     ``iteration-spacing`` and ``thread-launch-offset`` — what only the
-    DES models; ``fast-forward`` — a run fast-forward can certify that
-    is longer than :data:`CORE_CROSSOVER_ITERATIONS`. Everything else
-    (slack jitter, slack-model subclasses such as ``PreloadShim``, short
-    runs) runs on the core. ``fast_forward=None`` and ``True`` dispatch
-    alike.
+    DES models. Everything else runs on the core, which skips the
+    steady state where it can certify one. ``fast_forward=None`` and
+    ``True`` dispatch alike.
     """
     if fast_forward is False:
         return "disabled"
@@ -209,11 +192,6 @@ def core_fallback_reason(
         return "iteration-spacing"
     if config.thread_launch_offset_s > 0:
         return "thread-launch-offset"
-    if (
-        iterations > CORE_CROSSOVER_ITERATIONS
-        and refusal_reason(config, slack, iterations) is None
-    ):
-        return "fast-forward"
     return None
 
 
@@ -237,10 +215,9 @@ def run_proxy(
         Steady-state fast-forward: once the loop is certified
         bit-exactly periodic, the remaining iterations are extrapolated
         analytically instead of simulated — same result, O(warmup)
-        events. On (``None``, the default, or ``True``), eligible runs
-        longer than :data:`CORE_CROSSOVER_ITERATIONS` take it and the
-        rest are computed on the index core (:mod:`repro.proxy.core`)
-        where the core covers the configuration (see
+        iterations. On (``None``, the default, or ``True``), every run
+        the index core (:mod:`repro.proxy.core`) covers is computed
+        there and skips its steady state where it can (see
         :func:`core_fallback_reason`). ``False`` runs the reference DES
         event by event. ``result.fastforward`` and
         ``result.core_fallback`` record what happened.
@@ -249,8 +226,8 @@ def run_proxy(
         for this run (compiled per simulation, seeded, fully
         deterministic). Fault-induced delay is accounted separately
         from injected slack, so Equation 1's correction stays honest;
-        an empty plan is exactly the healthy run. Active plans refuse
-        fast-forward (``reason="faults-active"``).
+        an empty plan is exactly the healthy run. Active plans run on
+        the DES in full (``reason="faults-active"``).
 
     Raises
     ------
@@ -278,7 +255,7 @@ def run_proxy(
     )
     if fallback is None:
         _allocate(config, DeviceMemory(config.gpu.memory_bytes))
-        run, sim_metrics = proxy_core(config, slack, iterations)
+        run, sim_metrics, info = proxy_core(config, slack, iterations)
         return ProxyResult(
             config=config,
             slack_s=slack.slack_s,
@@ -289,12 +266,7 @@ def run_proxy(
             starvation_cost_s=run.starvation_s,
             trace=run.trace,
             sim_metrics=sim_metrics,
-            fastforward=FastForwardInfo(
-                enabled=True,
-                certified=False,
-                reason=refusal_reason(config, slack, iterations)
-                or "below-crossover",
-            ),
+            fastforward=info,
         )
 
     env = Environment()
@@ -306,9 +278,6 @@ def run_proxy(
     reason = "disabled" if not enabled else refusal_reason(
         config, slack, iterations, faults=injector
     )
-    monitor = EpochMonitor(env, rt, config.threads, iterations) if (
-        enabled and reason is None
-    ) else None
     _allocate(config, rt.memory)
 
     kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
@@ -339,12 +308,7 @@ def run_proxy(
         # tests/proxy/test_proxy.py).
         if config.thread_launch_offset_s and thread_id:
             yield env.timeout(config.thread_launch_offset_s * thread_id)
-        # Per-iteration epochs: the monitor (when eligible) observes
-        # each cycle boundary and may lower the shared stop_at bound,
-        # capping all threads at a uniform epoch count once the steady
-        # state is certified.
-        iteration = 0
-        while iteration < (monitor.stop_at if monitor is not None else iterations):
+        for iteration in range(iterations):
             if config.iteration_spacing_s and iteration:
                 yield env.timeout(config.iteration_spacing_s)
             yield from rt.memcpy(nbytes, CopyKind.H2D, stream, thread_id)
@@ -362,9 +326,6 @@ def run_proxy(
             yield from rt.synchronize(stream=stream, thread=thread_id)
             if barriers:
                 yield barriers[4].wait()
-            iteration += 1
-            if monitor is not None:
-                monitor.epoch_done(thread_id)
 
     def main() -> Generator[Event, Any, float]:
         t0 = env.now
@@ -377,27 +338,6 @@ def run_proxy(
 
     main_proc = env.process(main(), name="proxy-main")
     env.run()
-
-    if monitor is not None and monitor.certified:
-        ex = monitor.extrapolate(float(main_proc.value))
-        return ProxyResult(
-            config=config,
-            slack_s=slack.slack_s,
-            iterations=iterations,
-            kernel_time_s=kernel_time,
-            loop_runtime_s=ex.loop_runtime_s,
-            injected_slack_s=ex.injected_slack_s,
-            starvation_cost_s=ex.starvation_cost_s,
-            trace=ex.trace,
-            sim_metrics=ex.sim_metrics,
-            fastforward=ex.info,
-            core_fallback=fallback,
-        )
-
-    if monitor is not None:
-        # Eligible but never certified: the run completed as a full
-        # simulation on its own.
-        reason = "no-fixed-point"
     return ProxyResult(
         config=config,
         slack_s=slack.slack_s,

@@ -21,6 +21,7 @@ from repro.des.fastforward import MIN_ITERATIONS
 from repro.faults import FaultPlan
 from repro.network import SlackModel
 from repro.obs import collecting
+from repro.trace import RepeatedEpochTrace
 
 
 # Jitter-free configs small enough to simulate fully in a test but
@@ -155,3 +156,33 @@ class TestMetrics:
         assert reg.counter("appff.fallbacks").value == 1
         assert reg.counter("appff.cycles_skipped").value > 0
         assert reg.counter("appff.events_skipped").value > 0
+
+
+class TestRepeatedEpochTrace:
+    """The lazy trace a fast-forwarded LAMMPS profile carries."""
+
+    def _fast(self):
+        return profile_lammps(LAMMPS_CONFIG)
+
+    def test_lazy_until_expanded(self):
+        trace = self._fast().trace
+        assert isinstance(trace, RepeatedEpochTrace)
+        assert not trace.materialized
+        n = len(trace)  # cheap: arithmetic, no expansion
+        assert not trace.materialized
+        events = list(trace)
+        assert trace.materialized
+        assert len(events) == n
+
+    def test_expanded_events_sorted_and_duration_positive(self):
+        trace = self._fast().trace
+        events = list(trace)
+        starts = [e.start for e in events]
+        assert starts == sorted(starts)
+        assert all(e.end >= e.start for e in events)
+
+    def test_correlation_ids_unique_per_operation(self):
+        trace = self._fast().trace
+        kernels = trace.kernels()
+        corr = [e.correlation_id for e in kernels]
+        assert len(set(corr)) == len(corr)

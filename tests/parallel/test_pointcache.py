@@ -113,6 +113,26 @@ class TestCacheRoundTrip:
         assert len(count_proxy_runs) == before  # OOM verdicts cached too
         assert second.skipped == first.skipped
 
+    def test_cold_sweep_hashes_each_key_once(self, tmp_path, monkeypatch):
+        # A miss's get and the put of its measurement share one key.
+        import repro.parallel.pointcache as pointcache_mod
+
+        keys = []
+        real = pointcache_mod.point_key
+
+        def counting(*args, **kwargs):
+            keys.append(real(*args, **kwargs))
+            return keys[-1]
+
+        monkeypatch.setattr(pointcache_mod, "point_key", counting)
+        cache = PointCache(tmp_path)
+        result = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))
+        grid_points = result.timing.grid_points
+        assert result.timing.measured == grid_points
+        assert len(keys) == grid_points == len(set(keys))
+        assert cache.writes == grid_points
+        assert not cache._missed
+
     def test_cached_points_bitwise_equal(self, tmp_path):
         cache = PointCache(tmp_path)
         fresh = run_slack_sweep(**GRID, options=SweepOptions(cache=cache))

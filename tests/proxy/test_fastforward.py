@@ -1,10 +1,11 @@
-"""Steady-state fast-forward: parity, refusal gates, repeated traces.
+"""Steady-state fast-forward: parity and refusal gates.
 
-The contract under test is strong: a fast-forwarded proxy run is
-**bit-identical** to the full event-by-event simulation in every
-result field — runtimes, injected slack, starvation cost, the trace,
-and the complete simulator-telemetry snapshot. These tests compare
-with ``==``, not ``pytest.approx``, on purpose.
+The contract under test is strong: a fast-forwarded proxy run (the
+index core skipping its certified steady state) is **bit-identical**
+to the full event-by-event simulation in every result field —
+runtimes, injected slack, starvation cost, the trace, and the
+complete simulator-telemetry snapshot. These tests compare with
+``==``, not ``pytest.approx``, on purpose.
 """
 
 import dataclasses
@@ -16,16 +17,7 @@ from hypothesis import strategies as st
 from repro.network import SlackModel
 from repro.des.fastforward import MIN_ITERATIONS
 from repro.proxy import FastForwardInfo, ProxyConfig, SweepOptions, run_proxy
-from repro.proxy import matmul
 from repro.proxy.matmul import refusal_reason
-from repro.trace import RepeatedEpochTrace
-
-
-@pytest.fixture(autouse=True)
-def _fast_forward_every_eligible_run(monkeypatch):
-    """Short eligible runs go to the index core by default; these tests
-    are about fast-forward itself, so every eligible run takes it."""
-    monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", 0)
 
 
 def _pair(config, slack_s):
@@ -241,49 +233,21 @@ class TestRefusalGates:
         assert not off.fastforward.certified
 
 
-class TestRepeatedEpochTrace:
-    def _fast(self):
-        config = ProxyConfig(matrix_size=512, threads=1, iterations=60)
-        return run_proxy(config, SlackModel(1e-5))
-
-    def test_lazy_until_expanded(self):
-        trace = self._fast().trace
-        assert isinstance(trace, RepeatedEpochTrace)
-        assert not trace.materialized
-        n = len(trace)  # cheap: arithmetic, no expansion
-        assert not trace.materialized
-        events = list(trace)
-        assert trace.materialized
-        assert len(events) == n
-
-    def test_expanded_events_sorted_and_duration_positive(self):
-        trace = self._fast().trace
-        events = list(trace)
-        starts = [e.start for e in events]
-        assert starts == sorted(starts)
-        assert all(e.end >= e.start for e in events)
-
-    def test_correlation_ids_unique_per_operation(self):
-        trace = self._fast().trace
-        kernels = trace.kernels()
-        corr = [e.correlation_id for e in kernels]
-        assert len(set(corr)) == len(corr)
-
-
 class TestReusedSlackModel:
     """A slack model reused across runs reports each run's own slack."""
 
     @pytest.mark.parametrize("iterations", [5, 30])
-    def test_reused_model_reports_the_fresh_run(self, iterations, monkeypatch):
+    def test_reused_model_reports_the_fresh_run(self, iterations):
         config = ProxyConfig(matrix_size=512, iterations=iterations)
         fresh = run_proxy(config, SlackModel(1e-4), fast_forward=False)
         reused = SlackModel(1e-4)
         runs = []
-        # Reference DES, fast-forward where eligible, index core; twice.
-        for ff, crossover in ((False, 0), (True, 0), (None, 10**9)) * 2:
-            monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", crossover)
+        # Reference DES, then the index core (skipping where it can)
+        # through both spellings of the default; twice.
+        for ff in (False, True, None) * 2:
             runs.append(run_proxy(config, reused, fast_forward=ff))
         assert runs[2].core_fallback is None and runs[5].core_fallback is None
+        assert runs[2].fastforward.certified == (iterations == 30)
         fabric = {
             k: v for k, v in fresh.sim_metrics.items()
             if k.startswith("fabric.")

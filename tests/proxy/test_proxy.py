@@ -425,13 +425,9 @@ class TestHoistedCalibration:
         assert p.kernel_time_s == kt
         assert p.iterations == calibrate_iterations(kt)
 
-    def test_fastforward_counters_published(self, monkeypatch):
+    def test_fastforward_counters_published(self):
         from repro.obs import collecting, get_registry
-        from repro.proxy import matmul
 
-        # 30 iterations is below the index core's crossover: lower it so
-        # that the eligible points take fast-forward.
-        monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", 0)
         with collecting():
             run_slack_sweep(
                 matrix_sizes=(512,),

@@ -5,9 +5,8 @@ A run the index core computes must equal the event-by-event DES run
 injected slack, starvation cost, every trace column, name and meta in
 record order, the complete ``sim_metrics`` dict — and must leave the
 caller's slack model (counters and rng) exactly as the DES leaves it.
+That holds whether or not the core skipped the loop's steady state.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from repro.network import SlackModel
 from repro.obs import collecting
 from repro.parallel import PointCache
 from repro.proxy import ProxyConfig, SweepOptions, run_proxy, run_slack_sweep
-from repro.proxy import matmul
-from repro.proxy.matmul import CORE_CROSSOVER_ITERATIONS
 from repro.trace.store import COLUMNS
 
 SLACKS = {
@@ -62,9 +59,7 @@ def assert_core_matches_oracle(config, slack_kind):
     """Run ``config`` on the core and on the DES; compare every field."""
     oracle_slack, core_slack = SLACKS[slack_kind](), SLACKS[slack_kind]()
     oracle = run_proxy(config, oracle_slack, fast_forward=False)
-    # Route every run the core covers to it, whatever its length.
-    with mock.patch.object(matmul, "CORE_CROSSOVER_ITERATIONS", 10**9):
-        core = run_proxy(config, core_slack)
+    core = run_proxy(config, core_slack)
     assert core.core_fallback is None
     assert oracle.core_fallback == "disabled"
     for field in ("slack_s", "iterations", "kernel_time_s", "loop_runtime_s",
@@ -85,19 +80,39 @@ def assert_core_matches_oracle(config, slack_kind):
     return core, oracle
 
 
+#: Iterations from which every none- or fixed-slack run on the test
+#: grid certifies its steady state early enough to skip cycles.
+SKIPS_FROM = 20
+
+
 class TestParity:
     @settings(max_examples=40, deadline=None)
     @given(
         size=st.sampled_from([2**9, 2**11, 2**13]),
         threads=st.integers(1, 8),
-        iterations=st.integers(1, 60),
+        iterations=st.integers(1, 120),
         slack=st.sampled_from(sorted(SLACKS)),
     )
     def test_core_equals_des(self, size, threads, iterations, slack):
         config = ProxyConfig(
             matrix_size=size, threads=threads, iterations=iterations
         )
-        assert_core_matches_oracle(config, slack)
+        core, _ = assert_core_matches_oracle(config, slack)
+        if slack in ("none", "fixed") and iterations >= SKIPS_FROM:
+            # A skip that never fires would pass the parity asserts.
+            assert core.fastforward.certified, core.fastforward
+            assert core.fastforward.events_skipped > 0
+            assert core.fastforward.skipped_iterations > 0
+
+    def test_period_of_several_iterations(self):
+        # Six free-running threads at 20 us take turns on the engines:
+        # the state repeats only every few iterations, and the skip
+        # must still equal the DES.
+        config = ProxyConfig(matrix_size=2**9, threads=6, iterations=40)
+        core, _ = assert_core_matches_oracle(config, "fixed")
+        info = core.fastforward
+        assert info.certified
+        assert info.cycle_period_s > 2 * core.loop_runtime_s / 40
 
     @pytest.mark.parametrize("slack", sorted(SLACKS))
     def test_quick_sweep_shape(self, slack):
@@ -138,15 +153,17 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "slack, reason",
         [
-            (SlackModel(1e-5), "below-crossover"),
+            (SlackModel(1e-5), None),
             (SlackModel(1e-5, jitter_fraction=0.2), "slack-jitter"),
             (PreloadShim(1e-5, coverage=0.6), "slack-model-subclass"),
         ],
     )
     def test_short_or_refused_runs_take_the_core(self, slack, reason):
+        # A certifiable run skips its steady state on the core; a
+        # refused one runs there in full and says why.
         result = run_proxy(self.CONFIG, slack)
         assert result.core_fallback is None
-        assert not result.fastforward.certified
+        assert result.fastforward.certified == (reason is None)
         assert result.fastforward.reason == reason
 
     def test_too_few_iterations_take_the_core(self):
@@ -155,7 +172,7 @@ class TestDispatch:
         assert result.core_fallback is None
         assert result.fastforward.reason == "too-few-iterations"
 
-    @pytest.mark.parametrize("iterations", [20, CORE_CROSSOVER_ITERATIONS + 1])
+    @pytest.mark.parametrize("iterations", [20, 51])
     def test_fast_forward_true_dispatches_like_the_default(self, iterations):
         config = ProxyConfig(matrix_size=512, iterations=iterations)
         on = run_proxy(config, SlackModel(1e-5), fast_forward=True)
@@ -164,17 +181,14 @@ class TestDispatch:
         assert on.fastforward == default.fastforward
 
     def test_long_runs_keep_fast_forward(self):
-        config = ProxyConfig(
-            matrix_size=512, iterations=CORE_CROSSOVER_ITERATIONS + 1
-        )
-        result = run_proxy(config, SlackModel(1e-5))
-        assert result.core_fallback == "fast-forward"
-        assert result.fastforward.certified
-        at_crossover = run_proxy(
-            ProxyConfig(matrix_size=512, iterations=CORE_CROSSOVER_ITERATIONS),
-            SlackModel(1e-5),
-        )
-        assert at_crossover.core_fallback is None
+        # Long runs fast-forward on the core: same dispatch at any
+        # length, and the skip leaves O(warm-up) iterations simulated.
+        for iterations in (50, 51, 1000):
+            config = ProxyConfig(matrix_size=512, iterations=iterations)
+            result = run_proxy(config, SlackModel(1e-5))
+            assert result.core_fallback is None
+            assert result.fastforward.certified
+            assert result.fastforward.warmup_iterations < 15
 
     def test_long_refused_runs_take_the_core(self):
         config = ProxyConfig(matrix_size=512, iterations=200)
@@ -233,7 +247,6 @@ class TestCounters:
                 "proxycore.runs",
                 "proxycore.fallbacks.disabled",
                 "proxycore.fallbacks.faults-active",
-                "proxycore.fallbacks.fast-forward",
                 "proxy.fastforward.hits",
                 "proxy.fastforward.fallbacks",
             )
@@ -244,8 +257,8 @@ class TestCounters:
         # failed points count in no engine.
         counts = self._counters(SweepOptions(cache=False))
         assert counts["proxycore.runs"] == 6
-        assert counts["proxy.fastforward.fallbacks"] == 6
-        assert counts["proxy.fastforward.hits"] == 0
+        assert counts["proxy.fastforward.fallbacks"] == 0
+        assert counts["proxy.fastforward.hits"] == 6
 
     def test_fallbacks_counted(self):
         counts = self._counters(SweepOptions(cache=False, fast_forward=False))
@@ -255,10 +268,10 @@ class TestCounters:
         counts = self._counters(SweepOptions(cache=False, faults=plan))
         assert counts["proxycore.fallbacks.faults-active"] == 6
 
-    def test_fast_forward_counted(self, monkeypatch):
-        monkeypatch.setattr(matmul, "CORE_CROSSOVER_ITERATIONS", 0)
-        counts = self._counters(SweepOptions(cache=False))
-        assert counts["proxycore.fallbacks.fast-forward"] == 6
+    def test_fast_forward_counted(self):
+        # fast_forward=True is the default engine: the core, skipping.
+        counts = self._counters(SweepOptions(cache=False, fast_forward=True))
+        assert counts["proxycore.runs"] == 6
         assert counts["proxy.fastforward.hits"] == 6
 
     def test_cached_points_not_counted(self, tmp_path):

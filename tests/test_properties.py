@@ -1,9 +1,10 @@
 """Cross-module property-based tests on system invariants.
 
 These pin down the relationships the reproduction's conclusions rest
-on: conservation of injected slack, monotonicity of the slack
-response, bracket ordering of the binning, and trace accounting
-identities — for arbitrary inputs, not just the paper's grid.
+on: conservation of injected slack, the Equation 1 identity,
+monotonicity of the slack response, bracket ordering of the binning,
+and trace accounting identities — for arbitrary inputs, not just the
+paper's grid.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.network import (
     fibre_distance_for_latency,
     latency_for_fibre_distance,
 )
+from repro.proxy import PAPER_SLACK_VALUES_S, ProxyConfig, run_proxy
 from repro.trace import CopyKind, EventKind, Trace, TraceEvent
 
 
@@ -284,3 +286,29 @@ class TestDeviceMemoryProxyInvariant:
         else:
             with pytest.raises(OutOfMemoryError):
                 run_proxy(config)
+
+
+class TestEquation1Identity:
+    """Equation 1's premise, exactly: on one thread every injected
+    delay and every extra starvation charge lands on the critical path,
+    so the slowdown against the zero-slack run is their sum, bit for
+    bit on the dyadic time grid. On the index core this also pins the
+    totals its steady-state skip extrapolates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from([2**9, 2**11, 2**13]),
+        iterations=st.integers(min_value=1, max_value=80),
+        slack_s=st.sampled_from(PAPER_SLACK_VALUES_S),
+        fast_forward=st.sampled_from([None, False]),
+    )
+    def test_slowdown_is_injected_plus_starvation(
+        self, size, iterations, slack_s, fast_forward
+    ):
+        config = ProxyConfig(matrix_size=size, iterations=iterations)
+        base = run_proxy(config, SlackModel.none(), fast_forward=fast_forward)
+        run = run_proxy(config, SlackModel(slack_s), fast_forward=fast_forward)
+        assert run.loop_runtime_s - base.loop_runtime_s == (
+            run.injected_slack_s
+            + (run.starvation_cost_s - base.starvation_cost_s)
+        )
