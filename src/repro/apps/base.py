@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..des.fastforward import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo
 from ..obs import get_registry
 from ..trace import Trace
 from ..trace.store import ColumnarTrace
@@ -53,9 +53,8 @@ def core_fallback_reason(enabled: bool, faults: Optional[Any]) -> Optional[str]:
 
     ``disabled`` — fast-forward was switched off, which selects the
     event-by-event reference run (the oracle path); ``faults-active`` —
-    a non-empty fault plan, which only the DES models. Otherwise a run
-    fast-forward refuses goes to the app's index core
-    (:mod:`repro.gpusim.flatcore`).
+    a non-empty fault plan, which only the DES models. Every other run
+    goes to the app's index core (:mod:`repro.gpusim.flatcore`).
     """
     if not enabled:
         return "disabled"
@@ -74,20 +73,16 @@ def publish_appcore(fallback: Optional[str]) -> None:
         reg.counter(f"appcore.fallbacks.{fallback}").inc()
 
 
-def iteration_ordered(trace: Trace) -> Trace:
+def iteration_ordered(trace: ColumnarTrace) -> ColumnarTrace:
     """A profile's trace with its rows in iteration order.
 
-    An app that profiles on several engines records its rows in an
-    order that depends on the engine: the DES and the index cores in
-    the order the run completes them, a fast-forwarded run's epoch
-    trace only as time-sorted events. ``list(trace)`` is the same on
-    every engine, so storing the rows in that order makes the profile,
-    and its cache entry, the same bytes whichever engine built it.
-    Epoch traces already iterate in that order and stay lazy.
+    The DES and the index cores record a run's rows in the order they
+    complete them, which differs between the two. ``list(trace)`` is
+    the same on both, so storing the rows in that order makes the
+    profile, and its cache entry, the same bytes whichever engine
+    built it.
     """
-    if isinstance(trace, ColumnarTrace):
-        return trace.time_ordered()
-    return trace
+    return trace.time_ordered()
 
 
 def publish_fastforward(info: FastForwardInfo) -> None:

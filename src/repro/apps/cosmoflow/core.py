@@ -3,8 +3,8 @@
 One host thread dispatches each step's kernel sequence onto one stream
 (see :mod:`repro.apps.cosmoflow.training`), so the run is a straight
 recurrence: the core builds the whole run as one flat program — each
-distinct step (training or validation, at one offset within the
-cadence cycle) built once — and runs it on
+distinct step (training or validation, with the cadences that fall on
+it) built once — and runs it on
 :class:`~repro.gpusim.flatcore.FlatDevice`. Jitter draws happen in
 program order, exactly as the DES draws them.
 """
@@ -65,33 +65,38 @@ def cosmoflow_core(
     summary = dev.memcpy(plan.summary_bytes, CopyKind.D2H)
     metric = dev.memcpy(plan.metric_bytes, CopyKind.D2H)
 
-    def step_program(training: bool, step: int) -> List[Tuple]:
+    def step_program(
+        training: bool, prefetching: bool, exchanging: bool, syncing: bool,
+        metrics: bool,
+    ) -> List[Tuple]:
         out: List[Tuple] = []
-        if step % config.prefetch_batches == 0:
+        if prefetching:
             out.append(prefetch)
         out += train if training else val
         if training:
-            if step % config.gradient_exchange_every == 0:
+            if exchanging:
                 out.append(gradient)
-            if step % config.weight_sync_every == 0:
+            if syncing:
                 out.append(weights)
         out += [loss, counter]
         if training:
             out.append(summary)
-        if step % 2 == 0:
+        if metrics:
             out.append(metric)
         out.append(FlatDevice.SYNC_STREAM)
         return out
 
-    cycle = plan.cycle_len
-    steps: Dict[Tuple[bool, int], List[Tuple]] = {}
+    cadences = (
+        config.prefetch_batches,
+        config.gradient_exchange_every,
+        config.weight_sync_every,
+        2,
+    )
+    steps: Dict[Tuple[bool, ...], List[Tuple]] = {}
     program: List[Tuple] = []
     for training, step0, count in plan.phases(config):
-        # Steps are numbered by their offset within the cadence cycle,
-        # as the DES numbers them.
-        offset = step0 % cycle
-        for k in range(count):
-            key = (training, offset + k % cycle)
+        for step in range(step0, step0 + count):
+            key = (training, *(step % c == 0 for c in cadences))
             block = steps.get(key)
             if block is None:
                 block = steps[key] = step_program(*key)

@@ -15,38 +15,27 @@ Reproduces the observed CPU-GPU interaction pattern:
 * the host side needs only ~2 cores (the input pipeline), which is why
   the paper measures no benefit from additional CPU resources.
 
-The run is structured as labeled *segments* — each epoch's train and
-validation phase — of cycles spanning the least common multiple of
-every per-step cadence (prefetch, gradient exchange, weight sync,
-metric copies), so the segmented fast-forward engine
-(:mod:`repro.des.fastforward`) certifies each phase's cycle once,
-verifies later structurally identical phases with a single cycle, and
-extrapolates everything else analytically. Jittered configurations
-(the default: real NSys traces wobble) are ineligible and run in full,
-on the index core (:mod:`repro.apps.cosmoflow.core`) unless a fault
-plan needs the DES; the profile records which happened in
-:attr:`~repro.apps.base.AppProfile.fastforward`.
+Profiles run on the index core (:mod:`repro.apps.cosmoflow.core`),
+which computes this DES's profile bit for bit without an event loop.
+The DES here is the reference: it runs for ``fast_forward=False`` and
+for non-empty fault plans, which only it models. The profile records
+which ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ...des import Environment, Event, quantize
-from ...des.fastforward import (
-    FastForwardInfo,
-    SegmentedEpochMonitor,
-    app_refusal_reason,
-)
 from ...faults import FaultPlan
 from ...gpusim import CudaRuntime, KernelSpec
+from ...gpusim.flatcore import FastForwardInfo
 from ...hw import A100_SXM4_40GB, GPUSpec, MiB, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import CopyKind, EventKind, Trace
+from ...trace import ColumnarTrace, CopyKind, EventKind
 from ..base import (
     AppProfile,
     core_fallback_reason,
@@ -123,12 +112,6 @@ class _StepPlan:
     val_dispatch: float
     prefetch_bytes: int
     weight_bytes: int
-    #: Steps per cycle: one cycle spans every per-step cadence
-    #: (prefetch, gradient exchange, weight sync, the %2 metric copy),
-    #: so steps at the same offset within a cycle are structurally
-    #: identical and only a step's residue modulo the cycle affects
-    #: its behavior.
-    cycle_len: int
 
     gradient_bytes = 8 * MiB  # fused gradient buffer
     loss_bytes = 4 * 1024
@@ -160,12 +143,6 @@ class _StepPlan:
             ),
             # weights + optimizer state
             weight_bytes=int(3 * 4 * net.parameter_count()),
-            cycle_len=math.lcm(
-                config.prefetch_batches,
-                config.gradient_exchange_every,
-                config.weight_sync_every,
-                2,
-            ),
         )
 
     @staticmethod
@@ -193,53 +170,32 @@ def profile_cosmoflow(
     Parameters
     ----------
     fast_forward:
-        Steady-state fast-forward (default on): each train/validation
-        phase certifies one cadence cycle bit-exactly and the rest is
-        extrapolated analytically; phases structurally identical to an
-        already-certified one verify after a single cycle. Same
-        profile, O(warmup) events. Jittered configurations, non-base
-        slack models, active fault plans and phases of fewer than
-        :data:`~repro.des.fastforward.MIN_ITERATIONS` cycles cannot be
-        fast-forwarded; without a fault plan they run on the index
-        core (:mod:`repro.apps.cosmoflow.core`), which computes the
-        full simulation's profile bit for bit without an event loop.
-        ``False`` runs the reference DES event by event.
-        ``profile.fastforward`` records what happened.
+        On (the default) runs the index core
+        (:mod:`repro.apps.cosmoflow.core`), which computes the reference
+        DES's profile bit for bit without an event loop; ``False`` runs
+        the reference DES event by event. ``profile.fastforward``
+        records which ran.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
-        for this run. Active plans refuse fast-forward
-        (``reason="faults-active"``) and run on the DES.
+        for this run. A non-empty plan runs on the DES
+        (``reason="faults-active"``).
     """
     config = config or CosmoFlowProfileConfig()
     slack_model = slack or SlackModel.none()
     plan = _StepPlan.of(config)
-    max_cycles = max(
-        (config.train_samples // config.batch_size) // plan.cycle_len,
-        (config.val_samples // config.batch_size) // plan.cycle_len,
-    )
     enabled = True if fast_forward is None else bool(fast_forward)
     fallback = core_fallback_reason(enabled, faults)
-    reason = None
+    publish_appcore(fallback)
     if fallback is None:
-        reason = app_refusal_reason(
-            slack_model, jitter=config.jitter, epochs=max_cycles
-        )
-    if fallback is None and reason is not None:
-        publish_appcore(None)
         run = cosmoflow_core(config, slack_model, plan)
-        runtime = run.end_s
-        trace = run.trace
-        info = FastForwardInfo(enabled=True, certified=False, reason=reason)
+        runtime, trace = run.end_s, run.trace
     else:
-        if fallback is not None:
-            publish_appcore(fallback)
-        runtime, trace, info = _profile_des(
-            config, slack_model, plan, max_cycles, enabled, faults
-        )
+        runtime, trace = _profile_des(config, slack_model, plan, faults)
     trace = iteration_ordered(trace)
+    info = FastForwardInfo(
+        enabled=enabled, certified=False, reason=fallback or "no-app-skip"
+    )
     publish_fastforward(info)
-    # Cheap on a SegmentedEpochTrace: counted from the compression
-    # recipe without expanding the event list.
     api_calls = trace.count_kind(EventKind.API)
     # The paper's pessimistic parallelism: launches take ~1/7 of the
     # sequence, i.e. ~7 kernels deep; halved to 4 as the pessimistic
@@ -259,11 +215,9 @@ def _profile_des(
     config: CosmoFlowProfileConfig,
     slack_model: SlackModel,
     plan: _StepPlan,
-    max_cycles: int,
-    enabled: bool,
     faults: Optional[FaultPlan],
-) -> Tuple[float, Trace, FastForwardInfo]:
-    """The reference DES run: runtime, trace and fast-forward info."""
+) -> Tuple[float, ColumnarTrace]:
+    """The reference DES run: runtime and trace."""
     env = Environment()
     injector = faults.compile(env) if faults is not None else None
     rt = CudaRuntime(
@@ -272,7 +226,6 @@ def _profile_des(
     )
     rng = np.random.default_rng(config.seed)
     sigma = jitter_sigma(config.jitter)
-    cycle_len = plan.cycle_len
 
     def jittered(mean: float) -> float:
         if config.jitter == 0 or mean <= 0:
@@ -290,7 +243,7 @@ def _profile_des(
                                        stream)
         # Dispatch the kernel sequence with per-op host cost
         # (tick-quantized like every simulated device delay, keeping
-        # the run on the dyadic grid fast-forward needs).
+        # the run on the dyadic grid of repro.des.timebase).
         for spec in kernels:
             yield env.timeout(quantize(jittered(dispatch)))
             jk = KernelSpec(
@@ -319,72 +272,22 @@ def _profile_des(
             yield from rt.memcpy(plan.metric_bytes, CopyKind.D2H, stream)
         yield from rt.synchronize(stream=stream)
 
-    reason = "disabled" if not enabled else app_refusal_reason(
-        slack_model,
-        faults=injector,
-        jitter=config.jitter,
-        epochs=max_cycles,
-    )
-    monitor = SegmentedEpochMonitor(env, rt) if (
-        enabled and reason is None
-    ) else None
-
-    def phase(
-        stream, kernels: List[KernelSpec], dispatch: float, step0: int,
-        steps: int, training: bool, label: str,
-    ) -> Generator[Event, Any, None]:
-        # ``step0`` is the phase's starting step in *full-run*
-        # numbering (independent of any capping of earlier phases);
-        # only its residue modulo the cycle affects per-step behavior,
-        # so every step runs with its full-run cadence phase whether
-        # or not the cycle loop below gets cut short.
-        offset = step0 % cycle_len
-        cycles = steps // cycle_len
-        tail = steps % cycle_len
-        if monitor is not None and cycles > 0:
-            # Phases sharing (label, offset) are structurally
-            # identical, so a certificate from one carries over.
-            monitor.begin_segment((label, offset), cycles)
-        cycle = 0
-        while cycle < cycles:
-            for j in range(cycle_len):
-                yield from run_step(stream, kernels, dispatch, offset + j,
-                                    training)
-            cycle += 1
-            if monitor is not None and monitor.cycle_done():
-                break
-        if monitor is not None and cycles > 0:
-            monitor.end_segment()
-        for j in range(tail):
-            yield from run_step(stream, kernels, dispatch, offset + j,
-                                training)
-
     def main() -> Generator[Event, Any, float]:
         t0 = env.now
         stream = rt.create_stream()
         for training, step0, steps in plan.phases(config):
             if training:
-                yield from phase(stream, plan.train_kernels,
-                                 plan.train_dispatch, step0, steps, True,
-                                 "train")
+                kernels, dispatch = plan.train_kernels, plan.train_dispatch
             else:
-                yield from phase(stream, plan.val_kernels, plan.val_dispatch,
-                                 step0, steps, False, "val")
+                kernels, dispatch = plan.val_kernels, plan.val_dispatch
+            for step in range(step0, step0 + steps):
+                yield from run_step(stream, kernels, dispatch, step, training)
         yield from rt.synchronize()
         return env.now - t0
 
     main_proc = env.process(main(), name="cosmoflow-main")
     env.run()
-
-    if monitor is not None and monitor.certified:
-        ex = monitor.extrapolate(float(main_proc.value))
-        return ex.loop_runtime_s, ex.trace, ex.info
-    if monitor is not None:
-        # Eligible but never certified: the run completed as a full
-        # simulation on its own.
-        reason = "no-fixed-point"
-    info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
-    return float(main_proc.value), rt.tracer.trace, info
+    return float(main_proc.value), rt.tracer.trace
 
 
 def cosmoflow_cpu_runtime(

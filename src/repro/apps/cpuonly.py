@@ -29,7 +29,7 @@ from ..cdi import (
     TraditionalScheduler,
 )
 from ..des import Environment, Event, quantize
-from ..des.fastforward import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo
 from .base import AppProfile, publish_fastforward
 
 __all__ = [

@@ -37,7 +37,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ...des import Environment, Event, quantize
-from ...des.fastforward import FastForwardInfo
+from ...gpusim.flatcore import FastForwardInfo
 from ...faults import FaultPlan
 from ...gpusim import CudaRuntime, KernelSpec
 from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec

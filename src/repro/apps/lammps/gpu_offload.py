@@ -18,15 +18,11 @@ kernel. These knobs reproduce Table III's LAMMPS row: ~84k transfers
 at box 120 / 8 ranks / 5000 steps, bulk in the (1, 16] MiB (positions)
 and (16, 256] MiB (forces) bins plus ~2.3k sub-MiB neighbour updates.
 
-The run is structured as *epochs* of ``neighbor_every`` timesteps (one
-full neighbour-rebuild cycle) so the steady-state fast-forward engine
-(:mod:`repro.des.fastforward`) can certify a cycle, cap the simulation
-and extrapolate the remainder analytically — same profile, a fraction
-of the events. Jittered configurations (the default: real NSys traces
-wobble) are ineligible and run in full, on the index core
-(:mod:`repro.apps.lammps.core`) unless a fault plan needs the DES; the
-profile records which happened in
-:attr:`~repro.apps.base.AppProfile.fastforward`.
+Profiles run on the index core (:mod:`repro.apps.lammps.core`), which
+computes this DES's profile bit for bit without an event loop. The DES
+here is the reference: it runs for ``fast_forward=False`` and for
+non-empty fault plans, which only it models. The profile records which
+ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
 from __future__ import annotations
@@ -37,16 +33,12 @@ from typing import Any, Generator, Optional, Tuple
 import numpy as np
 
 from ...des import Barrier, Environment, Event, quantize
-from ...des.fastforward import (
-    EpochMonitor,
-    FastForwardInfo,
-    app_refusal_reason,
-)
 from ...faults import FaultPlan
 from ...gpusim import CudaRuntime, KernelSpec
+from ...gpusim.flatcore import FastForwardInfo
 from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import CopyKind, EventKind, Trace
+from ...trace import ColumnarTrace, CopyKind, EventKind
 from ..base import (
     AppProfile,
     core_fallback_reason,
@@ -147,51 +139,33 @@ def profile_lammps(
     Parameters
     ----------
     fast_forward:
-        Steady-state fast-forward (default on): once one
-        neighbour-rebuild epoch is certified bit-exactly periodic, the
-        remaining epochs are extrapolated analytically instead of
-        simulated — same profile, O(warmup) events. Jittered
-        configurations, non-base slack models, active fault plans and
-        runs of fewer than :data:`~repro.des.fastforward.MIN_ITERATIONS`
-        epochs cannot be fast-forwarded; without a fault plan they run
-        on the index core (:mod:`repro.apps.lammps.core`), which
-        computes the full simulation's profile bit for bit without an
-        event loop. ``False`` runs the reference DES event by event.
-        ``profile.fastforward`` records what happened.
+        On (the default) runs the index core
+        (:mod:`repro.apps.lammps.core`), which computes the reference
+        DES's profile bit for bit without an event loop; ``False`` runs
+        the reference DES event by event. ``profile.fastforward``
+        records which ran.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
-        for this run. Active plans refuse fast-forward
-        (``reason="faults-active"``) and run on the DES.
+        for this run. A non-empty plan runs on the DES
+        (``reason="faults-active"``).
     """
     config = config or LammpsProfileConfig()
     slack_model = slack or SlackModel.none()
     costs = _StepCosts.of(config)
     enabled = True if fast_forward is None else bool(fast_forward)
     fallback = core_fallback_reason(enabled, faults)
-    reason = None
+    publish_appcore(fallback)
     if fallback is None:
-        reason = app_refusal_reason(
-            slack_model,
-            jitter=config.jitter,
-            epochs=config.params.steps // config.neighbor_every,
-        )
-    if fallback is None and reason is not None:
-        publish_appcore(None)
         run = lammps_core(config, slack_model, costs)
-        loop_runtime = run.end_s
-        trace = run.trace
-        info = FastForwardInfo(enabled=True, certified=False, reason=reason)
+        loop_runtime, trace = run.end_s, run.trace
     else:
-        if fallback is not None:
-            publish_appcore(fallback)
-        loop_runtime, trace, info = _profile_des(
-            config, slack_model, costs, enabled, faults
-        )
+        loop_runtime, trace = _profile_des(config, slack_model, costs, faults)
     trace = iteration_ordered(trace)
+    info = FastForwardInfo(
+        enabled=enabled, certified=False, reason=fallback or "no-app-skip"
+    )
     publish_fastforward(info)
     runtime = loop_runtime + LammpsScalingModel().setup_s
-    # Cheap on a RepeatedEpochTrace: counted from the compression
-    # recipe without expanding the event list.
     api_calls = trace.count_kind(EventKind.API)
     return AppProfile(
         name="lammps",
@@ -209,10 +183,9 @@ def _profile_des(
     config: LammpsProfileConfig,
     slack_model: SlackModel,
     costs: _StepCosts,
-    enabled: bool,
     faults: Optional[FaultPlan],
-) -> Tuple[float, Trace, FastForwardInfo]:
-    """The reference DES run: loop runtime, trace and fast-forward info."""
+) -> Tuple[float, ColumnarTrace]:
+    """The reference DES run: loop runtime and trace."""
     env = Environment()
     injector = faults.compile(env) if faults is not None else None
     rt = CudaRuntime(
@@ -237,33 +210,14 @@ def _profile_des(
 
     step_barrier = Barrier(env, P)
 
-    # One epoch = one full neighbour-rebuild cycle of timesteps. A
-    # step's index within its epoch equals its residue modulo
-    # ``neighbor_every`` in the whole run, so the rebuild cadence is
-    # preserved whether or not the epoch loop gets capped — including
-    # for the tail steps of a step count that is not a multiple of the
-    # cadence.
-    total_epochs = config.params.steps // config.neighbor_every
-    tail_steps = config.params.steps % config.neighbor_every
-
-    reason = "disabled" if not enabled else app_refusal_reason(
-        slack_model,
-        faults=injector,
-        jitter=config.jitter,
-        epochs=total_epochs,
-    )
-    monitor = EpochMonitor(env, rt, P, total_epochs) if (
-        enabled and reason is None
-    ) else None
-
     def timestep(
-        stream: Any, rank_id: int, substep: int
+        stream: Any, rank_id: int, rebuild: bool
     ) -> Generator[Event, Any, None]:
         # CPU-side force prep / previous-step integration. CPU delays
         # are tick-quantized like every simulated device delay, so the
-        # whole run stays on the dyadic grid fast-forward needs.
+        # whole run stays on the dyadic grid (repro.des.timebase).
         yield env.timeout(quantize(jittered(cpu_step) / 2))
-        if substep == 0:
+        if rebuild:
             yield from rt.memcpy(neigh_bytes, CopyKind.H2D, stream, rank_id)
             yield from rt.launch(
                 KernelSpec(
@@ -288,17 +242,10 @@ def _profile_des(
 
     def rank(rank_id: int) -> Generator[Event, Any, None]:
         stream = rt.create_stream()
-        epoch = 0
-        while epoch < (
-            monitor.stop_at if monitor is not None else total_epochs
-        ):
-            for substep in range(config.neighbor_every):
-                yield from timestep(stream, rank_id, substep)
-            epoch += 1
-            if monitor is not None:
-                monitor.epoch_done(rank_id)
-        for substep in range(tail_steps):
-            yield from timestep(stream, rank_id, substep)
+        for n in range(config.params.steps):
+            yield from timestep(
+                stream, rank_id, n % config.neighbor_every == 0
+            )
 
     def main() -> Generator[Event, Any, float]:
         t0 = env.now
@@ -309,13 +256,4 @@ def _profile_des(
 
     main_proc = env.process(main(), name="lammps-main")
     env.run()
-
-    if monitor is not None and monitor.certified:
-        ex = monitor.extrapolate(float(main_proc.value))
-        return ex.loop_runtime_s, ex.trace, ex.info
-    if monitor is not None:
-        # Eligible but never certified: the run completed as a full
-        # simulation on its own.
-        reason = "no-fixed-point"
-    info = FastForwardInfo(enabled=enabled, certified=False, reason=reason)
-    return float(main_proc.value), rt.tracer.trace, info
+    return float(main_proc.value), rt.tracer.trace

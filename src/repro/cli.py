@@ -389,7 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(result.render())
             print()
         print(f"[{len(results)} experiments, {workers} workers: "
-              f"{time.time() - t0:.1f}s]")
+              f"{time.time() - t0:.1f}s]", file=sys.stderr)
         if getattr(args, "output", None):
             from .experiments import write_markdown_report
 
@@ -414,7 +414,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     y is not None and y > 10
                     for ys in series.lines.values() for y in ys
                 )))
-        print(f"[{eid}: {time.time() - t0:.1f}s]\n")
+        print(f"[{eid}: {time.time() - t0:.1f}s]", file=sys.stderr)
+        print()
     if getattr(args, "output", None):
         from .experiments import write_markdown_report
 

@@ -1,9 +1,9 @@
 """Dyadic time quantization: the arithmetic contract of fast-forward.
 
-Steady-state fast-forward (see :mod:`repro.des.fastforward`) replaces
-millions of identical simulated loop iterations with one analytic
-extrapolation, and promises the extrapolated totals are **bit-identical**
-to the event-by-event run. Plain float time cannot honour that promise:
+Steady-state fast-forward (the index core's skip, see
+:mod:`repro.gpusim.flatcore`) replaces thousands of identical simulated
+loop iterations with one shift by whole periods, and promises the
+shifted totals are **bit-identical** to the event-by-event run. Plain float time cannot honour that promise:
 ``t + d`` rounds differently as ``t`` grows, so even a perfectly
 periodic workload shows per-cycle deltas that differ in their last few
 ulps, and ``t + n*d`` is not the same float as adding ``d`` n times.

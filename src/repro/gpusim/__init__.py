@@ -7,7 +7,6 @@ injection at the API boundary and a starvation cost model that charges
 for idle gaps the way a real GPU's clock ramp and queue re-priming do.
 """
 
-from .cuda_event import CudaEvent, elapsed_time
 from .graphs import CudaGraph, GraphNode
 from .engines import (
     ComputeEngine,
@@ -44,8 +43,6 @@ __all__ = [
     "KernelOp",
     "CopyOp",
     "MarkerOp",
-    "CudaEvent",
-    "elapsed_time",
     "KernelSpec",
     "matmul_kernel",
     "matmul_efficiency",

@@ -68,13 +68,13 @@ engine, and stream queues as deep as a ``Store``'s default capacity
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..des import quantize
-from ..des.fastforward import MAX_WARMUP_EPOCHS, MIN_ITERATIONS
 from ..hw import GPUSpec, PCIeSpec
 from ..network import SlackModel
 from ..trace import CopyKind, EventKind
@@ -90,7 +90,40 @@ from .engines import DeviceActivity, starvation_charge
 from .kernels import explicit_execution_time
 from .runtime import host_overheads, transfer_delay
 
-__all__ = ["FlatDevice", "FlatRun", "skip_refusal"]
+__all__ = [
+    "FastForwardInfo",
+    "FlatDevice",
+    "FlatRun",
+    "MAX_WARMUP_EPOCHS",
+    "MIN_ITERATIONS",
+    "skip_refusal",
+]
+
+#: Below this cycle count a skip cannot save anything.
+MIN_ITERATIONS = 7
+
+#: Stop watching after this many cycle starts: a run that has not
+#: settled by then is not going to, and the snapshots would only slow
+#: the rest of the run down.
+MAX_WARMUP_EPOCHS = 32
+
+
+@dataclass(frozen=True)
+class FastForwardInfo:
+    """How fast-forward engaged (or why it did not) for one run."""
+
+    enabled: bool
+    certified: bool
+    reason: Optional[str] = None
+    #: Cycles actually simulated (the warmup + settle tail).
+    warmup_iterations: int = 0
+    #: Cycles skipped analytically.
+    skipped_iterations: int = 0
+    #: DES events the skipped cycles would have scheduled.
+    events_skipped: int = 0
+    #: The certified steady-state period (it may span several
+    #: iterations).
+    cycle_period_s: float = 0.0
 
 # Instruction opcodes (first field of every program entry). The two
 # that may draw jitter come first and carry their log-normal mu (or
@@ -693,8 +726,7 @@ def skip_refusal(slack: SlackModel, cycles: int) -> Optional[str]:
 
     Only the exact base model without jitter hands out the same delay
     on every call; subclasses (e.g. ``PreloadShim``) may sample. Below
-    :data:`~repro.des.fastforward.MIN_ITERATIONS` cycles a skip saves
-    nothing.
+    :data:`MIN_ITERATIONS` cycles a skip saves nothing.
     """
     if type(slack) is not SlackModel:
         return "slack-model-subclass"

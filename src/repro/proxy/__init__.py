@@ -15,7 +15,7 @@ from .calibration import (
     calibrate_matrix_size,
     time_single_kernel,
 )
-from ..des.fastforward import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo
 from .options import ShardingUnsupportedError, SweepOptions
 from .quantize import (
     dedupe_slacks,

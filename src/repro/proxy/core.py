@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
-from ..des.fastforward import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo
 from ..gpusim import matmul_kernel
 from ..gpusim.flatcore import FlatDevice, FlatRun
 from ..network import SlackModel

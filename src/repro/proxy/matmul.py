@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from ..des import Barrier, Environment, Event
-from ..des.fastforward import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo
 from ..faults import FaultPlan
 from ..gpusim import CudaRuntime, matmul_kernel
 from ..gpusim.flatcore import skip_refusal

@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .compare import KernelDelta, TraceComparison, compare_traces
 from .container import Trace
-from .epochs import EpochWindow, RepeatedEpochTrace, SegmentedEpochTrace
 from .events import CopyKind, EventKind, TraceEvent
 from .export import from_csv, from_json, to_csv, to_json
 from .store import ColumnarTrace, ColumnStore
@@ -33,9 +32,6 @@ __all__ = [
     "Trace",
     "ColumnarTrace",
     "ColumnStore",
-    "RepeatedEpochTrace",
-    "SegmentedEpochTrace",
-    "EpochWindow",
     "TraceEvent",
     "EventKind",
     "CopyKind",

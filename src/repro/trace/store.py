@@ -687,8 +687,7 @@ class ColumnarTrace(Trace):
         """Materialize the events in append order (not time-sorted).
 
         This is the order the scalar path's ``_events`` list holds
-        before any analysis sorts it — what the fast-forward engine
-        hands to :class:`~repro.trace.epochs.RepeatedEpochTrace`.
+        before any analysis sorts it.
         """
         store = self._store
         return [store.event_at(int(i)) for i in self._rows()]

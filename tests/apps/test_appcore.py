@@ -1,5 +1,7 @@
 """Index cores for LAMMPS and CosmoFlow: bit parity with the reference DES.
 
+Every LAMMPS and CosmoFlow profile runs on its index core except
+``fast_forward=False`` and non-empty fault plans, which run the DES.
 A profile the index core builds must equal the event-by-event DES run
 (``fast_forward=False``, the oracle) in everything the profile cache
 stores — every trace column with its dtype, the metas, the interned
@@ -57,9 +59,7 @@ def assert_core_matches_oracle(profiler, config, slack_kind):
     oracle = profiler(config, oracle_slack, fast_forward=False)
     with collecting() as reg:
         core = profiler(config, core_slack)
-    if core.fastforward.reason is not None:
-        # Not fast-forwardable: the run must have taken the index core.
-        assert reg.counter("appcore.runs").value == 1
+    assert reg.counter("appcore.runs").value == 1
     assert core.runtime_s == oracle.runtime_s
     assert core.cuda_calls_per_second == oracle.cuda_calls_per_second
     assert core.queue_parallelism == oracle.queue_parallelism
@@ -72,7 +72,56 @@ def assert_core_matches_oracle(profiler, config, slack_kind):
     return core
 
 
+# Jitter-free configs small enough to simulate fully in a test, with a
+# step count that is not a multiple of the rebuild cadence.
+JITTER_FREE_LAMMPS = LammpsProfileConfig(
+    params=LJParams(box_size=40, steps=12 * 17 + 5), jitter=0.0
+)
+JITTER_FREE_COSMOFLOW = CosmoFlowProfileConfig(
+    epochs=2, train_samples=128, val_samples=64, jitter=0.0
+)
+
+
+def _assert_profiles_bit_identical(full, fast):
+    assert full.name == fast.name
+    assert full.runtime_s == fast.runtime_s
+    assert full.queue_parallelism == fast.queue_parallelism
+    assert full.cuda_calls_per_second == fast.cuda_calls_per_second
+    assert len(full.trace) == len(fast.trace)
+    # Every event, not just aggregates: TraceEvent is a frozen
+    # dataclass, so == is field-exact (names, timestamps, sizes,
+    # correlation ids).
+    assert list(full.trace) == list(fast.trace)
+
+
+def _assert_took_the_core(profile):
+    assert not profile.fastforward.certified
+    assert profile.fastforward.reason == "no-app-skip"
+
+
 class TestLammpsParity:
+    def test_bit_identical_profile(self):
+        full = profile_lammps(JITTER_FREE_LAMMPS, fast_forward=False)
+        fast = profile_lammps(JITTER_FREE_LAMMPS, fast_forward=True)
+        _assert_took_the_core(fast)
+        _assert_profiles_bit_identical(full, fast)
+
+    def test_bit_identical_under_base_slack(self):
+        slack = SlackModel(1e-5)
+        full = profile_lammps(JITTER_FREE_LAMMPS, slack, fast_forward=False)
+        fast = profile_lammps(JITTER_FREE_LAMMPS, slack, fast_forward=True)
+        _assert_took_the_core(fast)
+        _assert_profiles_bit_identical(full, fast)
+
+    def test_default_is_on(self):
+        with collecting() as reg:
+            default = profile_lammps(JITTER_FREE_LAMMPS)
+        assert default.fastforward.enabled
+        assert reg.counter("appcore.runs").value == 1
+        _assert_profiles_bit_identical(
+            profile_lammps(JITTER_FREE_LAMMPS, fast_forward=True), default
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(
         processes=st.integers(1, 8),
@@ -99,6 +148,23 @@ class TestLammpsParity:
 
 
 class TestCosmoflowParity:
+    def test_bit_identical_profile(self):
+        full = profile_cosmoflow(JITTER_FREE_COSMOFLOW, fast_forward=False)
+        fast = profile_cosmoflow(JITTER_FREE_COSMOFLOW, fast_forward=True)
+        _assert_took_the_core(fast)
+        _assert_profiles_bit_identical(full, fast)
+
+    def test_bit_identical_under_base_slack(self):
+        slack = SlackModel(1e-5)
+        full = profile_cosmoflow(
+            JITTER_FREE_COSMOFLOW, slack, fast_forward=False
+        )
+        fast = profile_cosmoflow(
+            JITTER_FREE_COSMOFLOW, slack, fast_forward=True
+        )
+        _assert_took_the_core(fast)
+        _assert_profiles_bit_identical(full, fast)
+
     @settings(max_examples=20, deadline=None)
     @given(
         batch_size=st.sampled_from([2, 4, 8]),
@@ -135,7 +201,7 @@ class TestDispatch:
         with collecting() as reg:
             profile = profile_lammps(config)
         assert reg.counter("appcore.runs").value == 1
-        assert profile.fastforward.reason == "jitter"
+        assert profile.fastforward.reason == "no-app-skip"
         assert reg.counter("appff.fallbacks").value == 1
 
     def test_fault_plan_falls_back_to_the_des(self):
@@ -169,13 +235,13 @@ class TestDispatch:
         assert profile.fastforward.reason == "disabled"
 
     def test_fast_forwardable_run_keeps_fast_forward(self):
-        config = LammpsProfileConfig(
-            params=LJParams(40, steps=12 * 17 + 5), jitter=0.0
-        )
         with collecting() as reg:
-            profile = profile_lammps(config)
-        assert profile.fastforward.certified
-        assert reg.counter("appcore.runs").value == 0
+            profile = profile_lammps(JITTER_FREE_LAMMPS)
+        assert profile.fastforward.enabled
+        _assert_took_the_core(profile)
+        assert reg.counter("appcore.runs").value == 1
+        assert reg.counter("appff.fallbacks").value == 1
+        assert reg.counter("appff.hits").value == 0
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +261,7 @@ class TestPaperConfigs:
         assert default.app_config(app) == get_app(app).default_config(True)
         expected = _profile_arrays(oracle.app_profile(app))
         got = _profile_arrays(default.app_profile(app))
-        assert default.app_profile(app).fastforward.reason == "jitter"
+        assert default.app_profile(app).fastforward.reason == "no-app-skip"
         assert oracle.app_profile(app).fastforward.reason == "disabled"
         assert expected.keys() == got.keys()
         for key in expected:

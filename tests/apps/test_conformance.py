@@ -140,9 +140,11 @@ class TestFastForwardRefusals:
             assert isinstance(ff.reason, str) and ff.reason
 
     def test_natural_refusals_name_the_cause(self):
-        # The two workloads that can never fast-forward say why.
+        # No batch app skips its steady state; each says why.
         by_name = {a.name: a for a in APPS}
         reasons = {
+            "lammps": "no-app-skip",
+            "cosmoflow": "no-app-skip",
             "inference": "aperiodic-arrivals",
             "cpuonly": "cpu-only",
         }

@@ -15,8 +15,8 @@ from repro.apps import (
     AppProfile,
     profile_key,
 )
-from repro.apps.cosmoflow import CosmoFlowProfileConfig
-from repro.apps.lammps import LammpsProfileConfig, LJParams
+from repro.apps.cosmoflow import CosmoFlowProfileConfig, profile_cosmoflow
+from repro.apps.lammps import LammpsProfileConfig, LJParams, profile_lammps
 from repro.apps.profilecache import _profile_arrays, _profile_doc
 from repro.experiments import ExperimentContext
 from repro.obs import collecting
@@ -365,25 +365,22 @@ class TestMetrics:
 class TestOneEncodingPerProfile:
     """A profile's cache entry does not depend on the engine that built it.
 
-    Jitter-free paper-app configs can be built three ways: DES plus
-    fast-forward (the default), the reference DES
-    (``fast_forward=False``) and the index core (forced here by making
-    fast-forward refuse). All three store the same bytes.
+    Paper-app configs are built on the index core (the default) or on
+    the reference DES (``fast_forward=False``). Both store the same
+    bytes, here for jitter-free configs.
     """
 
     @pytest.mark.parametrize(
-        "module, profiler, config",
+        "profile, config",
         [
             (
-                "repro.apps.lammps.gpu_offload",
-                "profile_lammps",
+                profile_lammps,
                 lambda: LammpsProfileConfig(
                     params=LJParams(40, steps=12 * 17 + 5), jitter=0.0
                 ),
             ),
             (
-                "repro.apps.cosmoflow.training",
-                "profile_cosmoflow",
+                profile_cosmoflow,
                 lambda: CosmoFlowProfileConfig(
                     epochs=2, train_samples=128, val_samples=64, jitter=0.0
                 ),
@@ -392,25 +389,14 @@ class TestOneEncodingPerProfile:
         ids=["lammps", "cosmoflow"],
     )
     def test_fast_forward_des_and_core_store_the_same_bytes(
-        self, monkeypatch, module, profiler, config
+        self, profile, config
     ):
-        import importlib
-
-        mod = importlib.import_module(module)
-        profile = getattr(mod, profiler)
-        fast = profile(config())
-        assert fast.fastforward.certified
         des = profile(config(), fast_forward=False)
         with collecting() as reg:
-            monkeypatch.setattr(
-                mod, "app_refusal_reason", lambda *a, **k: "forced"
-            )
             core = profile(config())
         assert reg.counter("appcore.runs").value == 1
-        expected = _profile_arrays(des)
-        for built in (fast, core):
-            got = _profile_arrays(built)
-            assert got.keys() == expected.keys()
-            for key in expected:
-                assert got[key].dtype == expected[key].dtype, key
-                assert got[key].tobytes() == expected[key].tobytes(), key
+        expected, got = _profile_arrays(des), _profile_arrays(core)
+        assert got.keys() == expected.keys()
+        for key in expected:
+            assert got[key].dtype == expected[key].dtype, key
+            assert got[key].tobytes() == expected[key].tobytes(), key

@@ -37,9 +37,17 @@ class TestSlack:
 class TestRun:
     def test_single_experiment(self, capsys):
         assert main(["run", "table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table I" in out
-        assert "[table1:" in out
+        captured = capsys.readouterr()
+        assert "Table I" in captured.out
+        assert "[table1:" in captured.err
+
+    def test_stdout_is_reproducible(self, capsys):
+        # Timings go to stderr, so two runs print the same bytes.
+        assert main(["run", "table1"]) == 0
+        first = capsys.readouterr().out
+        assert "[table1:" not in first
+        assert main(["run", "table1"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_multiple_experiments(self, capsys):
         assert main(["run", "table1", "discussion"]) == 0

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.des import Environment
-from repro.gpusim import (
-    CudaEvent,
-    CudaRuntime,
-    KernelSpec,
-    elapsed_time,
-    matmul_kernel,
-)
+from repro.gpusim import CudaRuntime, KernelSpec, matmul_kernel
 from repro.hw import GPUSpec, GiB, MiB, OutOfMemoryError
 from repro.network import SlackModel
 from repro.trace import CopyKind, EventKind
@@ -228,34 +222,6 @@ class TestSynchronize:
         drive(env, host())
         syncs = rt.tracer.trace.filter(lambda e: e.kind is EventKind.SYNC)
         assert len(syncs) == 1
-
-
-class TestCudaEvents:
-    def test_event_timing_brackets_kernel(self):
-        env, rt = make_runtime()
-        start_evt = CudaEvent(env, "start")
-        end_evt = CudaEvent(env, "end")
-
-        def host():
-            yield from start_evt.record(rt.default_stream)
-            yield from rt.launch(KernelSpec(name="k", duration_s=0.75))
-            yield from end_evt.record(rt.default_stream)
-            yield from end_evt.synchronize()
-
-        drive(env, host())
-        assert elapsed_time(start_evt, end_evt) == pytest.approx(0.75, abs=1e-3)
-
-    def test_unrecorded_event_raises(self):
-        env, rt = make_runtime()
-        evt = CudaEvent(env)
-        with pytest.raises(RuntimeError):
-            _ = evt.timestamp
-
-        def host():
-            yield from evt.synchronize()
-
-        with pytest.raises(RuntimeError):
-            drive(env, host())
 
 
 class TestSlackInjection:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import SlackModel
-from repro.des.fastforward import MIN_ITERATIONS
+from repro.gpusim.flatcore import MIN_ITERATIONS
 from repro.proxy import FastForwardInfo, ProxyConfig, SweepOptions, run_proxy
 from repro.proxy.matmul import refusal_reason
 

@@ -138,6 +138,17 @@ def test_proxy_fastforward_module_is_gone():
         importlib.import_module("repro.proxy.fastforward")
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["repro.des.fastforward", "repro.trace.epochs", "repro.gpusim.cuda_event"],
+)
+def test_des_fastforward_modules_are_gone(module):
+    import importlib
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
 def test_surrogate_alias_is_gone():
     with pytest.raises(AttributeError):
         api.Surrogate
