@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.model import adaptive_slack_sweep
-from repro.proxy import run_slack_sweep
+from repro.proxy import SweepOptions, run_slack_sweep
 
 #: Where the perf artifact lands (repo root, next to BENCH_trace.json).
 APPFF_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_appff.json"
@@ -73,7 +73,8 @@ def test_bench_adaptive_sweep():
     )
     adaptive_s, res = _best_of(
         lambda: adaptive_slack_sweep(
-            sizes, grid, threads=threads, iterations=40, tol=ADAPTIVE_TOL
+            sizes, grid, threads=threads, iterations=40,
+            options=SweepOptions(adaptive=True, tol=ADAPTIVE_TOL),
         ),
         repeats=1,
     )

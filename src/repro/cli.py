@@ -788,36 +788,34 @@ def _parse_shard_arg(spec: str):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run a custom proxy sweep and print the surface."""
-    from .proxy import (
-        PAPER_MATRIX_SIZES,
-        PAPER_SLACK_VALUES_S,
-        ShardingUnsupportedError,
-        SlackResponseSurface,
-        run_slack_sweep,
-    )
+    from .proxy import PAPER_MATRIX_SIZES, PAPER_SLACK_VALUES_S, run_slack_sweep
 
     matrix_sizes = args.matrix_sizes or list(PAPER_MATRIX_SIZES)
     slacks = sorted(args.slacks or PAPER_SLACK_VALUES_S)
     threads = args.threads or [1]
     iterations = args.iterations if args.iterations > 0 else None
-    if args.tol is not None and not args.adaptive:
-        print("--tol requires --adaptive", file=sys.stderr)
-        return 2
-    sharded = bool(args.shard or args.shard_workers or args.merge_shards)
-    if args.adaptive and sharded:
-        print(
-            "sharding unsupported: adaptive sweeps cannot be sharded "
-            "(refinement is a sequential decision process over the "
-            "whole grid); drop --adaptive or the shard flags",
-            file=sys.stderr,
-        )
-        return 2
     if args.shard and args.merge_shards:
         print("--shard and --merge-shards are mutually exclusive",
               file=sys.stderr)
         return 2
     if args.shard_out and not args.shard:
         print("--shard-out requires --shard", file=sys.stderr)
+        return 2
+    # Every shard flag puts a shard on the options, so validate()
+    # refuses --adaptive with any of them.
+    if args.shard:
+        assignment = _parse_shard_arg(args.shard)
+    elif args.shard_workers:
+        assignment = (0, args.shard_workers)
+    elif args.merge_shards:
+        assignment = (0, len(args.merge_shards))
+    else:
+        assignment = None
+    try:
+        options = _sweep_options(args).replace(shard=assignment).validate()
+    except ValueError as exc:
+        print(f"cannot run shard: {exc}" if args.shard else exc,
+              file=sys.stderr)
         return 2
     metrics_out = _maybe_enable_metrics(args)
 
@@ -827,7 +825,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.shard_out:
             print("--shard requires --shard-out PATH", file=sys.stderr)
             return 2
-        index, count = _parse_shard_arg(args.shard)
+        index, count = assignment
         grid = GridSpec(
             matrix_sizes=matrix_sizes,
             slack_values_s=slacks,
@@ -835,13 +833,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             iterations=iterations,
             target_compute_s=args.target_compute,
         )
-        try:
-            shard = run_sweep_shard(
-                grid, index, count, options=_sweep_options(args)
-            )
-        except (ShardingUnsupportedError, ValueError) as exc:
-            print(f"cannot run shard: {exc}", file=sys.stderr)
-            return 2
+        shard = run_sweep_shard(grid, options=options)
         path = write_shard(shard, args.shard_out)
         s = shard.stats
         print(
@@ -875,9 +867,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return _print_sweep_surface(args, sweep, slacks, metrics_out)
 
-    options = _sweep_options(args)
-
-    if args.shard_workers and args.shard_workers > 1:
+    if args.shard_workers:
         from .parallel import GridSpec, ShardCoordinator
 
         grid = GridSpec(
@@ -913,12 +903,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         options=options,
     )
     if options.adaptive:
-        from .model import DEFAULT_TOL, adaptive_slack_sweep
+        from .model import adaptive_slack_sweep
 
-        res = adaptive_slack_sweep(
-            tol=DEFAULT_TOL if options.tol is None else options.tol,
-            **common,
-        )
+        res = adaptive_slack_sweep(**common)
         sweep = res.dense
         print(
             f"[adaptive: {res.measured_grid_points}/"

@@ -78,8 +78,8 @@ class ExperimentContext:
       :class:`~repro.parallel.PointCache` instance substitutes a
       custom per-point store.
     * ``fast_forward`` reaches the proxy runs and the app profilers
-      (``None`` = their default: steady-state fast-forward or the
-      index cores, whichever is faster; the surface and the profiles
+      (``None`` = their default: the index cores, the proxy's
+      skipping a certified steady state; the surface and the profiles
       are bit-identical either way). ``False`` runs every proxy
       iteration and profiles the apps on the reference DES event by
       event.
@@ -104,7 +104,6 @@ class ExperimentContext:
         cache_dir: Optional[Union[str, Path]] = None,
         options: Optional[SweepOptions] = None,
         workers: Optional[int] = None,
-        shard_workers: int = 0,
     ) -> None:
         if options is None:
             options = SweepOptions(
@@ -115,26 +114,12 @@ class ExperimentContext:
                 "ExperimentContext() takes workers= or options=, not both; "
                 "set options.workers instead"
             )
-        if options.faults is not None and options.faults.is_empty:
-            # The healthy-fabric spellings (None / empty plan) must key
-            # the same surface and run the same sweep.
-            options = options.replace(faults=None)
         self.quick = quick
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        #: The execution-knob bundle the sweep receives.
+        #: The execution-knob bundle the sweep receives (validated, so
+        #: the healthy-fabric spellings None / empty plan key the same
+        #: surface and run the same sweep).
         self.options = options.validate()
-        if shard_workers and shard_workers > 1 and options.adaptive:
-            from ..proxy import ShardingUnsupportedError
-
-            raise ShardingUnsupportedError(
-                "adaptive surfaces cannot be built by shard workers; "
-                "drop shard_workers or adaptive"
-            )
-        #: When > 1, :meth:`surface` executes the sweep as this many
-        #: local shard subprocesses through
-        #: :class:`~repro.parallel.ShardCoordinator` and merges — the
-        #: surface is byte-identical to the in-process sweep.
-        self.shard_workers = int(shard_workers or 0)
         self._surface: Optional[SlackResponseSurface] = None
         self._profiles: Dict[str, AppProfile] = {}
         #: Timing of the sweep that built the surface this process
@@ -161,44 +146,19 @@ class ExperimentContext:
         if cache is not None and cache.exists():
             self._surface = SlackResponseSurface.from_json(cache)
             return self._surface
-        if self.shard_workers > 1:
-            sweep = self._sharded_sweep()
-        else:
-            sweep = run_slack_sweep(
-                matrix_sizes=PAPER_MATRIX_SIZES,
-                slack_values_s=PAPER_SLACK_VALUES_S,
-                threads=PAPER_THREAD_COUNTS,
-                iterations=self.sweep_iterations,
-                options=self.options.replace(cache=self.point_cache()),
-            )
+        sweep = run_slack_sweep(
+            matrix_sizes=PAPER_MATRIX_SIZES,
+            slack_values_s=PAPER_SLACK_VALUES_S,
+            threads=PAPER_THREAD_COUNTS,
+            iterations=self.sweep_iterations,
+            options=self.options.replace(cache=self.point_cache()),
+        )
         self.sweep_timing = sweep.timing
         self._surface = SlackResponseSurface(sweep)
         if cache is not None:
             cache.parent.mkdir(parents=True, exist_ok=True)
             self._surface.to_json(cache)
         return self._surface
-
-    def _sharded_sweep(self):
-        """Build the surface sweep via local shard subprocesses.
-
-        Byte-identical to the in-process sweep by the merge contract
-        (see :func:`repro.parallel.merge_shards`); the workers share
-        this context's per-point cache through ``REPRO_CACHE_DIR``.
-        """
-        from ..parallel import GridSpec, ShardCoordinator
-
-        grid = GridSpec(
-            matrix_sizes=PAPER_MATRIX_SIZES,
-            slack_values_s=PAPER_SLACK_VALUES_S,
-            threads=PAPER_THREAD_COUNTS,
-            iterations=self.sweep_iterations,
-        )
-        coordinator = ShardCoordinator(
-            grid,
-            self.shard_workers,
-            options=self.options.replace(cache=self.point_cache()),
-        )
-        return coordinator.run()
 
     def surrogate(self, *, method: str = "loglinear"):
         """A serving surrogate fitted over this context's surface.

@@ -98,7 +98,7 @@ def run_degraded_sweep(
     ``options.replace(faults=plan.scaled(x))``. Grid knobs default to
     the sweep layer's defaults (``None`` = the paper's grid) and
     ``options`` carries the other execution knobs; its ``faults``
-    must be unset, because the plan supplies them. A cache in the
+    must be unset (or an empty plan), because the plan supplies them. A cache in the
     options is shared across intensities — the point cache keys on
     the scaled plan, so intensities never alias each other (and
     intensity 0 shares entries with healthy sweeps).
@@ -106,7 +106,7 @@ def run_degraded_sweep(
     from ..proxy import SweepOptions, run_slack_sweep
     from ..proxy.sweep import PAPER_MATRIX_SIZES, PAPER_SLACK_VALUES_S
 
-    opts = options if options is not None else SweepOptions()
+    opts = (options if options is not None else SweepOptions()).validate()
     if opts.faults is not None:
         raise ValueError(
             "run_degraded_sweep takes its faults from the plan; "

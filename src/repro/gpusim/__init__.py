@@ -35,14 +35,13 @@ from .multigpu import (
 from .preload import PreloadShim
 from .remoting import RemotingSpec, make_remoting_runtime
 from .runtime import CudaRuntime
-from .stream import CopyOp, KernelOp, MarkerOp, Stream
+from .stream import CopyOp, KernelOp, Stream
 
 __all__ = [
     "CudaRuntime",
     "Stream",
     "KernelOp",
     "CopyOp",
-    "MarkerOp",
     "KernelSpec",
     "matmul_kernel",
     "matmul_efficiency",

@@ -3,22 +3,22 @@
 Operations enqueued on one stream execute in submission order; work on
 different streams overlaps subject to engine availability. Each
 stream runs a dispatcher process that pulls operations and drives the
-appropriate engine; completion events let the host (or CUDA events)
-wait on individual operations or on the whole stream draining.
+appropriate engine; completion events let the host wait on
+individual operations or on the whole stream draining.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Union
+from typing import Any, Generator, List, Optional, Union
 
 from ..des import Environment, Event, Store
 from ..trace import CopyKind, EventKind, Tracer
 from .engines import ComputeEngine, CopyEngine, ExecutionReceipt
 from .kernels import KernelSpec
 
-__all__ = ["Stream", "KernelOp", "CopyOp", "MarkerOp"]
+__all__ = ["Stream", "KernelOp", "CopyOp"]
 
 _op_ids = itertools.count(1)
 
@@ -50,12 +50,7 @@ class CopyOp(_BaseOp):
     transfer_time: float = 0.0
 
 
-@dataclass
-class MarkerOp(_BaseOp):
-    """A no-work marker (CUDA event record) that completes in order."""
-
-
-Op = Union[KernelOp, CopyOp, MarkerOp]
+Op = Union[KernelOp, CopyOp]
 
 
 class Stream:
@@ -120,10 +115,8 @@ class Stream:
             self._in_flight = op
             if isinstance(op, KernelOp):
                 yield from self._run_kernel(op)
-            elif isinstance(op, CopyOp):
-                yield from self._run_copy(op)
             else:
-                op.receipt = None
+                yield from self._run_copy(op)
             self._in_flight = None
             self._outstanding -= 1
             self.ops_retired += 1

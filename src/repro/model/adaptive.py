@@ -47,23 +47,24 @@ per-point cache is shared bidirectionally between the two modes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..obs import RunReport, get_registry
-from ..proxy.matmul import CUDA_CALLS_PER_ITERATION, ProxyConfig
+from ..obs import get_registry
+from ..proxy.matmul import CUDA_CALLS_PER_ITERATION
 from ..proxy.options import SweepOptions
 from ..proxy.sweep import (
     SweepPoint,
     SweepResult,
-    SweepTiming,
-    _calibrate_sizes,
+    _finish_sweep,
+    plan_grid_tasks,
 )
 from .surrogate import interp_penalty
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import PointMeasurement, SweepExecutor
+    from ..parallel import PointMeasurement, PointTask, SweepExecutor
 
 __all__ = [
     "DEFAULT_TOL",
@@ -84,8 +85,9 @@ _interp_penalty = interp_penalty
 class _Series:
     """Refinement state of one (matrix size, threads) series."""
 
-    config: ProxyConfig
-    kernel_time_s: float
+    #: The series' zero-slack task from :func:`plan_grid_tasks`; every
+    #: probe is this task with ``slack_s`` replaced.
+    task: "PointTask"
     baseline: Optional["PointMeasurement"] = None
     #: Measured slack points by grid index (clamped penalty cached).
     measured: Dict[int, Tuple["PointMeasurement", float]] = field(
@@ -99,6 +101,9 @@ class _Series:
 
     def penalty_at(self, idx: int) -> float:
         return self.measured[idx][1]
+
+    def probe(self, slack_s: float) -> "PointTask":
+        return dataclasses.replace(self.task, slack_s=slack_s)
 
 
 @dataclass
@@ -162,7 +167,6 @@ def adaptive_slack_sweep(
     iterations: Optional[int] = None,
     target_compute_s: float = 30.0,
     *,
-    tol: float = DEFAULT_TOL,
     options: Optional[SweepOptions] = None,
     executor: Optional["SweepExecutor"] = None,
 ) -> AdaptiveSweepResult:
@@ -171,20 +175,17 @@ def adaptive_slack_sweep(
     Same grid semantics as :func:`repro.proxy.run_slack_sweep` (whose
     ``adaptive=True`` path delegates here), and the same execution
     knobs through ``options=`` — of which this sweep reads
-    ``workers``, ``cache``, ``fast_forward`` and ``faults`` — plus
-    ``tol``: the certification tolerance in penalty units. Slack
-    values must be positive (the zero-slack baseline is implicit,
-    exactly like the dense sweep) and are sorted internally; the
-    dense result covers the sorted grid.
+    ``workers``, ``cache``, ``fast_forward``, ``faults`` and ``tol``:
+    the certification tolerance in penalty units (``None`` =
+    :data:`DEFAULT_TOL`). Slack values must be positive (the zero-slack
+    baseline is implicit, exactly like the dense sweep) and are sorted
+    internally; the dense result covers the sorted grid.
     """
-    from ..parallel import PointTask, SweepExecutor
+    from ..parallel import SweepExecutor
     from ..parallel.executor import merge_stats
 
     opts = (options if options is not None else SweepOptions()).validate()
-    fast_forward = opts.fast_forward
-    faults = opts.faults
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = DEFAULT_TOL if opts.tol is None else opts.tol
     slacks = sorted({float(s) for s in slack_values_s})
     if not slacks:
         raise ValueError("slack_values_s must be non-empty")
@@ -195,25 +196,17 @@ def adaptive_slack_sweep(
         )
     n = len(slacks)
 
-    if faults is not None and faults.is_empty:
-        faults = None
-    if faults is not None:
-        faults.validate()
-
-    calibration = _calibrate_sizes(matrix_sizes, iterations, target_compute_s)
-
     series_list = [
-        _Series(
-            config=ProxyConfig(
-                matrix_size=size,
-                threads=t,
-                iterations=calibration[size][1],
-                target_compute_s=target_compute_s,
-            ),
-            kernel_time_s=calibration[size][0],
+        _Series(task=task)
+        for task in plan_grid_tasks(
+            matrix_sizes,
+            (),
+            threads,
+            iterations,
+            target_compute_s,
+            fast_forward=opts.fast_forward,
+            faults=opts.faults,
         )
-        for t in threads
-        for size in matrix_sizes
     ]
 
     ex = executor if executor is not None else SweepExecutor(
@@ -221,20 +214,10 @@ def adaptive_slack_sweep(
     )
     round_stats = []
 
-    def run_batch(tasks: List[PointTask]) -> List["PointMeasurement"]:
+    def run_batch(tasks: List["PointTask"]) -> List["PointMeasurement"]:
         ms = ex.run(tasks)
-        if ex.stats is not None:
-            round_stats.append(ex.stats)
+        round_stats.append(ex.stats)
         return ms
-
-    def task_for(series: _Series, slack_s: float) -> PointTask:
-        return PointTask(
-            series.config,
-            slack_s,
-            kernel_time_s=series.kernel_time_s,
-            fast_forward=fast_forward,
-            faults=faults,
-        )
 
     measured_result = SweepResult()
 
@@ -249,7 +232,7 @@ def adaptive_slack_sweep(
         # record the skip, give up on this interval — its interior can
         # never be certified, which the infinite bound makes explicit.
         measured_result.skipped.append(
-            (series.config.matrix_size, series.config.threads, error)
+            (series.task.config.matrix_size, series.task.config.threads, error)
         )
         for k in range(lo + 1, hi):
             if k not in series.measured:
@@ -257,13 +240,13 @@ def adaptive_slack_sweep(
 
     # -- Round 0: baselines + seed points -----------------------------
     seed_idx = sorted({0, n // 2, n - 1})
-    seed_tasks: List[PointTask] = []
+    seed_tasks: List["PointTask"] = []
     owners: List[Tuple[_Series, Optional[int]]] = []
     for series in series_list:
-        seed_tasks.append(task_for(series, 0.0))
+        seed_tasks.append(series.task)
         owners.append((series, None))
         for idx in seed_idx:
-            seed_tasks.append(task_for(series, slacks[idx]))
+            seed_tasks.append(series.probe(slacks[idx]))
             owners.append((series, idx))
     seed_points = 0
     for (series, idx), m in zip(owners, run_batch(seed_tasks)):
@@ -272,7 +255,11 @@ def adaptive_slack_sweep(
             if not m.ok:
                 series.dead = True
                 measured_result.skipped.append(
-                    (series.config.matrix_size, series.config.threads, m.error)
+                    (
+                        series.task.config.matrix_size,
+                        series.task.config.threads,
+                        m.error,
+                    )
                 )
         elif not series.dead:
             seed_points += 1
@@ -307,12 +294,12 @@ def adaptive_slack_sweep(
     max_certified = 0.0
     max_rejected = 0.0
     while any(s.pending for s in series_list):
-        batch: List[PointTask] = []
+        batch: List["PointTask"] = []
         batch_owners: List[Tuple[_Series, int, int, int]] = []
         for series in series_list:
             for lo, hi in series.pending:
                 mid = split_index(lo, hi)
-                batch.append(task_for(series, slacks[mid]))
+                batch.append(series.probe(slacks[mid]))
                 batch_owners.append((series, lo, hi, mid))
             series.pending = []
         for (series, lo, hi, mid), m in zip(batch_owners, run_batch(batch)):
@@ -351,7 +338,7 @@ def adaptive_slack_sweep(
     for series in series_list:
         if series.dead:
             continue
-        cfg = series.config
+        cfg = series.task.config
         base = series.baseline.loop_runtime_s  # type: ignore[union-attr]
         anchors = sorted(series.measured)
         for idx in sorted(series.measured):
@@ -371,7 +358,7 @@ def adaptive_slack_sweep(
             bounds[(cfg.matrix_size, cfg.threads, slacks[idx])] = 0.0
         if not anchors:
             continue
-        kt, iters = calibration[cfg.matrix_size]
+        kt, iters = series.task.kernel_time_s, cfg.iterations
         for idx in range(n):
             if idx in series.measured:
                 continue
@@ -408,20 +395,6 @@ def adaptive_slack_sweep(
                 series.bounds.get(idx, float("inf"))
             )
 
-    stats = merge_stats(round_stats)
-    if stats is not None:
-        timing = SweepTiming(
-            wall_s=stats.wall_s,
-            grid_points=stats.tasks,
-            measured=stats.measured,
-            cached=stats.cached,
-            workers=stats.workers,
-            mode=stats.mode,
-            point_seconds=stats.point_seconds,
-        )
-        measured_result.timing = timing
-        dense_result.timing = timing
-
     result = AdaptiveSweepResult(
         measured=measured_result,
         dense=dense_result,
@@ -439,30 +412,23 @@ def adaptive_slack_sweep(
 
     reg = get_registry()
     if reg.enabled:
-        reg.counter("sweep.runs").inc()
-        reg.counter("sweep.points").inc(len(dense_result.points))
-        reg.counter("sweep.skipped").inc(len(dense_result.skipped))
-        if dense_result.timing is not None:
-            reg.counter("sweep.wall_s").inc(dense_result.timing.wall_s)
         reg.counter("sweep.adaptive.seed_points").inc(seed_points)
         reg.counter("sweep.adaptive.refined_points").inc(refined_points)
         reg.counter("sweep.adaptive.skipped_points").inc(predicted_points)
         reg.gauge("sweep.adaptive.max_error").set(result.max_error)
         reg.gauge("sweep.adaptive.max_certified_error").set(max_certified)
         reg.gauge("sweep.adaptive.max_rejected_error").set(max_rejected)
-        report = RunReport.collect(
-            reg,
-            kind="sweep",
-            meta={
-                "adaptive": True,
-                "tol": tol,
-                "matrix_sizes": list(matrix_sizes),
-                "slack_values_s": slacks,
-                "threads": list(threads),
-                "iterations": iterations,
-                "faults": faults.to_doc() if faults is not None else None,
-            },
-        )
-        measured_result.report = report
-        dense_result.report = report
+    _finish_sweep(
+        dense_result,
+        merge_stats(round_stats),
+        matrix_sizes=matrix_sizes,
+        slack_values_s=slacks,
+        threads=threads,
+        iterations=iterations,
+        faults_doc=opts.faults.to_doc() if opts.faults is not None else None,
+        adaptive=True,
+        tol=tol,
+    )
+    measured_result.timing = dense_result.timing
+    measured_result.report = dense_result.report
     return result

@@ -16,7 +16,7 @@ and this module snapshots them *once per run* into the active
   (additive metrics accumulate into counters, per-run metrics like
   engine utilization become histogram observations).
 * :func:`publish_executor` / :func:`publish_link` — same idea for the
-  parallel engine's :class:`~repro.parallel.ExecutorStats` and for
+  parallel engine's :class:`~repro.proxy.SweepTiming` and for
   fabric links.
 
 Everything here is a no-op (beyond a dict build the caller asked for)
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..des import Environment
     from ..gpusim import CudaRuntime
     from ..network.link import Link, NIC
-    from ..parallel.executor import ExecutorStats
+    from ..proxy import SweepTiming
 
 __all__ = [
     "simulation_snapshot",
@@ -124,7 +124,7 @@ def publish_snapshot(
 
 
 def publish_executor(
-    stats: "ExecutorStats",
+    stats: "SweepTiming",
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Publish one executor run: throughput, cache split, utilization."""
@@ -132,7 +132,7 @@ def publish_executor(
     if not reg.enabled:
         return
     reg.counter("executor.runs").inc()
-    reg.counter("executor.points").inc(stats.tasks)
+    reg.counter("executor.points").inc(stats.grid_points)
     reg.counter("executor.measured").inc(stats.measured)
     reg.counter("executor.cached").inc(stats.cached)
     reg.counter("executor.wall_s").inc(stats.wall_s)

@@ -22,12 +22,7 @@ giving up reproducibility:
   :class:`ShardCoordinator`).
 """
 
-from .executor import (
-    ExecutorStats,
-    SweepExecutor,
-    fork_available,
-    merge_stats,
-)
+from .executor import SweepExecutor, fork_available, merge_stats
 from .point import PointMeasurement, PointTask, measure_point
 from .pointcache import POINT_CACHE_VERSION, PointCache, point_key
 from .shards import (
@@ -48,7 +43,6 @@ from .shards import (
 
 __all__ = [
     "SweepExecutor",
-    "ExecutorStats",
     "fork_available",
     "merge_stats",
     "PointTask",

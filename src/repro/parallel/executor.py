@@ -14,10 +14,10 @@ byte-identical to sequential. Internally it
    (restricted sandboxes), and
 4. writes fresh measurements back to the cache.
 
-Every run leaves an :class:`ExecutorStats` on ``executor.stats`` —
-wall time, points/sec, cached-vs-measured split, and the
-speedup-vs-sequential implied by the per-point timings — which the
-sweep layer surfaces on :class:`~repro.proxy.SweepResult`.
+Every run leaves a :class:`~repro.proxy.SweepTiming` on
+``executor.stats`` — wall time, points/sec, cached-vs-measured split,
+and the speedup-vs-sequential implied by the per-point timings — which
+the sweep layer attaches to :class:`~repro.proxy.SweepResult` as-is.
 """
 
 from __future__ import annotations
@@ -26,49 +26,20 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence
 
 from ..obs import get_registry, publish_executor, publish_snapshot
+from ..proxy.sweep import SweepTiming
 from .point import PointMeasurement, PointTask, measure_point
 from .pointcache import PointCache
 
-__all__ = ["ExecutorStats", "SweepExecutor"]
+__all__ = ["SweepExecutor"]
 
 
-@dataclass(frozen=True)
-class ExecutorStats:
-    """Timing and provenance of one executor run."""
-
-    wall_s: float
-    tasks: int
-    measured: int
-    cached: int
-    workers: int
-    mode: str  # "process" or "inline"
-    point_seconds: float  # summed per-point wall time of fresh measurements
-
-    @property
-    def points_per_sec(self) -> float:
-        """Grid points resolved (cached or measured) per wall second."""
-        return self.tasks / self.wall_s if self.wall_s > 0 else float("inf")
-
-    @property
-    def speedup_vs_sequential(self) -> Optional[float]:
-        """Summed per-point time over wall time (``None`` when the run
-        was sequential — comparing the inline path against itself
-        would report meaningless dispatch overhead as a slowdown).
-
-        Only fresh measurements count: a fully cached run reports 0
-        point-seconds, not an artificial speedup.
-        """
-        if self.workers <= 1:
-            return None
-        return self.point_seconds / self.wall_s if self.wall_s > 0 else 0.0
-
-
-def merge_stats(runs: Sequence[ExecutorStats]) -> Optional[ExecutorStats]:
+def merge_stats(
+    runs: Sequence[Optional[SweepTiming]],
+) -> Optional[SweepTiming]:
     """Combine the stats of several executor runs into one.
 
     Multi-round drivers (the adaptive sweep refines in batches, each a
@@ -80,9 +51,9 @@ def merge_stats(runs: Sequence[ExecutorStats]) -> Optional[ExecutorStats]:
     runs = [r for r in runs if r is not None]
     if not runs:
         return None
-    return ExecutorStats(
+    return SweepTiming(
         wall_s=sum(r.wall_s for r in runs),
-        tasks=sum(r.tasks for r in runs),
+        grid_points=sum(r.grid_points for r in runs),
         measured=sum(r.measured for r in runs),
         cached=sum(r.cached for r in runs),
         workers=max(r.workers for r in runs),
@@ -129,7 +100,7 @@ class SweepExecutor:
         self.cache = cache
         self.chunk_size = chunk_size
         #: Stats of the most recent :meth:`run` (None before first use).
-        self.stats: Optional[ExecutorStats] = None
+        self.stats: Optional[SweepTiming] = None
 
     def run(self, tasks: Sequence[PointTask]) -> List[PointMeasurement]:
         """Resolve every task, preserving input order exactly."""
@@ -175,9 +146,9 @@ class SweepExecutor:
                     self.cache.put_task(tasks[i], m)
 
         wall = perf_counter() - t0
-        self.stats = ExecutorStats(
+        self.stats = SweepTiming(
             wall_s=wall,
-            tasks=len(tasks),
+            grid_points=len(tasks),
             measured=len(miss_idx),
             cached=cached,
             workers=workers_used,

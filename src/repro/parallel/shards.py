@@ -42,7 +42,8 @@ new points, regardless of which host measured the rest.
 
 Adaptive sweeps (``adaptive=True``) are explicitly unsupported with
 sharding — refinement is a sequential decision process over the whole
-grid — and raise :class:`~repro.proxy.ShardingUnsupportedError`.
+grid — and :meth:`~repro.proxy.SweepOptions.validate` raises
+:class:`~repro.proxy.ShardingUnsupportedError` for them.
 """
 
 from __future__ import annotations
@@ -76,13 +77,11 @@ from ..obs import (
     publish_shard,
     publish_shard_merge,
 )
-from ..proxy.options import (
-    ShardingUnsupportedError,
-    SweepOptions,
-)
+from ..proxy.options import SweepOptions
 from ..proxy.sweep import (
     SweepResult,
     SweepTiming,
+    _finish_sweep,
     assemble_sweep_result,
     grid_series,
     plan_grid_tasks,
@@ -143,15 +142,13 @@ class ShardMergeError(ValueError):
 def faults_digest(faults: Optional[FaultPlan]) -> str:
     """Stable content hash of a fault plan (or of the healthy fabric).
 
-    An empty plan is normalized to ``None`` first, matching the
+    The plan goes through :meth:`~repro.proxy.SweepOptions.validate`
+    first, so an empty plan digests as ``None``, matching the
     point-cache key rule — ``FaultPlan()`` and no-faults produce
     bit-identical measurements, so their shards must merge.
     """
-    doc = (
-        faults.to_doc()
-        if faults is not None and not faults.is_empty
-        else None
-    )
+    faults = SweepOptions(faults=faults).validate().faults
+    doc = faults.to_doc() if faults is not None else None
     payload = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -169,9 +166,9 @@ def options_digest(options: SweepOptions) -> str:
     """
     doc = {
         "faults": faults_digest(options.faults),
-        # None and True select the same engines (fast-forward or the
-        # index core) — normalize so an explicit fast_forward=True
-        # merges with the default.
+        # None and True select the same engine (the index core) —
+        # normalize so an explicit fast_forward=True merges with the
+        # default.
         "fast_forward": options.fast_forward is not False,
     }
     payload = json.dumps(doc, sort_keys=True)
@@ -375,16 +372,12 @@ def run_sweep_shard(
     cache, fault and fast-forward plumbing unchanged), and reduces the
     measurements to packed numpy columns plus a stats roll-up.
 
-    Raises :class:`~repro.proxy.ShardingUnsupportedError` for
+    :meth:`~repro.proxy.SweepOptions.validate` raises
+    :class:`~repro.proxy.ShardingUnsupportedError` for
     ``adaptive=True`` — adaptive refinement cannot be partitioned by
     point hash without changing which points get measured.
     """
-    opts = (options if options is not None else SweepOptions()).validate()
-    if opts.adaptive:
-        raise ShardingUnsupportedError(
-            "adaptive sweeps cannot be sharded: refinement is a "
-            "sequential decision process over the whole grid"
-        )
+    opts = options if options is not None else SweepOptions()
     if shard_index is None or shard_count is None:
         if opts.shard is None:
             raise TypeError(
@@ -392,13 +385,8 @@ def run_sweep_shard(
                 "options.shard)"
             )
         shard_index, shard_count = opts.shard
-    opts.replace(shard=(shard_index, shard_count)).validate()
-
+    opts = opts.replace(shard=(shard_index, shard_count)).validate()
     faults = opts.faults
-    if faults is not None and faults.is_empty:
-        faults = None
-    if faults is not None:
-        faults.validate()
 
     tasks = grid.tasks(fast_forward=opts.fast_forward, faults=faults)
     mine = [
@@ -442,7 +430,7 @@ def run_sweep_shard(
         s = ex.stats
         stats.update(
             wall_s=s.wall_s,
-            tasks=float(s.tasks),
+            tasks=float(s.grid_points),
             measured=float(s.measured),
             cached=float(s.cached),
             workers=float(s.workers),
@@ -763,7 +751,7 @@ def merge_shards(
         grid_points=total,
         overlap_points=overlap,
     )
-    result.timing = SweepTiming(
+    timing = SweepTiming(
         wall_s=result.merge.shard_wall_s + merge_wall,
         grid_points=total,
         measured=int(sum(s.stats.get("measured", 0.0) for s in loaded)),
@@ -780,26 +768,19 @@ def merge_shards(
     reg = get_registry()
     if reg.enabled:
         publish_shard_merge(result.merge, reg)
-        reg.counter("sweep.runs").inc()
-        reg.counter("sweep.points").inc(len(result.points))
-        reg.counter("sweep.skipped").inc(len(result.skipped))
-        reg.counter("sweep.wall_s").inc(result.timing.wall_s)
-        # Meta is deliberately identical to the dense single-host
-        # sweep's: a merged run is the same sweep, only executed
-        # elsewhere (the shard roll-up lives in result.merge and the
-        # sweep.shard.* counters, not the meta).
-        result.report = RunReport.collect(
-            reg,
-            kind="sweep",
-            meta={
-                "matrix_sizes": list(grid.matrix_sizes),
-                "slack_values_s": list(grid.slack_values_s),
-                "threads": list(grid.threads),
-                "iterations": grid.iterations,
-                "faults": ref.faults_doc,
-            },
-        )
-    return result
+    # Meta is deliberately identical to the dense single-host sweep's:
+    # a merged run is the same sweep, only executed elsewhere (the
+    # shard roll-up lives in result.merge and the sweep.shard.*
+    # counters, not the meta).
+    return _finish_sweep(
+        result,
+        timing,
+        matrix_sizes=grid.matrix_sizes,
+        slack_values_s=grid.slack_values_s,
+        threads=grid.threads,
+        iterations=grid.iterations,
+        faults_doc=ref.faults_doc,
+    )
 
 
 class ShardCoordinator:
@@ -850,14 +831,9 @@ class ShardCoordinator:
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        opts = (
-            options if options is not None else SweepOptions()
+        opts = (options if options is not None else SweepOptions()).replace(
+            shard=(0, shard_count)
         ).validate()
-        if opts.adaptive:
-            raise ShardingUnsupportedError(
-                "adaptive sweeps cannot be sharded: refinement is a "
-                "sequential decision process over the whole grid"
-            )
         self.grid = grid
         self.shard_count = shard_count
         self.options = opts
@@ -900,7 +876,7 @@ class ShardCoordinator:
             cmd += ["--no-cache"]
         if opts.fast_forward is False:
             cmd += ["--no-fast-forward"]
-        if opts.faults is not None and not opts.faults.is_empty:
+        if opts.faults is not None:
             cmd += ["--faults", json.dumps(opts.faults.to_doc())]
         return cmd
 

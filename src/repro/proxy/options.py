@@ -13,10 +13,12 @@ the only spelling: build one and pass it as ``options=`` to
 points; derive a variant with :meth:`SweepOptions.replace`.
 
 The dataclass is frozen and keyword-only (the ``repro.api``
-constructor contract), hashable, and normalizes nothing: resolution —
-``cache=True`` → the repo-local point cache, empty fault plans →
-``None`` — happens in :meth:`point_cache` / the consuming sweep, so
-an options object always round-trips exactly what it was given.
+constructor contract) and hashable. Every sweep entry point checks
+its options once, through :meth:`SweepOptions.validate`, which returns
+the options the sweep runs with: an empty fault plan becomes ``None``
+(the healthy fabric has one spelling), a non-empty plan is validated,
+and knob combinations no sweep can run are refused there and nowhere
+else. ``cache=True`` is resolved later, by :meth:`point_cache`.
 """
 
 from __future__ import annotations
@@ -62,14 +64,16 @@ class SweepOptions:
         repo-local store under ``.cache/points/``, or a concrete
         :class:`~repro.parallel.PointCache`.
     ``fast_forward``
-        Steady-state fast-forward knob, passed to
-        :func:`~repro.proxy.run_proxy` (``None`` = its default: the
-        faster of fast-forward and the index core).
+        Engine knob, passed to :func:`~repro.proxy.run_proxy`
+        (``None`` = its default: the index core, which skips a
+        certified steady state; ``False`` = the reference DES).
     ``faults``
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric.
     ``adaptive`` / ``tol``
         Error-bounded adaptive refinement instead of the dense grid;
-        ``tol`` is only meaningful with ``adaptive=True``.
+        ``tol`` (positive, ``None`` =
+        :data:`~repro.model.adaptive.DEFAULT_TOL`) requires
+        ``adaptive=True``.
     ``shard``
         ``(index, count)`` assigning this execution one shard of the
         grid's deterministic hash partition (see
@@ -88,11 +92,20 @@ class SweepOptions:
     shard: Optional[Tuple[int, int]] = None
 
     def validate(self) -> "SweepOptions":
-        """Cross-check the knob combination; returns self."""
+        """Check the knob combination; returns the options to run with.
+
+        An empty fault plan comes back as ``None`` and a non-empty one
+        is validated. Raises :class:`ValueError` for an invalid knob
+        and :class:`ShardingUnsupportedError` for ``adaptive`` with a
+        ``shard``.
+        """
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
-        if self.tol is not None and not self.adaptive:
-            raise ValueError("tol is only meaningful with adaptive=True")
+        if self.tol is not None:
+            if not self.adaptive:
+                raise ValueError("tol is only meaningful with adaptive=True")
+            if self.tol <= 0:
+                raise ValueError("tol must be positive")
         if self.shard is not None:
             index, count = self.shard
             if count < 1:
@@ -103,11 +116,16 @@ class SweepOptions:
                 )
             if self.adaptive:
                 raise ShardingUnsupportedError(
-                    "adaptive sweeps cannot be sharded: refinement is a "
-                    "sequential decision process over the whole grid "
-                    "(run the adaptive sweep on one host, or shard the "
-                    "dense grid)"
+                    "sharding unsupported: adaptive sweeps cannot be "
+                    "sharded (refinement is a sequential decision "
+                    "process over the whole grid); run the adaptive "
+                    "sweep on one host, or shard the dense grid"
                 )
+        if self.faults is None:
+            return self
+        if self.faults.is_empty:
+            return self.replace(faults=None)
+        self.faults.validate()
         return self
 
     def replace(self, **changes: Any) -> "SweepOptions":

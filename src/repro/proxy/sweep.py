@@ -18,6 +18,7 @@ grid extensions reuse every previously measured point.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -91,9 +92,15 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepTiming:
-    """Wall-clock instrumentation of one sweep execution."""
+    """Wall-clock instrumentation of one sweep or executor run.
 
-    #: End-to-end wall time of the sweep (includes cache resolution).
+    :attr:`repro.parallel.SweepExecutor.stats` holds one per
+    :meth:`~repro.parallel.SweepExecutor.run`; a sweep's
+    ``SweepResult.timing`` is that of its executor run, or the
+    roll-up of several (adaptive rounds, merged shards).
+    """
+
+    #: End-to-end wall time (includes cache resolution).
     wall_s: float
     #: Grid points resolved in total (baselines included).
     grid_points: int
@@ -103,9 +110,11 @@ class SweepTiming:
     cached: int
     #: Worker processes used ("inline" mode always reports 1).
     workers: int
-    #: "process" (pool) or "inline" (deterministic in-process loop).
+    #: "process" (pool), "inline" (deterministic in-process loop) or
+    #: "sharded" (merged shard artifacts).
     mode: str
-    #: Summed per-point measurement time (the sequential-equivalent cost).
+    #: Summed wall time of the fresh measurements (the
+    #: sequential-equivalent cost; cached points count 0).
     point_seconds: float
 
     @property
@@ -229,30 +238,6 @@ def grid_series(
     return [(n, t) for t in threads for n in matrix_sizes]
 
 
-def _calibrate_sizes(
-    matrix_sizes: Sequence[int],
-    iterations: Optional[int],
-    target_compute_s: float,
-) -> Dict[int, Tuple[float, int]]:
-    """``{matrix_size: (kernel_time_s, iterations)}`` of one grid.
-
-    The one per-size calibration rule shared by the dense and the
-    adaptive sweep: the single-kernel duration once per size, and the
-    iteration count it implies unless ``iterations`` fixes it.
-    """
-    calibration: Dict[int, Tuple[float, int]] = {}
-    for n in matrix_sizes:
-        if n in calibration:
-            continue
-        probe = ProxyConfig(matrix_size=n, target_compute_s=target_compute_s)
-        kt = time_single_kernel(n, probe.gpu, probe.pcie, probe.dtype_bytes)
-        iters = iterations or calibrate_iterations(
-            kt, target_s=target_compute_s
-        )
-        calibration[n] = (kt, iters)
-    return calibration
-
-
 def plan_grid_tasks(
     matrix_sizes: Sequence[int],
     slack_values_s: Sequence[float],
@@ -277,32 +262,38 @@ def plan_grid_tasks(
 
     Task order is the grid contract: per :func:`grid_series` entry,
     the zero-slack baseline followed by the slack values in the order
-    given.
+    given. Every slack task is its baseline with ``slack_s`` replaced,
+    so ``slack_values_s=()`` plans the baselines alone, from which the
+    adaptive sweep derives its probes.
     """
     from ..parallel import PointTask
 
-    calibration = _calibrate_sizes(matrix_sizes, iterations, target_compute_s)
+    calibration: Dict[int, Tuple[float, int]] = {}
     tasks: List[PointTask] = []
     for n, t in grid_series(matrix_sizes, threads):
+        if n not in calibration:
+            probe = ProxyConfig(matrix_size=n, target_compute_s=target_compute_s)
+            kt = time_single_kernel(n, probe.gpu, probe.pcie, probe.dtype_bytes)
+            calibration[n] = (
+                kt,
+                iterations or calibrate_iterations(kt, target_s=target_compute_s),
+            )
         kt, iters = calibration[n]
-        config = ProxyConfig(
-            matrix_size=n,
-            threads=t,
-            iterations=iters,
-            target_compute_s=target_compute_s,
+        baseline = PointTask(
+            ProxyConfig(
+                matrix_size=n,
+                threads=t,
+                iterations=iters,
+                target_compute_s=target_compute_s,
+            ),
+            0.0,
+            kernel_time_s=kt,
+            fast_forward=fast_forward,
+            faults=faults,
         )
-        tasks.append(
-            PointTask(
-                config, 0.0, kernel_time_s=kt,
-                fast_forward=fast_forward, faults=faults,
-            )
-        )
+        tasks.append(baseline)
         tasks.extend(
-            PointTask(
-                config, s, kernel_time_s=kt,
-                fast_forward=fast_forward, faults=faults,
-            )
-            for s in slack_values_s
+            dataclasses.replace(baseline, slack_s=s) for s in slack_values_s
         )
     return tasks
 
@@ -430,7 +421,7 @@ def run_slack_sweep(
 
     if opts.adaptive:
         # Lazy import: repro.model imports repro.proxy at module level.
-        from ..model.adaptive import DEFAULT_TOL, adaptive_slack_sweep
+        from ..model.adaptive import adaptive_slack_sweep
 
         return adaptive_slack_sweep(
             matrix_sizes=matrix_sizes,
@@ -438,7 +429,6 @@ def run_slack_sweep(
             threads=threads,
             iterations=iterations,
             target_compute_s=target_compute_s,
-            tol=DEFAULT_TOL if opts.tol is None else opts.tol,
             options=opts,
             executor=executor,
         ).dense
@@ -450,12 +440,6 @@ def run_slack_sweep(
             "merge_shards (or repro.parallel.ShardCoordinator)"
         )
 
-    faults = opts.faults
-    if faults is not None and faults.is_empty:
-        faults = None
-    if faults is not None:
-        faults.validate()
-
     tasks = plan_grid_tasks(
         matrix_sizes,
         slack_values_s,
@@ -463,7 +447,7 @@ def run_slack_sweep(
         iterations,
         target_compute_s,
         fast_forward=opts.fast_forward,
-        faults=faults,
+        faults=opts.faults,
     )
 
     ex = executor if executor is not None else SweepExecutor(
@@ -471,38 +455,55 @@ def run_slack_sweep(
     )
     measurements = ex.run(tasks)
 
-    result = assemble_sweep_result(
-        grid_series(matrix_sizes, threads), slack_values_s, measurements
+    return _finish_sweep(
+        assemble_sweep_result(
+            grid_series(matrix_sizes, threads), slack_values_s, measurements
+        ),
+        ex.stats,
+        matrix_sizes=matrix_sizes,
+        slack_values_s=slack_values_s,
+        threads=threads,
+        iterations=iterations,
+        faults_doc=opts.faults.to_doc() if opts.faults is not None else None,
     )
 
-    stats = ex.stats
-    if stats is not None:
-        result.timing = SweepTiming(
-            wall_s=stats.wall_s,
-            grid_points=stats.tasks,
-            measured=stats.measured,
-            cached=stats.cached,
-            workers=stats.workers,
-            mode=stats.mode,
-            point_seconds=stats.point_seconds,
-        )
 
+def _finish_sweep(
+    result: SweepResult,
+    timing: Optional[SweepTiming],
+    *,
+    matrix_sizes: Sequence[int],
+    slack_values_s: Sequence[float],
+    threads: Sequence[int],
+    iterations: Optional[int],
+    faults_doc: Optional[Dict[str, Any]],
+    **meta: Any,
+) -> SweepResult:
+    """The one roll-up of a finished sweep: dense, adaptive or merged.
+
+    Sets ``result.timing`` and, when metrics are enabled, publishes
+    ``sweep.runs``/``points``/``skipped``/``wall_s`` and attaches the
+    ``kind="sweep"`` :class:`~repro.obs.RunReport` whose meta is the
+    grid (after any extra ``meta`` keys the caller adds).
+    """
+    result.timing = timing
     reg = get_registry()
     if reg.enabled:
         reg.counter("sweep.runs").inc()
         reg.counter("sweep.points").inc(len(result.points))
         reg.counter("sweep.skipped").inc(len(result.skipped))
-        if result.timing is not None:
-            reg.counter("sweep.wall_s").inc(result.timing.wall_s)
+        if timing is not None:
+            reg.counter("sweep.wall_s").inc(timing.wall_s)
         result.report = RunReport.collect(
             reg,
             kind="sweep",
             meta={
+                **meta,
                 "matrix_sizes": list(matrix_sizes),
                 "slack_values_s": list(slack_values_s),
                 "threads": list(threads),
                 "iterations": iterations,
-                "faults": faults.to_doc() if faults is not None else None,
+                "faults": faults_doc,
             },
         )
     return result

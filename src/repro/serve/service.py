@@ -92,12 +92,6 @@ class ColdPathConfig:
     target_compute_s: float = 30.0
     options: SweepOptions = SweepOptions(workers=1, cache=True)
     max_concurrent: int = 2
-    #: > 1 offloads each cold measurement to that many shard
-    #: subprocesses via :class:`~repro.parallel.ShardCoordinator`: the
-    #: serving process never runs the DES itself, the workers share
-    #: the service's point cache, and the answer is byte-identical to
-    #: the in-process path (the merge contract).
-    shard_workers: int = 0
 
 
 @dataclass
@@ -480,32 +474,14 @@ class PenaltyService:
             companion = slack / 2.0
             if companion > 0:
                 slacks = [companion, slack]
-        if cfg.shard_workers > 1:
-            # Offload to shard subprocesses (byte-identical by the
-            # merge contract; see ColdPathConfig.shard_workers).
-            from ..parallel import GridSpec, ShardCoordinator
-
-            grid = GridSpec(
-                matrix_sizes=(size,),
-                slack_values_s=tuple(slacks),
-                threads=(threads,),
-                iterations=cfg.iterations,
-                target_compute_s=cfg.target_compute_s,
-            )
-            result = ShardCoordinator(
-                grid,
-                min(cfg.shard_workers, grid.task_count),
-                options=cfg.options,
-            ).run()
-        else:
-            result = run_slack_sweep(
-                matrix_sizes=[size],
-                slack_values_s=slacks,
-                threads=[threads],
-                iterations=cfg.iterations,
-                target_compute_s=cfg.target_compute_s,
-                options=cfg.options,
-            )
+        result = run_slack_sweep(
+            matrix_sizes=[size],
+            slack_values_s=slacks,
+            threads=[threads],
+            iterations=cfg.iterations,
+            target_compute_s=cfg.target_compute_s,
+            options=cfg.options,
+        )
         return [
             (s, max(0.0, result.get(size, threads, s).penalty))
             for s in slacks

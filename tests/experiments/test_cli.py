@@ -171,6 +171,12 @@ class TestShardFlags:
                      "--shard-workers", "2"]) == 2
         assert "sharding unsupported" in capsys.readouterr().err
 
+    def test_tol_without_adaptive_refused(self, capsys):
+        assert main([*self.WORKER, "--tol", "0.5"]) == 2
+        assert "tol is only meaningful with adaptive" in (
+            capsys.readouterr().err
+        )
+
     def test_shard_requires_shard_out(self, capsys):
         assert main([*self.WORKER, "--shard", "0/2"]) == 2
         assert "--shard-out" in capsys.readouterr().err

@@ -164,6 +164,12 @@ class TestDegradedSweep:
         with pytest.raises(ValueError, match="overlapping"):
             run_degraded_sweep(bad, (1.0,), **GRID)
 
+    def test_empty_plan_in_options_is_the_healthy_fabric(self):
+        result = run_degraded_sweep(
+            PLAN, (0.0,), **GRID, options=SweepOptions(faults=FaultPlan())
+        )
+        assert result.sweep_at(0.0).points == run_slack_sweep(**GRID).points
+
 
 if __name__ == "__main__":
     GOLDEN.write_text(

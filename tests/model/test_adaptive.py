@@ -45,7 +45,8 @@ class TestParity:
             threads=THREADS, iterations=25,
         )
         res = adaptive_slack_sweep(
-            SIZES, UNIFORM_GRID, threads=THREADS, iterations=25, tol=1e-3
+            SIZES, UNIFORM_GRID, threads=THREADS, iterations=25,
+            options=SweepOptions(adaptive=True, tol=1e-3),
         )
         assert res.predicted_points > 0
         assert _worst_predicted_deviation(res, dense) <= 1e-3
@@ -62,7 +63,8 @@ class TestParity:
             matrix_sizes=SIZES, slack_values_s=grid, threads=(1,), iterations=25
         )
         res = adaptive_slack_sweep(
-            SIZES, grid, threads=(1,), iterations=25, tol=1e-3
+            SIZES, grid, threads=(1,), iterations=25,
+            options=SweepOptions(adaptive=True, tol=1e-3),
         )
         assert res.predicted_points > 0
         assert _worst_predicted_deviation(res, dense) <= 1e-3
@@ -147,6 +149,20 @@ class TestWiring:
         )
         assert via_sweep.points == res.dense.points
 
+    def test_options_tol_reaches_the_sweep(self):
+        grid = list(np.logspace(-6, -2, 9))
+        default = adaptive_slack_sweep(
+            (2**11,), grid, iterations=25,
+            options=SweepOptions(adaptive=True),
+        )
+        loose = adaptive_slack_sweep(
+            (2**11,), grid, iterations=25,
+            options=SweepOptions(adaptive=True, tol=0.5),
+        )
+        assert default.tol == DEFAULT_TOL
+        assert loose.tol == 0.5
+        assert loose.measured_grid_points < default.measured_grid_points
+
     def test_tol_requires_adaptive(self):
         with pytest.raises(ValueError, match="adaptive"):
             run_slack_sweep(
@@ -156,7 +172,10 @@ class TestWiring:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="positive"):
-            adaptive_slack_sweep((2**11,), [1e-5], iterations=25, tol=0.0)
+            adaptive_slack_sweep(
+                (2**11,), [1e-5], iterations=25,
+                options=SweepOptions(adaptive=True, tol=0.0),
+            )
         with pytest.raises(ValueError, match="non-empty"):
             adaptive_slack_sweep((2**11,), [], iterations=25)
         with pytest.raises(ValueError, match="positive slack"):

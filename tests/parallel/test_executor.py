@@ -10,14 +10,13 @@ import os
 import pytest
 
 from repro.parallel import (
-    ExecutorStats,
     PointTask,
     SweepExecutor,
     fork_available,
     measure_point,
     merge_stats,
 )
-from repro.proxy import ProxyConfig, SweepOptions, run_slack_sweep
+from repro.proxy import ProxyConfig, SweepOptions, SweepTiming, run_slack_sweep
 
 #: A compact grid exercising threads, sizes and slack decades.
 QUICK_GRID = dict(
@@ -92,8 +91,8 @@ class TestSweepExecutor:
         ex = SweepExecutor(workers=1)
         ex.run([PointTask(config, 0.0), PointTask(config, 1e-4)])
         stats = ex.stats
-        assert isinstance(stats, ExecutorStats)
-        assert stats.tasks == 2
+        assert isinstance(stats, SweepTiming)
+        assert stats.grid_points == 2
         assert stats.measured == 2
         assert stats.cached == 0
         assert stats.mode == "inline"
@@ -135,6 +134,15 @@ class TestSweepTiming:
         assert t.speedup_vs_sequential is None
         assert doc["speedup_vs_sequential"] is None
 
+    def test_timing_is_the_executor_stats(self):
+        ex = SweepExecutor(workers=1)
+        result = run_slack_sweep(
+            matrix_sizes=(512,), slack_values_s=(1e-4,), threads=(1,),
+            iterations=3, executor=ex,
+        )
+        assert isinstance(ex.stats, SweepTiming)
+        assert ex.stats == result.timing
+
     def test_timing_excluded_from_equality(self):
         a = run_slack_sweep(
             matrix_sizes=(512,), slack_values_s=(1e-4,), threads=(1,),
@@ -151,17 +159,17 @@ class TestSweepTiming:
 
 class TestMergeStats:
     def test_merges_additive_fields(self):
-        a = ExecutorStats(
-            wall_s=1.0, tasks=4, measured=3, cached=1, workers=1,
+        a = SweepTiming(
+            wall_s=1.0, grid_points=4, measured=3, cached=1, workers=1,
             mode="inline", point_seconds=0.9,
         )
-        b = ExecutorStats(
-            wall_s=2.0, tasks=6, measured=6, cached=0, workers=4,
+        b = SweepTiming(
+            wall_s=2.0, grid_points=6, measured=6, cached=0, workers=4,
             mode="process", point_seconds=5.0,
         )
         merged = merge_stats([a, b])
         assert merged.wall_s == 3.0
-        assert merged.tasks == 10
+        assert merged.grid_points == 10
         assert merged.measured == 9
         assert merged.cached == 1
         assert merged.workers == 4
@@ -171,8 +179,8 @@ class TestMergeStats:
     def test_empty_and_none_entries(self):
         assert merge_stats([]) is None
         assert merge_stats([None, None]) is None
-        only = ExecutorStats(
-            wall_s=1.0, tasks=2, measured=2, cached=0, workers=1,
+        only = SweepTiming(
+            wall_s=1.0, grid_points=2, measured=2, cached=0, workers=1,
             mode="inline", point_seconds=0.5,
         )
         assert merge_stats([None, only]) == only

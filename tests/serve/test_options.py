@@ -37,6 +37,23 @@ def test_validate_rejects_bad_combinations():
     with pytest.raises(ValueError, match="adaptive"):
         SweepOptions(tol=1e-3).validate()
     assert SweepOptions(adaptive=True, tol=1e-3).validate().tol == 1e-3
+    with pytest.raises(ValueError, match="positive"):
+        SweepOptions(adaptive=True, tol=0.0).validate()
+
+
+def test_validate_normalizes_and_checks_the_fault_plan():
+    from repro.faults import FaultPlan
+    from repro.faults.plan import LinkFlap
+
+    assert SweepOptions(faults=FaultPlan()).validate().faults is None
+    overlapping = FaultPlan(
+        events=(
+            LinkFlap(start_s=0.0, down_s=2e-3),
+            LinkFlap(start_s=1e-3, down_s=1e-3),
+        )
+    )
+    with pytest.raises(ValueError, match="overlapping"):
+        SweepOptions(faults=overlapping).validate()
 
 
 def test_replace_returns_updated_copy():

@@ -116,6 +116,33 @@ def test_context_rejects_options_with_workers():
         ExperimentContext(options=SweepOptions(), workers=2)
 
 
+def test_shard_workers_knobs_are_a_type_error():
+    from repro.api import ColdPathConfig, ExperimentContext
+
+    with pytest.raises(TypeError, match="shard_workers"):
+        ExperimentContext(shard_workers=2)
+    with pytest.raises(TypeError, match="shard_workers"):
+        ColdPathConfig(shard_workers=2)
+
+
+def test_adaptive_slack_sweep_tol_kwarg_is_a_type_error():
+    from repro.model import adaptive_slack_sweep
+
+    with pytest.raises(TypeError, match="tol"):
+        adaptive_slack_sweep((512,), (1e-4,), tol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("repro.parallel", "ExecutorStats"), ("repro.gpusim", "MarkerOp")],
+)
+def test_removed_names_are_gone(module, name):
+    import importlib
+
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module), name)
+
+
 def test_sweep_module_shims_are_gone():
     import repro.proxy.sweep as sweep_mod
 
