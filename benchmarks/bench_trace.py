@@ -10,7 +10,7 @@ reference implementations before reporting a speedup:
   profile, columnar vs. a scalar-``Trace`` copy of the same events.
 * **table4** — the full bin → Equation 3 → Equation 2 slack-grid
   prediction for both applications, vectorized ``predict_sweep`` on
-  columnar traces vs. :func:`repro.model.reference.predict_sweep_reference`
+  columnar traces vs. ``predict_sweep_reference`` (``tests/oracles/model.py``)
   on scalar copies. This is the PR's acceptance path and must show at
   least a 5x speedup.
 * **profilecache** — put/get of the quick LAMMPS and CosmoFlow
@@ -36,7 +36,7 @@ import pytest
 from repro.apps import AppProfileCache
 from repro.apps.profilecache import _profile_doc
 from repro.model import CDIProfiler
-from repro.model.reference import predict_sweep_reference
+from tests.oracles.model import predict_sweep_reference
 from repro.proxy import PAPER_SLACK_VALUES_S
 from repro.trace import (
     ColumnarTrace,

@@ -551,7 +551,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
 
     # One vectorized pass over the whole slack grid (bit-identical to
-    # per-slack predict calls, see repro.model.reference).
+    # per-slack predict calls, see tests/oracles/model.py).
     predictions = profiler.predict_sweep(profile, sorted(slacks))
     print(f"{'slack [us]':>12}  {'lower [%]':>10}  {'upper [%]':>10}")
     for slack, p in predictions.items():

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cdi import compare_power, discussion_example
-from ..des import Environment
 from ..gpusim import (
     CHASSIS_INTERNAL,
     CROSS_CHASSIS,
@@ -27,9 +26,11 @@ from ..gpusim import (
     PreloadShim,
     ring_allreduce_time,
 )
-from ..hw import MiB
+from ..gpusim.flatcore import FlatDevice
+from ..hw import A100_SXM4_40GB, MiB, PCIE_GEN4_X16
 from ..network import CongestionModel, SlackModel, utilization_for_inflation
 from ..proxy import ProxyConfig, run_proxy
+from ..proxy.core import iteration_body
 from .context import ExperimentContext
 from .report import ExperimentResult, Series, Table
 
@@ -173,47 +174,24 @@ def run_remoting(ctx: ExperimentContext | None = None) -> ExperimentResult:
     path and behind an API-remoting layer whose memcpys cross a
     100 Gb/s network instead of PCIe.
     """
-    from ..gpusim import CudaRuntime, RemotingSpec, make_remoting_runtime
-    from ..gpusim import matmul_kernel
-    from ..trace import CopyKind
+    from ..gpusim.remoting import RemotingSpec, make_remoting_device
 
-    def loop_time(build_runtime, n, iters=10):
-        env = Environment()
-        rt = build_runtime(env)
-        nbytes = n * n * 4
-        kernel = matmul_kernel(n)
-
-        def host():
-            t0 = env.now
-            for _ in range(iters):
-                yield from rt.memcpy(nbytes, CopyKind.H2D)
-                yield from rt.memcpy(nbytes, CopyKind.H2D)
-                yield from rt.launch(kernel, blocking=True)
-                yield from rt.memcpy(nbytes, CopyKind.D2H)
-                yield from rt.synchronize()
-            return env.now - t0
-
-        proc = env.process(host())
-        env.run()
-        return proc.value
+    def loop_time(dev, n, iters=10):
+        return dev.run([iteration_body(dev, n)], [0], count=iters).end_s
 
     rpc = 5e-6
+    remoting = RemotingSpec(rpc_latency_s=rpc)
     table = Table(
         title="CDI vs API remoting (proxy loop, same 5 us per-call latency)",
         headers=["matrix", "native [s]", "CDI [s]", "remoting [s]",
                  "CDI overhead [%]", "remoting overhead [%]"],
     )
     for n in (2048, 8192):
-        t_native = loop_time(lambda env: CudaRuntime(env), n)
-        t_cdi = loop_time(
-            lambda env: CudaRuntime(env, slack=SlackModel(rpc)), n
-        )
-        t_rem = loop_time(
-            lambda env: make_remoting_runtime(
-                env, RemotingSpec(rpc_latency_s=rpc)
-            ),
-            n,
-        )
+        t_native = loop_time(FlatDevice(A100_SXM4_40GB, PCIE_GEN4_X16,
+                                        SlackModel(0.0)), n)
+        t_cdi = loop_time(FlatDevice(A100_SXM4_40GB, PCIE_GEN4_X16,
+                                     SlackModel(rpc)), n)
+        t_rem = loop_time(make_remoting_device(remoting), n)
         table.add_row(
             f"2^{n.bit_length() - 1}",
             round(t_native, 4), round(t_cdi, 4), round(t_rem, 4),
@@ -270,45 +248,14 @@ def run_graphs(ctx: ExperimentContext | None = None) -> ExperimentResult:
     values — quantifying the obvious software mitigation for CDI
     deployments whose slack exceeds an application's tolerance.
     """
-    from ..gpusim import CudaGraph, CudaRuntime, matmul_kernel
-    from ..trace import CopyKind
 
     def run(slack_s, use_graph, n=512, iters=50):
-        env = Environment()
-        rt = CudaRuntime(env, slack=SlackModel(slack_s))
-        nbytes = n * n * 4
-        kernel = matmul_kernel(n)
+        dev = FlatDevice(A100_SXM4_40GB, PCIE_GEN4_X16, SlackModel(slack_s))
+        body = iteration_body(dev, n)
         if use_graph:
-            graph = (
-                CudaGraph(rt)
-                .add_memcpy(nbytes, CopyKind.H2D)
-                .add_memcpy(nbytes, CopyKind.H2D)
-                .add_kernel(kernel)
-                .add_memcpy(nbytes, CopyKind.D2H)
-                .instantiate()
-            )
-
-            def host():
-                t0 = env.now
-                for _ in range(iters):
-                    yield from graph.launch(blocking=True)
-                return env.now - t0
-
-        else:
-
-            def host():
-                t0 = env.now
-                for _ in range(iters):
-                    yield from rt.memcpy(nbytes, CopyKind.H2D)
-                    yield from rt.memcpy(nbytes, CopyKind.H2D)
-                    yield from rt.launch(kernel, blocking=True)
-                    yield from rt.memcpy(nbytes, CopyKind.D2H)
-                    yield from rt.synchronize()
-                return env.now - t0
-
-        proc = env.process(host())
-        env.run()
-        return proc.value
+            # The iteration's four device ops, captured as one graph.
+            body = [dev.graph(body[:4], blocking=True)]
+        return dev.run([body], [0], count=iters).end_s
 
     table = Table(
         title="CUDA-Graphs batching as slack mitigation (2^9 proxy loop)",

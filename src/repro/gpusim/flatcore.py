@@ -57,12 +57,27 @@ watched: no jitter draws, no barrier, and exactly a jitter-free
 :class:`~repro.network.SlackModel` (:func:`skip_refusal`); the rest
 run in full and :attr:`FlatRun.refusal` names why.
 
+**Graph launches.** :meth:`FlatDevice.graph` replays a captured
+graph as :meth:`~repro.gpusim.graphs.CudaGraph.launch` does: one
+correlation id, one unquantized launch-overhead wait, one put per node
+onto the host's stream in capture order, an optional wait for the last
+node, one ``cudaGraphLaunch`` row and one slack charge. ``CudaGraph``
+times its wait and its copies off the tick grid, so a body holding a
+graph runs in full (refusal ``graph-off-grid``).
+
+The API overhead of memcpy and sync calls is ``api_overhead_s``, as
+for :class:`CudaRuntime`; the remoting comparison inflates it
+(:func:`~repro.gpusim.remoting.make_remoting_device`).
+
 Not modelled, because no driver needs it: fault injection (fault
 plans run on the DES), the occupancy (concurrent-kernel) compute
 engine, and stream queues as deep as a ``Store``'s default capacity
 (which raises). The drivers are the two paper apps
-(``repro.apps.{lammps,cosmoflow}.core``) and the matmul proxy
-(:mod:`repro.proxy.core`).
+(``repro.apps.{lammps,cosmoflow}.core``), the matmul proxy
+(:mod:`repro.proxy.core`) and the proxy loop's other users on the
+default path: the Section III-C kernel calibration
+(:func:`repro.proxy.time_single_kernel`) and the ``ext_remoting`` and
+``ext_graphs`` comparisons.
 """
 
 from __future__ import annotations
@@ -88,7 +103,7 @@ from ..trace.store import (
 )
 from .engines import DeviceActivity, starvation_charge
 from .kernels import explicit_execution_time
-from .runtime import host_overheads, transfer_delay
+from .runtime import API_OVERHEAD_S, host_overheads, transfer_delay
 
 __all__ = [
     "FastForwardInfo",
@@ -132,15 +147,17 @@ _OP_CPU = 0
 _OP_LAUNCH = 1
 _OP_MEMCPY = 2
 _OP_ASYNC = 3
-_OP_SYNC_STREAM = 4
-_OP_SYNC_DEVICE = 5
-_OP_BARRIER = 6
+_OP_GRAPH = 4
+_OP_SYNC_STREAM = 5
+_OP_SYNC_DEVICE = 6
+_OP_BARRIER = 7
 
 #: API name each host call records.
 _API_NAMES = {
     _OP_MEMCPY: "cudaMemcpy",
     _OP_ASYNC: "cudaMemcpyAsync",
     _OP_LAUNCH: "cudaLaunchKernel",
+    _OP_GRAPH: "cudaGraphLaunch",
     _OP_SYNC_STREAM: "cudaStreamSynchronize",
     _OP_SYNC_DEVICE: "cudaDeviceSynchronize",
 }
@@ -150,7 +167,8 @@ _GET = 0  # it receives its next op
 _GRANT = 1  # its engine is granted to the op
 _DONE = 2  # the op's engine time is over
 # Wake-ups of a host thread.
-_SUBMIT = 3  # the call's host overhead has elapsed: submit its op
+_SUBMIT = 3  # the call's host overhead has elapsed: submit its op (a
+# graph launch: submit its next node, again once that node's put is in)
 _RETURNED = 4  # the call's op was accepted / completed / drained
 _RUN = 5  # execute the next instruction
 _SLACKED = 6  # the injected slack has elapsed
@@ -186,7 +204,7 @@ class _Host:
     """One host thread: its program, position and the call in flight."""
 
     __slots__ = ("thread", "stream", "program", "pc", "call", "start",
-                 "corr", "busy", "drained")
+                 "corr", "busy", "drained", "node")
 
     def __init__(self, thread: int, stream: "_Stream", program) -> None:
         self.thread = float(thread)
@@ -197,7 +215,10 @@ class _Host:
         self.start = 0.0
         self.corr = 0.0
         self.busy = 0.0
+        #: Streams a device sync has drained.
         self.drained = 0
+        #: Nodes a graph launch has submitted.
+        self.node = 0
 
 
 class _Stream:
@@ -272,13 +293,16 @@ class FlatDevice:
         *,
         rng: Optional[np.random.Generator] = None,
         sigma: Any = None,
+        api_overhead_s: float = API_OVERHEAD_S,
     ) -> None:
         self.gpu = gpu
         self.pcie = pcie
         self.slack = slack
         self.rng = rng
         self.sigma = sigma
-        self.api_overhead_s, self.launch_overhead_s = host_overheads(gpu)
+        self.api_overhead_s, self.launch_overhead_s = host_overheads(
+            gpu, api_overhead_s
+        )
 
     # -- program instructions ---------------------------------------------------
     @staticmethod
@@ -311,6 +335,38 @@ class FlatDevice:
         ``blocking`` launch returns once the kernel has completed, as a
         sync ``cudaMemcpy`` returns once its copy has."""
         return (_OP_LAUNCH, _mu(mu), mean, name, meta or {}, blocking)
+
+    def graph(self, nodes: Sequence[Tuple], *, blocking: bool = False):
+        """``cudaGraphLaunch`` of the captured ``nodes`` (:meth:`launch`
+        and :meth:`memcpy` instructions, in capture order), replayed as
+        :meth:`~repro.gpusim.graphs.CudaGraph.launch` replays them.
+
+        One correlation id and one host wait of the GPU's launch
+        overhead for the whole graph; the nodes go to the host's stream
+        one put at a time; a ``blocking`` launch returns once the last
+        node has completed. One API row (meta ``graph``, ``nodes``) and
+        one slack charge follow; the graph's name is ``CudaGraph``'s
+        default, ``graph``. Like ``CudaGraph``, the host wait and
+        the copy times are not tick-quantized, so a body holding a
+        graph never skips its steady state (``graph-off-grid``).
+        """
+        templates = []
+        for node in nodes:
+            if node[0] == _OP_LAUNCH:
+                if node[1] is not None:
+                    raise ValueError("graph kernels draw no jitter")
+                busy = quantize(explicit_execution_time(node[2], self.gpu))
+                templates.append((_COMPUTE, busy, node[3], node[4]))
+            elif node[0] in (_OP_MEMCPY, _OP_ASYNC):
+                busy = self.pcie.transfer_time(int(node[3]))
+                templates.append((node[1], busy, node[5], node[3], node[4]))
+            else:
+                raise ValueError("graph nodes are kernels and memcpys")
+        if not templates:
+            raise ValueError("cannot launch an empty graph")
+        meta = {"graph": "graph", "nodes": len(templates)}
+        return (_OP_GRAPH, self.gpu.launch_overhead_s, tuple(templates), meta,
+                blocking)
 
     #: ``cudaStreamSynchronize`` of the host's stream.
     SYNC_STREAM = (_OP_SYNC_STREAM,)
@@ -393,8 +449,8 @@ class FlatDevice:
         )
         COMPUTE = _COMPUTE
         NONE = _NONE
-        OP_CPU, OP_LAUNCH, OP_MEMCPY, OP_BARRIER = (
-            _OP_CPU, _OP_LAUNCH, _OP_MEMCPY, _OP_BARRIER
+        OP_CPU, OP_LAUNCH, OP_MEMCPY, OP_GRAPH, OP_BARRIER = (
+            _OP_CPU, _OP_LAUNCH, _OP_MEMCPY, _OP_GRAPH, _OP_BARRIER
         )
         OP_SYNC_STREAM, OP_SYNC_DEVICE = _OP_SYNC_STREAM, _OP_SYNC_DEVICE
 
@@ -525,6 +581,23 @@ class FlatDevice:
                 elif op == OP_MEMCPY:
                     dev = (call[1], call[2], h, h.corr, h.thread, call[5],
                            call[3], call[4])
+                elif op == OP_GRAPH:
+                    # One put per node: an accepted put resumes the host
+                    # to submit the next node; the last one's records
+                    # the call or, blocking, waits for the node to
+                    # complete (a wake-up without effect).
+                    nodes = call[2]
+                    node = nodes[h.node]
+                    h.node += 1
+                    waiter = None
+                    if h.node < len(nodes):
+                        push((SUBMIT, h))
+                    elif call[4]:
+                        waiter = h
+                    else:
+                        push((RETURNED, h))
+                    dev = (node[0], node[1], waiter, h.corr,
+                           h.thread) + node[2:]
                 else:
                     dev = (call[1], call[2], None, h.corr, h.thread, call[5],
                            call[3], call[4])
@@ -554,7 +627,8 @@ class FlatDevice:
                 what = RETURNED
 
             if what == RETURNED:
-                op = h.call[0]
+                call = h.call
+                op = call[0]
                 api = _API_NAMES[op]
                 code = codes.get(api)
                 if code is None:
@@ -566,7 +640,7 @@ class FlatDevice:
                 else:
                     rows += (h.start, now, NONE, 0.0, h.corr, h.thread,
                              API, code, NONE)
-                add_meta(None)
+                add_meta(dict(call[3]) if op == OP_GRAPH else None)
                 if not slack.is_zero:
                     delay = slack.sample()
                     injected += delay
@@ -648,6 +722,9 @@ class FlatDevice:
                         draws += 1
                     h.busy = quantize(explicit_execution_time(d, gpu))
                     t = now + launch_s
+                elif op == OP_GRAPH:
+                    h.node = 0
+                    t = now + call[1]
                 else:
                     t = now + api_s
                 h.call = call
@@ -739,12 +816,17 @@ def skip_refusal(slack: SlackModel, cycles: int) -> Optional[str]:
 
 def _program_refusal(bodies: Sequence[Sequence[Tuple]]) -> Optional[str]:
     """Why these program bodies may not skip cycles (None: they may):
-    jitter draws differ from cycle to cycle, and a barrier's waiting
-    list is state the watch does not take."""
+    jitter draws differ from cycle to cycle, a barrier's waiting list
+    is state the watch does not take, and a graph launch's delays are
+    off the tick grid, where a shifted time need not be the float the
+    full run reaches."""
     if any(_mus(body) for body in bodies):
         return "jitter"
-    if any(call[0] == _OP_BARRIER for body in bodies for call in body):
+    ops = {call[0] for body in bodies for call in body}
+    if _OP_BARRIER in ops:
         return "phase-barrier"
+    if _OP_GRAPH in ops:
+        return "graph-off-grid"
     return None
 
 

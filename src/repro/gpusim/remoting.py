@@ -30,9 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ..network import SlackModel
 from ..trace import Tracer
+from .flatcore import FlatDevice
 from .runtime import API_OVERHEAD_S, CudaRuntime
 
-__all__ = ["RemotingSpec", "make_remoting_runtime"]
+__all__ = ["RemotingSpec", "make_remoting_device", "make_remoting_runtime"]
 
 
 @dataclass(frozen=True)
@@ -100,4 +101,18 @@ def make_remoting_runtime(
         slack=SlackModel(spec.rpc_latency_s),
         api_overhead_s=API_OVERHEAD_S + spec.per_call_overhead_s,
         faults=faults.compile(env) if faults is not None else None,
+    )
+
+
+def make_remoting_device(spec: RemotingSpec) -> FlatDevice:
+    """The index-core twin of :func:`make_remoting_runtime` on its
+    default GPU and PCIe specs (without faults, which only the DES
+    models): the same slack model, link spec and API overhead on a
+    :class:`~repro.gpusim.flatcore.FlatDevice`.
+    """
+    return FlatDevice(
+        A100_SXM4_40GB,
+        spec.as_link_spec(PCIE_GEN4_X16),
+        SlackModel(spec.rpc_latency_s),
+        api_overhead_s=API_OVERHEAD_S + spec.per_call_overhead_s,
     )

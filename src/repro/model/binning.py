@@ -100,7 +100,7 @@ def bin_values(
     Vectorized: the whole bracketing — searchsorted round-up, snap
     masks, end clamps, bin counts — runs as column operations with no
     per-value loop, bit-identical to
-    :func:`repro.model.reference.bin_values_reference`.
+    ``bin_values_reference`` in ``tests/oracles/model.py``.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:

@@ -179,7 +179,7 @@ class CDIProfiler:
         zero-skipping) order as :func:`equation3_binned_slack_penalty`,
         so every prediction is bit-identical to a standalone
         :meth:`predict` call at that slack (see
-        :func:`repro.model.reference.predict_sweep_reference`).
+        ``predict_sweep_reference`` in ``tests/oracles/model.py``).
         """
         slacks = list(slack_values_s)
         for s in slacks:

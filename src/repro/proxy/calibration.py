@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..des import Environment
-from ..gpusim import CudaRuntime, matmul_kernel
+from ..gpusim.flatcore import FlatDevice
 from ..hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..network import SlackModel
+from .core import iteration_body
 
 __all__ = [
     "TARGET_COMPUTE_SECONDS",
@@ -74,31 +75,23 @@ def time_single_kernel(
     the structural few-microsecond re-priming cost after the host-side
     call turnaround, so calibrating this way makes the Table II marks
     line up exactly with the kernel durations loop traces show — which
-    is what the binning of Section IV-D compares against. Memoized per
-    process: a repeated call returns the identical float without
-    re-simulating.
+    is what the binning of Section IV-D compares against.
+
+    The iteration is the proxy's own loop body
+    (:func:`repro.proxy.core.iteration_body`), run once without slack
+    on the index core (:class:`~repro.gpusim.flatcore.FlatDevice`); the
+    timing is the duration of the one kernel in its trace, the value
+    the same iteration on :class:`~repro.gpusim.CudaRuntime` records.
+    Memoized per process: a repeated call returns the identical float
+    without re-simulating.
     """
     key = (matrix_size, gpu, pcie, dtype_bytes)
     cached = _KERNEL_TIMES.get(key)
     if cached is not None:
         return cached
-    from ..trace import CopyKind  # local import to avoid cycles
-
-    env = Environment()
-    rt = CudaRuntime(env, gpu=gpu, pcie=pcie)
-    kernel = matmul_kernel(matrix_size, dtype_bytes)
-    nbytes = matrix_size * matrix_size * dtype_bytes
-
-    def host():
-        yield from rt.memcpy(nbytes, CopyKind.H2D)
-        yield from rt.memcpy(nbytes, CopyKind.H2D)
-        yield from rt.launch(kernel, blocking=True)
-        yield from rt.memcpy(nbytes, CopyKind.D2H)
-        yield from rt.synchronize()
-
-    env.process(host())
-    env.run()
-    kernel_time = float(rt.tracer.trace.kernels()[0].duration)
+    dev = FlatDevice(gpu, pcie, SlackModel(0.0))
+    run = dev.run([iteration_body(dev, matrix_size, dtype_bytes)], [0])
+    kernel_time = float(run.trace.kernels()[0].duration)
     _KERNEL_TIMES[key] = kernel_time
     return kernel_time
 

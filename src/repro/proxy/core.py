@@ -30,7 +30,7 @@ cycles included, so they need no extrapolation of their own.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..trace.store import COPY_CODE, KIND_CODE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .matmul import ProxyConfig
 
-__all__ = ["proxy_core"]
+__all__ = ["iteration_body", "proxy_core"]
 
 #: DES events of one proxy thread iteration, of one thread, and of the
 #: run itself (main process, its ``all_of`` and the runtime's default
@@ -69,22 +69,9 @@ def proxy_core(
     telemetry, equal to the DES run's ``sim_metrics``, and the record
     of its steady-state skip.
     """
-    kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
     dev = FlatDevice(config.gpu, config.pcie, slack)
     nbytes = config.matrix_bytes
-    h2d = dev.memcpy(nbytes, CopyKind.H2D)
-    iteration = [
-        h2d,
-        h2d,
-        dev.launch(
-            kernel.name,
-            kernel.execution_time(config.gpu),
-            meta=kernel.meta,
-            blocking=True,
-        ),
-        dev.memcpy(nbytes, CopyKind.D2H),
-        FlatDevice.SYNC_STREAM,
-    ]
+    iteration = iteration_body(dev, config.matrix_size, config.dtype_bytes)
     threads = config.threads
     run = dev.run([iteration] * threads, range(threads), count=iterations)
     skipped = run.cycles_skipped
@@ -105,6 +92,29 @@ def proxy_core(
         )
     sim_metrics = _sim_metrics(run, threads * iterations, threads, nbytes)
     return run, sim_metrics, info
+
+
+def iteration_body(
+    dev: FlatDevice, matrix_size: int, dtype_bytes: int = 4
+) -> List[Tuple]:
+    """One proxy thread iteration as a :class:`FlatDevice` program:
+    ``[H2D, H2D, launch(blocking), D2H, cudaStreamSynchronize]`` of
+    ``matrix_size``-square matrices."""
+    kernel = matmul_kernel(matrix_size, dtype_bytes)
+    nbytes = matrix_size * matrix_size * dtype_bytes
+    h2d = dev.memcpy(nbytes, CopyKind.H2D)
+    return [
+        h2d,
+        h2d,
+        dev.launch(
+            kernel.name,
+            kernel.execution_time(dev.gpu),
+            meta=kernel.meta,
+            blocking=True,
+        ),
+        dev.memcpy(nbytes, CopyKind.D2H),
+        FlatDevice.SYNC_STREAM,
+    ]
 
 
 def _sim_metrics(

@@ -108,16 +108,16 @@ class TestGraphs:
     def test_baselines_simulated_once(self, ctx, monkeypatch):
         # Two slack-free baselines plus per-call and graph runs at each
         # of the three slack values.
-        from repro.experiments import extensions
+        from repro.gpusim.flatcore import FlatDevice
 
         built = []
+        run = FlatDevice.run
 
-        class CountingEnvironment(extensions.Environment):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_run(self, *args, **kwargs):
+            built.append(1)
+            return run(self, *args, **kwargs)
 
-        monkeypatch.setattr(extensions, "Environment", CountingEnvironment)
+        monkeypatch.setattr(FlatDevice, "run", counting_run)
         run_experiment("ext_graphs", ctx)
         assert len(built) == 8
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments import ExperimentContext, run_experiment
 from repro.model import CDIProfiler
-from repro.model.reference import bin_values_reference, predict_sweep_reference
+from ..oracles.model import bin_values_reference, predict_sweep_reference
 from repro.trace import Trace
 
 #: The paper artifacts the acceptance criterion names.

@@ -9,8 +9,12 @@ from repro.gpusim import (
     RemotingSpec,
     make_remoting_runtime,
 )
+from repro.gpusim.remoting import make_remoting_device
 from repro.hw import GiB, MiB, PCIE_GEN4_X16
+from repro.proxy.core import iteration_body
 from repro.trace import CopyKind
+
+from ..oracles import proxyloop
 
 
 class TestRemotingSpec:
@@ -94,3 +98,27 @@ class TestRemotingRuntime:
         env.process(host())
         env.run()
         assert rt.injector.total_injected_s == pytest.approx(4 * 10e-6)
+
+
+#: Every RemotingSpec the tests above build.
+SPECS = [
+    RemotingSpec(),
+    RemotingSpec(network_bandwidth_Bps=12.5e9),
+    RemotingSpec(network_bandwidth_Bps=100e9),
+    RemotingSpec(rpc_latency_s=5e-6),
+    RemotingSpec(rpc_latency_s=10e-6),
+]
+
+
+class TestRemotingDevice:
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    @pytest.mark.parametrize("n", [512, 2048, 8192])
+    def test_proxy_loop_equals_des(self, spec, n):
+        # ext_remoting's loop on the index core against the same loop on
+        # make_remoting_runtime's CudaRuntime.
+        dev = make_remoting_device(spec)
+        core = dev.run([iteration_body(dev, n)], [0], count=10).end_s
+        assert core == proxyloop.loop_time(
+            lambda env: make_remoting_runtime(env, spec), n
+        )
+        assert dev.slack.calls_delayed == 50

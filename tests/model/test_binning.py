@@ -15,7 +15,7 @@ from repro.model.binning import (
     bin_transfer_sizes,
     bin_values,
 )
-from repro.model.reference import bin_values_reference
+from ..oracles.model import bin_values_reference
 
 from .conftest import SYNTHETIC_KERNEL_TIMES
 

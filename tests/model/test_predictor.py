@@ -157,7 +157,7 @@ class TestPredictSweepReferenceParity:
     def test_random_profiles_match_reference(self, profiler, seed):
         import numpy as np
 
-        from repro.model.reference import predict_sweep_reference
+        from ..oracles.model import predict_sweep_reference
 
         rng = np.random.RandomState(seed)
         profile = make_profile(
@@ -172,7 +172,7 @@ class TestPredictSweepReferenceParity:
         assert vec == ref  # SlackPrediction dataclass equality: exact
 
     def test_explicit_parallelism_matches_reference(self, profiler):
-        from repro.model.reference import predict_sweep_reference
+        from ..oracles.model import predict_sweep_reference
 
         profile = make_profile(
             kernel_durations=[9e-4, 5e-3, 0.1],

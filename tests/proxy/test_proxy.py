@@ -1,10 +1,12 @@
 """Tests for the slack proxy: calibration, runs, sweeps, response surface."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import OutOfMemoryError
+from repro.hw import A100_SXM4_40GB, PCIE_GEN4_X16, OutOfMemoryError
 from repro.network import SlackModel
 from repro.proxy import (
     CUDA_CALLS_PER_ITERATION,
@@ -19,6 +21,9 @@ from repro.proxy import (
     run_slack_sweep,
     time_single_kernel,
 )
+
+SLOW_LINK = dataclasses.replace(PCIE_GEN4_X16, lanes=8)
+SLOW_GPU = dataclasses.replace(A100_SXM4_40GB, fp32_tflops=9.75)
 
 
 class TestCalibration:
@@ -46,34 +51,48 @@ class TestCalibration:
         assert t_large > t_small * 100
 
     def test_single_kernel_timing_is_memoized(self, monkeypatch):
-        import dataclasses
-
-        from repro.hw import A100_SXM4_40GB, PCIE_GEN4_X16
+        from repro.gpusim.flatcore import FlatDevice
         from repro.proxy import calibration
 
         monkeypatch.setattr(calibration, "_KERNEL_TIMES", {})
         built = []
+        run = FlatDevice.run
 
-        class CountingEnvironment(calibration.Environment):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_run(self, *args, **kwargs):
+            built.append(1)
+            return run(self, *args, **kwargs)
 
-        monkeypatch.setattr(calibration, "Environment", CountingEnvironment)
+        monkeypatch.setattr(FlatDevice, "run", counting_run)
         first = time_single_kernel(1024)
         assert len(built) == 1
         # The second call returns the identical float, simulating nothing.
         assert time_single_kernel(1024) is first
         assert len(built) == 1
         # Any other spec is its own entry.
-        slow_link = dataclasses.replace(PCIE_GEN4_X16, lanes=8)
-        time_single_kernel(1024, pcie=slow_link)
+        time_single_kernel(1024, pcie=SLOW_LINK)
         assert len(built) == 2
-        slow_gpu = dataclasses.replace(A100_SXM4_40GB, fp32_tflops=9.75)
-        assert time_single_kernel(1024, gpu=slow_gpu) > first
+        assert time_single_kernel(1024, gpu=SLOW_GPU) > first
         assert len(built) == 3
-        assert time_single_kernel(1024, pcie=slow_link) is not None
+        assert time_single_kernel(1024, pcie=SLOW_LINK) is not None
         assert len(built) == 3
+
+    @pytest.mark.parametrize("spec", ["default", "slow-link", "slow-gpu"])
+    def test_single_kernel_time_equals_des(self, spec, monkeypatch):
+        from repro.proxy import calibration
+
+        from ..oracles import proxyloop
+
+        monkeypatch.setattr(calibration, "_KERNEL_TIMES", {})
+        specs = {
+            "default": {},
+            "slow-link": {"pcie": SLOW_LINK},
+            "slow-gpu": {"gpu": SLOW_GPU},
+        }[spec]
+        for exponent in range(4, 17):
+            n = 2**exponent
+            assert time_single_kernel(n, **specs) == (
+                proxyloop.time_single_kernel(n, **specs)
+            ), n
 
     def test_calibrate_matrix_size_bundle(self):
         cal = calibrate_matrix_size(2**13)
