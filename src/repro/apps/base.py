@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gpusim.flatcore import FastForwardInfo
+from ..gpusim.flatcore import FastForwardInfo, FlatDevice
+from ..gpusim.interpret import des_reason, run_des
+from ..network import SlackModel
 from ..obs import get_registry
 from ..trace import Trace
 from ..trace.store import ColumnarTrace
@@ -27,62 +29,76 @@ __all__ = [
     "AppProfile",
     "ApplicationModel",
     "publish_fastforward",
-    "core_fallback_reason",
-    "publish_appcore",
-    "iteration_ordered",
-    "jitter_sigma",
-    "lognormal_mu",
+    "run_programs",
+    "app_device",
 ]
 
 
-def jitter_sigma(fraction: float) -> Any:
-    """Log-normal sigma giving a relative standard deviation ``fraction``."""
-    return np.sqrt(np.log(1 + fraction**2))
+def app_device(
+    config: Any, slack: SlackModel
+) -> Tuple[FlatDevice, Callable[[float], Optional[float]]]:
+    """The device an app's programs run on, and its jitter's mus.
 
-
-def lognormal_mu(mean: float, sigma: Any) -> Any:
-    """Log-normal mu whose distribution has mean ``mean`` at ``sigma``.
-
-    An app's jittered timing draws ``rng.lognormal(lognormal_mu(m, s), s)``.
+    ``config`` gives the GPU, the host link, the seed and ``jitter``,
+    the relative standard deviation of the app's log-normal timing
+    jitter. ``mu(mean)`` is the log-normal mu with which an instruction
+    of mean ``mean`` draws its value (None: no draw, for ``jitter=0``
+    or a non-positive mean).
     """
-    return np.log(mean) - sigma**2 / 2
+    sigma = np.sqrt(np.log(1 + config.jitter**2)) if config.jitter else None
+
+    def mu(mean: float) -> Optional[float]:
+        if sigma is None or mean <= 0:
+            return None
+        return np.log(mean) - sigma**2 / 2
+
+    dev = FlatDevice(config.gpu, config.pcie, slack,
+                     rng=np.random.default_rng(config.seed), sigma=sigma)
+    return dev, mu
 
 
-def core_fallback_reason(enabled: bool, faults: Optional[Any]) -> Optional[str]:
-    """Why an app profile must run on the reference DES (None = it need not).
+def run_programs(
+    dev: FlatDevice,
+    programs: Sequence[Sequence[Tuple]],
+    threads: Sequence[int],
+    join: Optional[Sequence[Tuple]] = None,
+    *,
+    fast_forward: Optional[bool],
+    faults: Optional[Any],
+) -> Tuple[float, ColumnarTrace, FastForwardInfo]:
+    """Run an app's host programs on the index core or the DES interpreter.
 
-    ``disabled`` — fast-forward was switched off, which selects the
-    event-by-event reference run (the oracle path); ``faults-active`` —
-    a non-empty fault plan, which only the DES models. Every other run
-    goes to the app's index core (:mod:`repro.gpusim.flatcore`).
+    The runs :func:`~repro.gpusim.interpret.des_reason` names
+    (``disabled``, ``faults-active``) play them event by event on
+    :func:`~repro.gpusim.interpret.run_des`;
+    every other run goes to the index core (:meth:`FlatDevice.run`),
+    which skips no app steady state (``no-app-skip``). Counts the run
+    (``appcore.runs`` or ``appcore.fallbacks.<reason>``, and the
+    ``appff.*`` outcome) and returns its runtime, trace and
+    fast-forward record.
+
+    The two engines record a run's rows in the order they complete
+    them, which differs between them. ``list(trace)`` is the same on
+    both, so the trace comes back with its rows in that (iteration)
+    order, which makes the profile, and its cache entry, the same bytes
+    whichever engine built it.
     """
-    if not enabled:
-        return "disabled"
-    if faults is not None and not faults.is_empty:
-        return "faults-active"
-    return None
-
-
-def publish_appcore(fallback: Optional[str]) -> None:
-    """Count one profiling run on the index core (``appcore.runs``) or
-    one run the core could not take (``appcore.fallbacks.<reason>``)."""
+    fallback = des_reason(fast_forward, faults)
     reg = get_registry()
     if fallback is None:
         reg.counter("appcore.runs").inc()
+        run = dev.run(programs, threads, join)
+        end_s, trace = run.end_s, run.trace
     else:
         reg.counter(f"appcore.fallbacks.{fallback}").inc()
-
-
-def iteration_ordered(trace: ColumnarTrace) -> ColumnarTrace:
-    """A profile's trace with its rows in iteration order.
-
-    The DES and the index cores record a run's rows in the order they
-    complete them, which differs between the two. ``list(trace)`` is
-    the same on both, so storing the rows in that order makes the
-    profile, and its cache entry, the same bytes whichever engine
-    built it.
-    """
-    return trace.time_ordered()
+        end_s, rt = run_des(dev, programs, threads, join, faults=faults)
+        trace = rt.tracer.trace
+    info = FastForwardInfo(
+        enabled=fast_forward is not False, certified=False,
+        reason=fallback or "no-app-skip",
+    )
+    publish_fastforward(info)
+    return end_s, trace.time_ordered(), info
 
 
 def publish_fastforward(info: FastForwardInfo) -> None:

@@ -15,37 +15,27 @@ Reproduces the observed CPU-GPU interaction pattern:
 * the host side needs only ~2 cores (the input pipeline), which is why
   the paper measures no benefit from additional CPU resources.
 
-Profiles run on the index core (:mod:`repro.apps.cosmoflow.core`),
-which computes this DES's profile bit for bit without an event loop.
-The DES here is the reference: it runs for ``fast_forward=False`` and
-for non-empty fault plans, which only it models. The profile records
-which ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
+The host side is written once, as one
+:class:`~repro.gpusim.flatcore.FlatDevice` program. Profiles run it on
+the index core, which computes the run without an event loop;
+``fast_forward=False`` and non-empty fault plans run it event by event
+on the DES interpreter (:func:`~repro.gpusim.interpret.run_des`), the
+core's reference and the only engine that models faults. The profile
+records which ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ...des import Environment, Event, quantize
 from ...faults import FaultPlan
-from ...gpusim import CudaRuntime, KernelSpec
-from ...gpusim.flatcore import FastForwardInfo
+from ...gpusim import KernelSpec
+from ...gpusim.flatcore import FlatDevice
 from ...hw import A100_SXM4_40GB, GPUSpec, MiB, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import ColumnarTrace, CopyKind, EventKind
-from ..base import (
-    AppProfile,
-    core_fallback_reason,
-    iteration_ordered,
-    jitter_sigma,
-    lognormal_mu,
-    publish_appcore,
-    publish_fastforward,
-)
-from .core import cosmoflow_core
+from ...trace import CopyKind, EventKind
+from ..base import AppProfile, app_device, run_programs
 from .model import CosmoFlowNet
 
 __all__ = [
@@ -170,32 +160,21 @@ def profile_cosmoflow(
     Parameters
     ----------
     fast_forward:
-        On (the default) runs the index core
-        (:mod:`repro.apps.cosmoflow.core`), which computes the reference
-        DES's profile bit for bit without an event loop; ``False`` runs
-        the reference DES event by event. ``profile.fastforward``
-        records which ran.
+        On (the default) runs the index core, which computes the run
+        without an event loop; ``False`` runs the same program event by
+        event on the DES interpreter. ``profile.fastforward`` records
+        which ran.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
-        for this run. A non-empty plan runs on the DES
+        for this run. A non-empty plan runs on the DES interpreter
         (``reason="faults-active"``).
     """
     config = config or CosmoFlowProfileConfig()
     slack_model = slack or SlackModel.none()
-    plan = _StepPlan.of(config)
-    enabled = True if fast_forward is None else bool(fast_forward)
-    fallback = core_fallback_reason(enabled, faults)
-    publish_appcore(fallback)
-    if fallback is None:
-        run = cosmoflow_core(config, slack_model, plan)
-        runtime, trace = run.end_s, run.trace
-    else:
-        runtime, trace = _profile_des(config, slack_model, plan, faults)
-    trace = iteration_ordered(trace)
-    info = FastForwardInfo(
-        enabled=enabled, certified=False, reason=fallback or "no-app-skip"
+    dev, program = _program(config, slack_model)
+    runtime, trace, info = run_programs(
+        dev, [program], [0], fast_forward=fast_forward, faults=faults
     )
-    publish_fastforward(info)
     api_calls = trace.count_kind(EventKind.API)
     # The paper's pessimistic parallelism: launches take ~1/7 of the
     # sequence, i.e. ~7 kernels deep; halved to 4 as the pessimistic
@@ -211,83 +190,81 @@ def profile_cosmoflow(
     )
 
 
-def _profile_des(
-    config: CosmoFlowProfileConfig,
-    slack_model: SlackModel,
-    plan: _StepPlan,
-    faults: Optional[FaultPlan],
-) -> Tuple[float, ColumnarTrace]:
-    """The reference DES run: runtime and trace."""
-    env = Environment()
-    injector = faults.compile(env) if faults is not None else None
-    rt = CudaRuntime(
-        env, gpu=config.gpu, pcie=config.pcie, slack=slack_model,
-        faults=injector,
-    )
-    rng = np.random.default_rng(config.seed)
-    sigma = jitter_sigma(config.jitter)
+def _program(
+    config: CosmoFlowProfileConfig, slack: SlackModel
+) -> Tuple[FlatDevice, List[Tuple]]:
+    """The device and the host's program: every step in run order, each
+    distinct step (training or validation, with the cadences that fall
+    on it) built once, then a device sync."""
+    plan = _StepPlan.of(config)
+    dev, mu = app_device(config, slack)
 
-    def jittered(mean: float) -> float:
-        if config.jitter == 0 or mean <= 0:
-            return mean
-        return float(rng.lognormal(lognormal_mu(mean, sigma), sigma))
-
-    def run_step(
-        stream, kernels: List[KernelSpec], dispatch: float, step: int,
-        training: bool,
-    ) -> Generator[Event, Any, None]:
-        # Input prefetch: one large staged H2D every prefetch_batches
-        # steps (async — the pipeline keeps a buffer ahead).
-        if step % config.prefetch_batches == 0:
-            yield from rt.memcpy_async(plan.prefetch_bytes, CopyKind.H2D,
-                                       stream)
-        # Dispatch the kernel sequence with per-op host cost
-        # (tick-quantized like every simulated device delay, keeping
-        # the run on the dyadic grid of repro.des.timebase).
+    def sequence(kernels: List[KernelSpec], dispatch: float) -> List[Tuple]:
+        # Per kernel: the host's op-dispatch cost (tick-quantized like
+        # every simulated device delay, keeping the run on the dyadic
+        # grid of repro.des.timebase), then the launch.
+        host = dev.cpu(dispatch, mu(dispatch))
+        out: List[Tuple] = []
         for spec in kernels:
-            yield env.timeout(quantize(jittered(dispatch)))
-            jk = KernelSpec(
-                name=spec.name,
-                duration_s=jittered(spec.execution_time(config.gpu)),
-                meta=spec.meta,
-            )
-            yield from rt.launch(jk, stream)
+            mean = spec.execution_time(config.gpu)
+            out += [host, dev.launch(spec.name, mean, mu(mean), spec.meta)]
+        return out
+
+    train = sequence(plan.train_kernels, plan.train_dispatch)
+    val = sequence(plan.val_kernels, plan.val_dispatch)
+    # Input prefetch: one large staged H2D every prefetch_batches steps
+    # (async: the pipeline keeps a buffer ahead).
+    prefetch = dev.memcpy(plan.prefetch_bytes, CopyKind.H2D, sync=False)
+    gradient = dev.memcpy(plan.gradient_bytes, CopyKind.D2H)
+    weights = dev.memcpy(plan.weight_bytes, CopyKind.D2H)
+    loss = dev.memcpy(plan.loss_bytes, CopyKind.D2H)
+    counter = dev.memcpy(plan.counter_bytes, CopyKind.H2D)
+    summary = dev.memcpy(plan.summary_bytes, CopyKind.D2H)
+    metric = dev.memcpy(plan.metric_bytes, CopyKind.D2H)
+
+    def step_program(
+        training: bool, prefetching: bool, exchanging: bool, syncing: bool,
+        metrics: bool,
+    ) -> List[Tuple]:
+        out: List[Tuple] = []
+        if prefetching:
+            out.append(prefetch)
+        out += train if training else val
         if training:
-            if step % config.gradient_exchange_every == 0:
-                yield from rt.memcpy(plan.gradient_bytes, CopyKind.D2H,
-                                     stream)
-            if step % config.weight_sync_every == 0:
-                yield from rt.memcpy(plan.weight_bytes, CopyKind.D2H, stream)
+            if exchanging:
+                out.append(gradient)
+            if syncing:
+                out.append(weights)
         # Per-step small copies: loss scalar and step counters always,
-        # training summaries and periodic metrics besides — together
-        # the ~3.2 sub-MiB transfers per step Table III counts. The
-        # host then waits for the sequence ("the CPU performs other
-        # tasks in the background and waits for the sequence to
-        # complete").
-        yield from rt.memcpy(plan.loss_bytes, CopyKind.D2H, stream)
-        yield from rt.memcpy(plan.counter_bytes, CopyKind.H2D, stream)
+        # training summaries and periodic metrics besides (together the
+        # ~3.2 sub-MiB transfers per step Table III counts). The host
+        # then waits for the sequence ("the CPU performs other tasks in
+        # the background and waits for the sequence to complete").
+        out += [loss, counter]
         if training:
-            yield from rt.memcpy(plan.summary_bytes, CopyKind.D2H, stream)
-        if step % 2 == 0:
-            yield from rt.memcpy(plan.metric_bytes, CopyKind.D2H, stream)
-        yield from rt.synchronize(stream=stream)
+            out.append(summary)
+        if metrics:
+            out.append(metric)
+        out.append(FlatDevice.SYNC_STREAM)
+        return out
 
-    def main() -> Generator[Event, Any, float]:
-        t0 = env.now
-        stream = rt.create_stream()
-        for training, step0, steps in plan.phases(config):
-            if training:
-                kernels, dispatch = plan.train_kernels, plan.train_dispatch
-            else:
-                kernels, dispatch = plan.val_kernels, plan.val_dispatch
-            for step in range(step0, step0 + steps):
-                yield from run_step(stream, kernels, dispatch, step, training)
-        yield from rt.synchronize()
-        return env.now - t0
-
-    main_proc = env.process(main(), name="cosmoflow-main")
-    env.run()
-    return float(main_proc.value), rt.tracer.trace
+    cadences = (
+        config.prefetch_batches,
+        config.gradient_exchange_every,
+        config.weight_sync_every,
+        2,
+    )
+    steps: Dict[Tuple[bool, ...], List[Tuple]] = {}
+    program: List[Tuple] = []
+    for training, step0, count in plan.phases(config):
+        for step in range(step0, step0 + count):
+            key = (training, *(step % c == 0 for c in cadences))
+            block = steps.get(key)
+            if block is None:
+                block = steps[key] = step_program(*key)
+            program += block
+    program.append(FlatDevice.SYNC_DEVICE)
+    return dev, program
 
 
 def cosmoflow_cpu_runtime(

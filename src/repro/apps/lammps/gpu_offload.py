@@ -18,37 +18,27 @@ kernel. These knobs reproduce Table III's LAMMPS row: ~84k transfers
 at box 120 / 8 ranks / 5000 steps, bulk in the (1, 16] MiB (positions)
 and (16, 256] MiB (forces) bins plus ~2.3k sub-MiB neighbour updates.
 
-Profiles run on the index core (:mod:`repro.apps.lammps.core`), which
-computes this DES's profile bit for bit without an event loop. The DES
-here is the reference: it runs for ``fast_forward=False`` and for
-non-empty fault plans, which only it models. The profile records which
-ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
+The step is written once, as :class:`~repro.gpusim.flatcore.FlatDevice`
+programs (one per rank, a barrier closing every step). Profiles run
+them on the index core, which computes the run without an event loop;
+``fast_forward=False`` and non-empty fault plans run them event by
+event on the DES interpreter (:func:`~repro.gpusim.interpret.run_des`),
+the core's reference and the only engine that models faults. The
+profile records which ran in
+:attr:`~repro.apps.base.AppProfile.fastforward`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from ...des import Barrier, Environment, Event, quantize
 from ...faults import FaultPlan
-from ...gpusim import CudaRuntime, KernelSpec
-from ...gpusim.flatcore import FastForwardInfo
+from ...gpusim.flatcore import FlatDevice
 from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
-from ...trace import ColumnarTrace, CopyKind, EventKind
-from ..base import (
-    AppProfile,
-    core_fallback_reason,
-    iteration_ordered,
-    jitter_sigma,
-    lognormal_mu,
-    publish_appcore,
-    publish_fastforward,
-)
-from .core import lammps_core
+from ...trace import CopyKind, EventKind
+from ..base import AppProfile, app_device, run_programs
 from .lj import LJParams
 from .scaling import LammpsScalingModel
 
@@ -139,32 +129,23 @@ def profile_lammps(
     Parameters
     ----------
     fast_forward:
-        On (the default) runs the index core
-        (:mod:`repro.apps.lammps.core`), which computes the reference
-        DES's profile bit for bit without an event loop; ``False`` runs
-        the reference DES event by event. ``profile.fastforward``
-        records which ran.
+        On (the default) runs the index core, which computes the run
+        without an event loop; ``False`` runs the same programs event by
+        event on the DES interpreter. ``profile.fastforward`` records
+        which ran.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
-        for this run. A non-empty plan runs on the DES
+        for this run. A non-empty plan runs on the DES interpreter
         (``reason="faults-active"``).
     """
     config = config or LammpsProfileConfig()
     slack_model = slack or SlackModel.none()
-    costs = _StepCosts.of(config)
-    enabled = True if fast_forward is None else bool(fast_forward)
-    fallback = core_fallback_reason(enabled, faults)
-    publish_appcore(fallback)
-    if fallback is None:
-        run = lammps_core(config, slack_model, costs)
-        loop_runtime, trace = run.end_s, run.trace
-    else:
-        loop_runtime, trace = _profile_des(config, slack_model, costs, faults)
-    trace = iteration_ordered(trace)
-    info = FastForwardInfo(
-        enabled=enabled, certified=False, reason=fallback or "no-app-skip"
+    dev, program = _rank_program(config, slack_model)
+    P = config.processes
+    loop_runtime, trace, info = run_programs(
+        dev, [program] * P, range(P), [FlatDevice.SYNC_DEVICE],
+        fast_forward=fast_forward, faults=faults,
     )
-    publish_fastforward(info)
     runtime = loop_runtime + LammpsScalingModel().setup_s
     api_calls = trace.count_kind(EventKind.API)
     return AppProfile(
@@ -179,81 +160,34 @@ def profile_lammps(
     )
 
 
-def _profile_des(
-    config: LammpsProfileConfig,
-    slack_model: SlackModel,
-    costs: _StepCosts,
-    faults: Optional[FaultPlan],
-) -> Tuple[float, ColumnarTrace]:
-    """The reference DES run: loop runtime and trace."""
-    env = Environment()
-    injector = faults.compile(env) if faults is not None else None
-    rt = CudaRuntime(
-        env, gpu=config.gpu, pcie=config.pcie, slack=slack_model,
-        faults=injector,
-    )
-    rng = np.random.default_rng(config.seed)
-
-    P = config.processes
-    pos_bytes = costs.pos_bytes
-    force_bytes = costs.force_bytes
-    neigh_bytes = costs.neigh_bytes
-    cpu_step = costs.cpu_step
-    comm_step = costs.comm_step
-    pair_time = costs.pair_time
-    sigma = jitter_sigma(config.jitter)
-
-    def jittered(mean: float) -> float:
-        if config.jitter == 0:
-            return mean
-        return float(rng.lognormal(lognormal_mu(mean, sigma), sigma))
-
-    step_barrier = Barrier(env, P)
-
-    def timestep(
-        stream: Any, rank_id: int, rebuild: bool
-    ) -> Generator[Event, Any, None]:
-        # CPU-side force prep / previous-step integration. CPU delays
-        # are tick-quantized like every simulated device delay, so the
-        # whole run stays on the dyadic grid (repro.des.timebase).
-        yield env.timeout(quantize(jittered(cpu_step) / 2))
-        if rebuild:
-            yield from rt.memcpy(neigh_bytes, CopyKind.H2D, stream, rank_id)
-            yield from rt.launch(
-                KernelSpec(
-                    name="k_neigh_build",
-                    duration_s=jittered(costs.neigh_time),
-                ),
-                stream,
-                rank_id,
-            )
-        yield from rt.memcpy(pos_bytes, CopyKind.H2D, stream, rank_id)
-        yield from rt.launch(
-            KernelSpec(
-                name="k_lj_cut_force", duration_s=jittered(pair_time)
-            ),
-            stream,
-            rank_id,
-        )
-        yield from rt.memcpy(force_bytes, CopyKind.D2H, stream, rank_id)
-        # CPU-side integration + MPI halo exchange (BSP step).
-        yield env.timeout(quantize(jittered(cpu_step) / 2 + comm_step))
-        yield step_barrier.wait()
-
-    def rank(rank_id: int) -> Generator[Event, Any, None]:
-        stream = rt.create_stream()
-        for n in range(config.params.steps):
-            yield from timestep(
-                stream, rank_id, n % config.neighbor_every == 0
-            )
-
-    def main() -> Generator[Event, Any, float]:
-        t0 = env.now
-        ranks = [env.process(rank(r), name=f"mpi-rank-{r}") for r in range(P)]
-        yield env.all_of(ranks)
-        yield from rt.synchronize()
-        return env.now - t0
-
-    main_proc = env.process(main(), name="lammps-main")
-    env.run()
-    return float(main_proc.value), rt.tracer.trace
+def _rank_program(
+    config: LammpsProfileConfig, slack: SlackModel
+) -> Tuple[FlatDevice, List[Tuple]]:
+    """The device and one MPI rank's program (every rank runs it)."""
+    costs = _StepCosts.of(config)
+    dev, mu = app_device(config, slack)
+    cpu_mu = mu(costs.cpu_step)
+    # CPU-side force prep, then (after the force download) integration
+    # plus the MPI halo exchange; a BSP barrier closes every step. CPU
+    # delays are tick-quantized like every simulated device delay, so
+    # the whole run stays on the dyadic grid (repro.des.timebase).
+    prep = dev.cpu(costs.cpu_step, cpu_mu, 2)
+    integrate = dev.cpu(costs.cpu_step, cpu_mu, 2, costs.comm_step)
+    step: List[Tuple] = [
+        dev.memcpy(costs.pos_bytes, CopyKind.H2D),
+        dev.launch("k_lj_cut_force", costs.pair_time, mu(costs.pair_time)),
+        dev.memcpy(costs.force_bytes, CopyKind.D2H),
+        integrate,
+        FlatDevice.BARRIER,
+    ]
+    plain = [prep, *step]
+    rebuild = [
+        prep,
+        dev.memcpy(costs.neigh_bytes, CopyKind.H2D),
+        dev.launch("k_neigh_build", costs.neigh_time, mu(costs.neigh_time)),
+        *step,
+    ]
+    program: List[Tuple] = []
+    for n in range(config.params.steps):
+        program += rebuild if n % config.neighbor_every == 0 else plain
+    return dev, program

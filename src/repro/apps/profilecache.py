@@ -44,7 +44,7 @@ __all__ = ["PROFILE_CACHE_VERSION", "AppProfileCache", "profile_key"]
 #: Bump whenever app-model or simulator changes alter what a profiling
 #: run records — stale traces must not survive a behavioral change.
 #: 2026.10-1: LAMMPS and CosmoFlow profiles hold their rows in
-#: iteration order (``repro.apps.base.iteration_ordered``), no longer in
+#: iteration order (``repro.apps.base.run_programs``), no longer in
 #: the building engine's record order.
 PROFILE_CACHE_VERSION = "2026.10-1"
 

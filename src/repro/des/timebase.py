@@ -23,8 +23,10 @@ fast-forward is built on:
   be certified by bit comparison.
 
 Only *delays fed into the simulator* are quantized (kernel times,
-transfer times, driver overheads, injected slack); model parameters
-and analysis outputs are untouched.
+transfer times, driver overheads, injected slack, host CPU work);
+model parameters and analysis outputs are untouched. That includes
+the proxy's ``iteration_spacing_s`` and ``thread_launch_offset_s``,
+host delays like any other (``FlatDevice.cpu``).
 """
 
 from __future__ import annotations

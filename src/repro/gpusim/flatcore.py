@@ -34,7 +34,9 @@ completion of an op nobody waits for, an engine ``Release``) are not
 modelled; dropping them leaves the relative order of the rest intact.
 The trace rows, correlation ids, random draws, name interning and
 kernel metas therefore come out exactly as the DES records them;
-``tests/apps/test_appcore.py`` holds the parity properties.
+``tests/gpusim/test_interpret.py`` checks that on random programs, and
+``tests/apps/test_appcore.py`` and ``tests/proxy/test_proxycore.py``
+on the workloads.
 
 **Steady state.** Programs given as a body run ``count`` times over
 (the matmul proxy's loop) may skip most of their cycles. The
@@ -69,15 +71,17 @@ The API overhead of memcpy and sync calls is ``api_overhead_s``, as
 for :class:`CudaRuntime`; the remoting comparison inflates it
 (:func:`~repro.gpusim.remoting.make_remoting_device`).
 
-Not modelled, because no driver needs it: fault injection (fault
-plans run on the DES), the occupancy (concurrent-kernel) compute
-engine, and stream queues as deep as a ``Store``'s default capacity
-(which raises). The drivers are the two paper apps
-(``repro.apps.{lammps,cosmoflow}.core``), the matmul proxy
-(:mod:`repro.proxy.core`) and the proxy loop's other users on the
-default path: the Section III-C kernel calibration
-(:func:`repro.proxy.time_single_kernel`) and the ``ext_remoting`` and
-``ext_graphs`` comparisons.
+The instruction builders are the one description of a workload's
+host side; :func:`repro.gpusim.interpret.run_des` plays the same
+programs event by event on :class:`CudaRuntime`. Not modelled here:
+fault injection (fault plans run on that interpreter), the occupancy
+(concurrent-kernel) compute engine, and stream queues as deep as a
+``Store``'s default capacity (which raises). The programs come from
+the two paper apps (``profile_lammps``, ``profile_cosmoflow``), the
+matmul proxy (:func:`repro.proxy.core.iteration_body`) and the proxy
+loop's other users on the default path: the Section III-C kernel
+calibration (:func:`repro.proxy.time_single_kernel`) and the
+``ext_remoting`` and ``ext_graphs`` comparisons.
 """
 
 from __future__ import annotations
@@ -140,26 +144,26 @@ class FastForwardInfo:
     #: iterations).
     cycle_period_s: float = 0.0
 
-# Instruction opcodes (first field of every program entry). The two
-# that may draw jitter come first and carry their log-normal mu (or
-# None) second.
-_OP_CPU = 0
-_OP_LAUNCH = 1
-_OP_MEMCPY = 2
-_OP_ASYNC = 3
-_OP_GRAPH = 4
-_OP_SYNC_STREAM = 5
-_OP_SYNC_DEVICE = 6
-_OP_BARRIER = 7
+# Instruction opcodes (first field of every program entry), read by
+# both interpreters. The two that may draw jitter come first and carry
+# their log-normal mu (or None) second.
+OP_CPU = 0
+OP_LAUNCH = 1
+OP_MEMCPY = 2
+OP_ASYNC = 3
+OP_GRAPH = 4
+OP_SYNC_STREAM = 5
+OP_SYNC_DEVICE = 6
+OP_BARRIER = 7
 
 #: API name each host call records.
 _API_NAMES = {
-    _OP_MEMCPY: "cudaMemcpy",
-    _OP_ASYNC: "cudaMemcpyAsync",
-    _OP_LAUNCH: "cudaLaunchKernel",
-    _OP_GRAPH: "cudaGraphLaunch",
-    _OP_SYNC_STREAM: "cudaStreamSynchronize",
-    _OP_SYNC_DEVICE: "cudaDeviceSynchronize",
+    OP_MEMCPY: "cudaMemcpy",
+    OP_ASYNC: "cudaMemcpyAsync",
+    OP_LAUNCH: "cudaLaunchKernel",
+    OP_GRAPH: "cudaGraphLaunch",
+    OP_SYNC_STREAM: "cudaStreamSynchronize",
+    OP_SYNC_DEVICE: "cudaDeviceSynchronize",
 }
 
 # Wake-ups of a stream's dispatcher.
@@ -309,7 +313,7 @@ class FlatDevice:
     def cpu(mean: float, mu: Any = None, div: float = 1, add: float = 0.0):
         """Host work of ``quantize(x / div + add)`` seconds, where ``x``
         is ``mean`` or, with ``mu``, a jitter draw."""
-        return (_OP_CPU, _mu(mu), mean, div, add)
+        return (OP_CPU, _mu(mu), mean, div, add)
 
     def memcpy(self, nbytes: int, kind: CopyKind, *, sync: bool = True):
         """``cudaMemcpy`` (or ``cudaMemcpyAsync``) on the host's stream."""
@@ -318,7 +322,7 @@ class FlatDevice:
         if kind is CopyKind.D2D:
             raise ValueError("D2D copies do not cross the host link")
         return (
-            _OP_MEMCPY if sync else _OP_ASYNC,
+            OP_MEMCPY if sync else OP_ASYNC,
             _H2D if kind is CopyKind.H2D else _D2H,
             transfer_delay(self.pcie, nbytes),
             float(nbytes),
@@ -334,7 +338,7 @@ class FlatDevice:
         a jitter draw); ``meta`` joins its trace row's meta. A
         ``blocking`` launch returns once the kernel has completed, as a
         sync ``cudaMemcpy`` returns once its copy has."""
-        return (_OP_LAUNCH, _mu(mu), mean, name, meta or {}, blocking)
+        return (OP_LAUNCH, _mu(mu), mean, name, meta or {}, blocking)
 
     def graph(self, nodes: Sequence[Tuple], *, blocking: bool = False):
         """``cudaGraphLaunch`` of the captured ``nodes`` (:meth:`launch`
@@ -348,16 +352,18 @@ class FlatDevice:
         one slack charge follow; the graph's name is ``CudaGraph``'s
         default, ``graph``. Like ``CudaGraph``, the host wait and
         the copy times are not tick-quantized, so a body holding a
-        graph never skips its steady state (``graph-off-grid``).
+        graph never skips its steady state (``graph-off-grid``). The
+        instruction keeps ``nodes`` as its last field, from which
+        :func:`~repro.gpusim.interpret.run_des` captures the graph.
         """
         templates = []
         for node in nodes:
-            if node[0] == _OP_LAUNCH:
+            if node[0] == OP_LAUNCH:
                 if node[1] is not None:
                     raise ValueError("graph kernels draw no jitter")
                 busy = quantize(explicit_execution_time(node[2], self.gpu))
                 templates.append((_COMPUTE, busy, node[3], node[4]))
-            elif node[0] in (_OP_MEMCPY, _OP_ASYNC):
+            elif node[0] in (OP_MEMCPY, OP_ASYNC):
                 busy = self.pcie.transfer_time(int(node[3]))
                 templates.append((node[1], busy, node[5], node[3], node[4]))
             else:
@@ -365,15 +371,15 @@ class FlatDevice:
         if not templates:
             raise ValueError("cannot launch an empty graph")
         meta = {"graph": "graph", "nodes": len(templates)}
-        return (_OP_GRAPH, self.gpu.launch_overhead_s, tuple(templates), meta,
-                blocking)
+        return (OP_GRAPH, self.gpu.launch_overhead_s, tuple(templates), meta,
+                blocking, tuple(nodes))
 
     #: ``cudaStreamSynchronize`` of the host's stream.
-    SYNC_STREAM = (_OP_SYNC_STREAM,)
+    SYNC_STREAM = (OP_SYNC_STREAM,)
     #: ``cudaDeviceSynchronize``: every stream, in creation order.
-    SYNC_DEVICE = (_OP_SYNC_DEVICE,)
+    SYNC_DEVICE = (OP_SYNC_DEVICE,)
     #: A barrier over all hosts (released in arrival order).
-    BARRIER = (_OP_BARRIER,)
+    BARRIER = (OP_BARRIER,)
 
     # -- the run ------------------------------------------------------------------
     def run(
@@ -449,10 +455,6 @@ class FlatDevice:
         )
         COMPUTE = _COMPUTE
         NONE = _NONE
-        OP_CPU, OP_LAUNCH, OP_MEMCPY, OP_GRAPH, OP_BARRIER = (
-            _OP_CPU, _OP_LAUNCH, _OP_MEMCPY, _OP_GRAPH, _OP_BARRIER
-        )
-        OP_SYNC_STREAM, OP_SYNC_DEVICE = _OP_SYNC_STREAM, _OP_SYNC_DEVICE
 
         fifo: deque = deque((RUN, h) for h in hosts)
         popleft = fifo.popleft
@@ -823,9 +825,9 @@ def _program_refusal(bodies: Sequence[Sequence[Tuple]]) -> Optional[str]:
     if any(_mus(body) for body in bodies):
         return "jitter"
     ops = {call[0] for body in bodies for call in body}
-    if _OP_BARRIER in ops:
+    if OP_BARRIER in ops:
         return "phase-barrier"
-    if _OP_GRAPH in ops:
+    if OP_GRAPH in ops:
         return "graph-off-grid"
     return None
 
@@ -834,7 +836,7 @@ def _mus(program: Sequence[Tuple]) -> List[float]:
     """The log-normal mus of a program's jitter draws, in order."""
     return [
         call[1] for call in program
-        if call[0] <= _OP_LAUNCH and call[1] is not None
+        if call[0] <= OP_LAUNCH and call[1] is not None
     ]
 
 

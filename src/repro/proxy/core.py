@@ -1,9 +1,10 @@
 """Index core of the matmul proxy.
 
-Builds the proxy's loop (see :mod:`repro.proxy.matmul`) as one loop
-body per OpenMP thread and runs the threads on
-:class:`~repro.gpusim.flatcore.FlatDevice`: the same run as the DES,
-bit for bit, without an event loop. Each thread repeats
+The proxy's loop (see :mod:`repro.proxy.matmul`) is one loop body per
+OpenMP thread (:func:`iteration_body`). :func:`proxy_core` runs the
+threads on :class:`~repro.gpusim.flatcore.FlatDevice`: the same run
+the DES interpreter makes of the same body, bit for bit, without an
+event loop. Each thread repeats
 ``[H2D, H2D, launch(blocking), D2H, cudaStreamSynchronize]`` on its own
 stream; the threads free-run against the shared engines. Once the loop
 is certified periodic the core skips its steady state, which makes a
@@ -34,10 +35,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from ..gpusim.flatcore import FastForwardInfo
 from ..gpusim import matmul_kernel
-from ..gpusim.flatcore import FlatDevice, FlatRun
-from ..network import SlackModel
+from ..gpusim.flatcore import FastForwardInfo, FlatDevice, FlatRun
 from ..trace import CopyKind, EventKind
 from ..trace.store import COPY_CODE, KIND_CODE
 
@@ -61,19 +60,17 @@ _MEMCPY = KIND_CODE[EventKind.MEMCPY]
 
 
 def proxy_core(
-    config: "ProxyConfig", slack: SlackModel, iterations: int
+    config: "ProxyConfig", dev: FlatDevice, body: List[Tuple], iterations: int
 ) -> Tuple[FlatRun, Dict[str, float], FastForwardInfo]:
-    """Run ``iterations`` proxy iterations of ``config`` on the index core.
+    """Run ``iterations`` proxy iterations of ``config`` on the index core:
+    every thread repeats ``body`` (:func:`iteration_body` on ``dev``).
 
     Returns the run (``end_s`` is the loop runtime), its simulator
     telemetry, equal to the DES run's ``sim_metrics``, and the record
     of its steady-state skip.
     """
-    dev = FlatDevice(config.gpu, config.pcie, slack)
-    nbytes = config.matrix_bytes
-    iteration = iteration_body(dev, config.matrix_size, config.dtype_bytes)
     threads = config.threads
-    run = dev.run([iteration] * threads, range(threads), count=iterations)
+    run = dev.run([body] * threads, range(threads), count=iterations)
     skipped = run.cycles_skipped
     if skipped:
         info = FastForwardInfo(
@@ -90,7 +87,9 @@ def proxy_core(
         info = FastForwardInfo(
             enabled=True, certified=False, reason=run.refusal
         )
-    sim_metrics = _sim_metrics(run, threads * iterations, threads, nbytes)
+    sim_metrics = _sim_metrics(
+        run, threads * iterations, threads, config.matrix_bytes
+    )
     return run, sim_metrics, info
 
 

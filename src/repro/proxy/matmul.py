@@ -9,23 +9,24 @@ parallelism. Kernel launches are blocking ("synchronous is used to
 capture the pessimistic case"), keeping every injected delay on the
 critical path so Equation 1's correction is exact.
 
-:func:`run_proxy` computes a run on one of two engines with the same
-result: the index core of :mod:`repro.proxy.core`, which skips the
-loop's steady state once it is certified, for everything it covers;
-or the reference DES, for ``fast_forward=False`` and what only the DES
-models. :func:`core_fallback_reason` is the rule.
+:func:`run_proxy` builds the loop once, as
+:class:`~repro.gpusim.flatcore.FlatDevice` programs, and computes the
+run on one of two interpreters with the same result: the index core of
+:mod:`repro.proxy.core`, which skips the loop's steady state once it
+is certified, for everything it covers; or the DES interpreter
+(:func:`~repro.gpusim.interpret.run_des`), the reference, for
+``fast_forward=False`` and what the core does not model.
+:func:`core_fallback_reason` is the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..des import Barrier, Environment, Event
-from ..gpusim.flatcore import FastForwardInfo
 from ..faults import FaultPlan
-from ..gpusim import CudaRuntime, matmul_kernel
-from ..gpusim.flatcore import skip_refusal
+from ..gpusim.flatcore import FastForwardInfo, FlatDevice
+from ..gpusim.interpret import des_reason, run_des
 from ..hw import (
     A100_SXM4_40GB,
     DeviceMemory,
@@ -36,9 +37,9 @@ from ..hw import (
 )
 from ..network import SlackModel
 from ..obs import simulation_snapshot
-from ..trace import CopyKind, Trace
+from ..trace import Trace
 from .calibration import calibrate_iterations, time_single_kernel
-from .core import proxy_core
+from .core import iteration_body, proxy_core
 
 __all__ = [
     "ProxyConfig",
@@ -139,53 +140,26 @@ class ProxyResult:
         return self.loop_runtime_s - self.cuda_calls * self.slack_s
 
 
-def refusal_reason(
-    config: ProxyConfig,
-    slack: SlackModel,
-    iterations: int,
-    faults: Optional[object] = None,
-) -> Optional[str]:
-    """Why this run cannot skip its steady state (None = it may try).
-
-    An active fault injector makes the run time-inhomogeneous: fault
-    windows open and close at absolute times, so no cycle certificate
-    can extend over the skipped interval. Barriers and the
-    spacing/offset knobs exist precisely to perturb the steady state
-    the paper's control experiments probe. The slack and length gates
-    are the index core's (:func:`~repro.gpusim.flatcore.skip_refusal`).
-    """
-    if faults is not None:
-        return "faults-active"
-    if config.phase_barrier:
-        return "phase-barrier"
-    if config.iteration_spacing_s > 0:
-        return "iteration-spacing"
-    if config.thread_launch_offset_s > 0:
-        return "thread-launch-offset"
-    return skip_refusal(slack, iterations)
-
-
 def core_fallback_reason(
     config: ProxyConfig,
-    slack: SlackModel,
-    iterations: int,
     *,
     fast_forward: Optional[bool] = None,
     faults: Optional[FaultPlan] = None,
 ) -> Optional[str]:
-    """Why a run goes to the DES rather than the index core (None = core).
+    """Why a run goes to the DES interpreter rather than the index core
+    (None = core).
 
-    ``disabled`` — ``fast_forward=False`` selects the event-by-event
-    reference run; ``faults-active``, ``phase-barrier``,
-    ``iteration-spacing`` and ``thread-launch-offset`` — what only the
-    DES models. Everything else runs on the core, which skips the
-    steady state where it can certify one. ``fast_forward=None`` and
-    ``True`` dispatch alike.
+    First the reasons every GPU workload shares
+    (:func:`~repro.gpusim.interpret.des_reason`: ``disabled``,
+    ``faults-active``), then what the proxy's core does not model:
+    ``phase-barrier``, ``iteration-spacing`` and
+    ``thread-launch-offset``, checked in that order. Everything else
+    runs on the core, which skips the steady state where it can certify
+    one. ``fast_forward=None`` and ``True`` dispatch alike.
     """
-    if fast_forward is False:
-        return "disabled"
-    if faults is not None and not faults.is_empty:
-        return "faults-active"
+    shared = des_reason(fast_forward, faults)
+    if shared is not None:
+        return shared
     if config.phase_barrier:
         return "phase-barrier"
     if config.iteration_spacing_s > 0:
@@ -218,8 +192,8 @@ def run_proxy(
         iterations. On (``None``, the default, or ``True``), every run
         the index core (:mod:`repro.proxy.core`) covers is computed
         there and skips its steady state where it can (see
-        :func:`core_fallback_reason`). ``False`` runs the reference DES
-        event by event. ``result.fastforward`` and
+        :func:`core_fallback_reason`). ``False`` runs the same programs
+        event by event on the DES interpreter. ``result.fastforward`` and
         ``result.core_fallback`` record what happened.
     faults:
         Optional :class:`~repro.faults.FaultPlan` degrading the fabric
@@ -227,7 +201,7 @@ def run_proxy(
         deterministic). Fault-induced delay is accounted separately
         from injected slack, so Equation 1's correction stays honest;
         an empty plan is exactly the healthy run. Active plans run on
-        the DES in full (``reason="faults-active"``).
+        the DES interpreter (``reason="faults-active"``).
 
     Raises
     ------
@@ -251,108 +225,77 @@ def run_proxy(
         kernel_time, target_s=config.target_compute_s
     )
     fallback = core_fallback_reason(
-        config, slack, iterations, fast_forward=fast_forward, faults=faults
+        config, fast_forward=fast_forward, faults=faults
     )
+    _allocate(config, DeviceMemory(config.gpu.memory_bytes))
+    dev = FlatDevice(config.gpu, config.pcie, slack)
+    body = iteration_body(dev, config.matrix_size, config.dtype_bytes)
     if fallback is None:
-        _allocate(config, DeviceMemory(config.gpu.memory_bytes))
-        run, sim_metrics, info = proxy_core(config, slack, iterations)
-        return ProxyResult(
-            config=config,
-            slack_s=slack.slack_s,
-            iterations=iterations,
-            kernel_time_s=kernel_time,
-            loop_runtime_s=run.end_s,
-            injected_slack_s=run.injected_slack_s,
-            starvation_cost_s=run.starvation_s,
-            trace=run.trace,
-            sim_metrics=sim_metrics,
-            fastforward=info,
+        run, sim_metrics, info = proxy_core(config, dev, body, iterations)
+        loop_runtime, trace = run.end_s, run.trace
+        injected, starvation = run.injected_slack_s, run.starvation_s
+    else:
+        loop_runtime, rt = run_des(
+            dev,
+            _thread_programs(config, body, iterations),
+            range(config.threads),
+            faults=faults,
         )
-
-    env = Environment()
-    injector = faults.compile(env) if faults is not None else None
-    rt = CudaRuntime(
-        env, gpu=config.gpu, pcie=config.pcie, slack=slack, faults=injector
-    )
-    enabled = fast_forward is not False
-    reason = "disabled" if not enabled else refusal_reason(
-        config, slack, iterations, faults=injector
-    )
-    _allocate(config, rt.memory)
-
-    kernel = matmul_kernel(config.matrix_size, config.dtype_bytes)
-    nbytes = config.matrix_bytes
-
-    # Thread semantics. By default the OpenMP threads free-run (the
-    # paper's proxy): each thread's slack sleeps overlap the other
-    # threads' device work, which is the latency-hiding mechanism that
-    # makes parallel submitters slack-tolerant. In this regime the
-    # Equation-1 correction can land *below* the baseline (it
-    # subtracts slack that was actually hidden); the response surface
-    # clamps such negative residuals to zero penalty. With
-    # phase_barrier=True the threads instead synchronize after each of
-    # the five CUDA calls (worksharing-barrier semantics), exposing
-    # exactly CUDA_CALLS_PER_ITERATION delays per iteration — the
-    # conservative variant the ablation benchmarks compare against.
-    barriers = (
-        [Barrier(env, config.threads) for _ in range(CUDA_CALLS_PER_ITERATION)]
-        if config.phase_barrier and config.threads > 1
-        else None
-    )
-
-    def worker(thread_id: int) -> Generator[Event, Any, None]:
-        stream = rt.create_stream()
-        # The paper's additional control experiments: staggering each
-        # thread's start and spacing out loop iterations (both found
-        # to have no correlation with the slack penalty; reproduced in
-        # tests/proxy/test_proxy.py).
-        if config.thread_launch_offset_s and thread_id:
-            yield env.timeout(config.thread_launch_offset_s * thread_id)
-        for iteration in range(iterations):
-            if config.iteration_spacing_s and iteration:
-                yield env.timeout(config.iteration_spacing_s)
-            yield from rt.memcpy(nbytes, CopyKind.H2D, stream, thread_id)
-            if barriers:
-                yield barriers[0].wait()
-            yield from rt.memcpy(nbytes, CopyKind.H2D, stream, thread_id)
-            if barriers:
-                yield barriers[1].wait()
-            yield from rt.launch(kernel, stream, thread_id, blocking=True)
-            if barriers:
-                yield barriers[2].wait()
-            yield from rt.memcpy(nbytes, CopyKind.D2H, stream, thread_id)
-            if barriers:
-                yield barriers[3].wait()
-            yield from rt.synchronize(stream=stream, thread=thread_id)
-            if barriers:
-                yield barriers[4].wait()
-
-    def main() -> Generator[Event, Any, float]:
-        t0 = env.now
-        workers = [
-            env.process(worker(t), name=f"omp-thread-{t}")
-            for t in range(config.threads)
-        ]
-        yield env.all_of(workers)
-        return env.now - t0
-
-    main_proc = env.process(main(), name="proxy-main")
-    env.run()
+        trace = rt.tracer.trace
+        injected = rt.injector.total_injected_s
+        starvation = rt.total_starvation_cost()
+        sim_metrics = simulation_snapshot(rt.env, rt)
+        info = FastForwardInfo(
+            enabled=fast_forward is not False, certified=False,
+            reason=fallback,
+        )
     return ProxyResult(
         config=config,
         slack_s=slack.slack_s,
         iterations=iterations,
         kernel_time_s=kernel_time,
-        loop_runtime_s=float(main_proc.value),
-        injected_slack_s=rt.injector.total_injected_s,
-        starvation_cost_s=rt.total_starvation_cost(),
-        trace=rt.tracer.trace,
-        sim_metrics=simulation_snapshot(env, rt),
-        fastforward=FastForwardInfo(
-            enabled=enabled, certified=False, reason=reason
-        ),
+        loop_runtime_s=loop_runtime,
+        injected_slack_s=injected,
+        starvation_cost_s=starvation,
+        trace=trace,
+        sim_metrics=sim_metrics,
+        fastforward=info,
         core_fallback=fallback,
     )
+
+
+def _thread_programs(
+    config: ProxyConfig, body: List[Tuple], iterations: int
+) -> List[List[Tuple]]:
+    """Each thread's whole loop as one DES program.
+
+    By default the OpenMP threads free-run (the paper's proxy): each
+    thread's slack sleeps overlap the other threads' device work, which
+    is the latency-hiding mechanism that makes parallel submitters
+    slack-tolerant. In this regime the Equation-1 correction can land
+    *below* the baseline (it subtracts slack that was actually hidden);
+    the response surface clamps such negative residuals to zero
+    penalty. With ``phase_barrier`` the threads instead synchronize
+    after each of the five CUDA calls (worksharing-barrier semantics),
+    exposing exactly CUDA_CALLS_PER_ITERATION delays per iteration — the
+    conservative variant the ablation benchmarks compare against.
+
+    The paper's additional control experiments stagger each thread's
+    start (thread ``t`` waits ``t`` launch offsets) and space out the
+    loop iterations; both were found to have no correlation with the
+    slack penalty (reproduced in tests/proxy/test_proxy.py). Like every
+    host delay they are tick-quantized.
+    """
+    if config.phase_barrier and config.threads > 1:
+        body = [step for call in body for step in (call, FlatDevice.BARRIER)]
+    spacing = config.iteration_spacing_s
+    gap = [FlatDevice.cpu(spacing)] if spacing else []
+    loop = body + (gap + body) * (iterations - 1)
+    offset = config.thread_launch_offset_s
+    return [
+        ([FlatDevice.cpu(offset * t)] if offset and t else []) + loop
+        for t in range(config.threads)
+    ]
 
 
 def _allocate(config: ProxyConfig, memory: DeviceMemory) -> None:

@@ -7,16 +7,12 @@ comparison (``ext_remoting``) and the CUDA-Graphs mitigation
 written event by event against :class:`~repro.gpusim.CudaRuntime` and
 :class:`~repro.gpusim.CudaGraph`, as the product ran them before; the
 parity tests require the core to reproduce them bit for bit.
-
-:func:`run_programs` is the general form the graph-op property drives:
-host programs of plain calls and graph launches, each host on its own
-stream.
 """
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable
 
 from repro.des import Environment
-from repro.gpusim import CudaGraph, CudaRuntime, KernelSpec, matmul_kernel
+from repro.gpusim import CudaGraph, CudaRuntime, matmul_kernel
 from repro.hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from repro.network import SlackModel
 from repro.trace import CopyKind
@@ -105,64 +101,3 @@ def graphs_loop(
     proc = env.process(host())
     env.run()
     return proc.value
-
-
-#: A program step: ``("h2d" | "d2h", nbytes, sync)``,
-#: ``("kernel", name, duration_s, blocking)``, ``("sync",)`` (the
-#: host's stream) or ``("graph", nodes, blocking)`` with nodes
-#: ``("kernel", name, duration_s)`` and ``("h2d" | "d2h", nbytes)``.
-Step = Tuple
-
-
-def run_programs(
-    rt: CudaRuntime, programs: Sequence[Sequence[Step]], iters: int
-) -> List[CudaGraph]:
-    """Run host ``i`` as thread ``i`` on its own new stream, repeating
-    ``programs[i]`` ``iters`` times; each graph step is captured once
-    and replayed. Returns the graphs."""
-    graphs: List[CudaGraph] = []
-    compiled = []
-    for program in programs:
-        steps = []
-        for step in program:
-            if step[0] == "graph":
-                graph = CudaGraph(rt)
-                for node in step[1]:
-                    if node[0] == "kernel":
-                        graph.add_kernel(
-                            KernelSpec(name=node[1], duration_s=node[2])
-                        )
-                    else:
-                        graph.add_memcpy(node[1], _COPY[node[0]])
-                graphs.append(graph.instantiate())
-                steps.append(("graph", graph, step[2]))
-            elif step[0] == "kernel":
-                kernel = KernelSpec(name=step[1], duration_s=step[2])
-                steps.append(("kernel", kernel, step[3]))
-            else:
-                steps.append(step)
-        compiled.append(steps)
-
-    def host(thread, stream, steps):
-        for _ in range(iters):
-            for step in steps:
-                kind = step[0]
-                if kind == "graph":
-                    yield from step[1].launch(stream, thread, step[2])
-                elif kind == "kernel":
-                    yield from rt.launch(step[1], stream, thread, step[2])
-                elif kind == "sync":
-                    yield from rt.synchronize(stream, thread)
-                elif step[2]:
-                    yield from rt.memcpy(step[1], _COPY[kind], stream, thread)
-                else:
-                    yield from rt.memcpy_async(step[1], _COPY[kind], stream,
-                                               thread)
-
-    for thread, steps in enumerate(compiled):
-        rt.env.process(host(thread, rt.create_stream(), steps))
-    rt.env.run()
-    return graphs
-
-
-_COPY = {"h2d": CopyKind.H2D, "d2h": CopyKind.D2H}

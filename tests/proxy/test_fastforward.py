@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.network import SlackModel
 from repro.gpusim.flatcore import MIN_ITERATIONS
 from repro.proxy import FastForwardInfo, ProxyConfig, SweepOptions, run_proxy
-from repro.proxy.matmul import refusal_reason
+from repro.proxy.matmul import core_fallback_reason
 
 
 def _pair(config, slack_s):
@@ -167,7 +167,10 @@ class TestRefusalGates:
 
     def test_refusal_reason_eligible(self):
         config = ProxyConfig(matrix_size=512, threads=2, iterations=40)
-        assert refusal_reason(config, SlackModel(1e-5), 40) is None
+        assert core_fallback_reason(config) is None
+        result = run_proxy(config, SlackModel(1e-5))
+        assert result.core_fallback is None
+        assert result.fastforward.reason is None
 
     def test_faults_active_refused(self):
         # Fault windows make the run time-inhomogeneous: no epoch can
@@ -191,13 +194,16 @@ class TestRefusalGates:
 
     def test_refusal_reason_faults_first(self):
         # The gate fires before any other eligibility check runs.
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan.from_spec("spike:start=0,duration=10ms,extra=100us")
         config = ProxyConfig(
             matrix_size=512, threads=2, iterations=10, phase_barrier=True
         )
-        assert (
-            refusal_reason(config, SlackModel(1e-5), 10, faults=object())
-            == "faults-active"
-        )
+        assert core_fallback_reason(config, faults=plan) == "faults-active"
+        result = run_proxy(config, SlackModel(1e-5), faults=plan)
+        assert result.core_fallback == "faults-active"
+        assert result.fastforward.reason == "faults-active"
 
     def test_degraded_sweep_records_fastforward_fallbacks(self):
         # Every freshly measured point of a degraded sweep falls back
