@@ -1,18 +1,20 @@
 """Benchmark: the columnar trace store and vectorized model pipeline.
 
-Three legs, all asserting bit-exact parity with the retained scalar
-reference implementations before reporting a speedup:
+Three legs, all asserting bit-exact parity with the scalar reference
+implementations in ``tests/oracles/`` before reporting a speedup:
 
 * **record** — event recording throughput, columnar ``Tracer`` path
-  vs. appending ``TraceEvent`` objects to the legacy scalar ``Trace``.
+  vs. appending ``TraceEvent`` objects to the list-backed
+  ``ScalarTrace`` (``tests/oracles/trace.py``).
 * **analysis** — the Figure 4/5 trace-analysis functions (duration
   profile, memcpy profile, gaps, utilization) on a real traced LAMMPS
-  profile, columnar vs. a scalar-``Trace`` copy of the same events.
+  profile, columnar vs. a ``ScalarTrace`` copy of the same events
+  (gaps and utilization through the oracle's loop forms).
 * **table4** — the full bin → Equation 3 → Equation 2 slack-grid
   prediction for both applications, vectorized ``predict_sweep`` on
   columnar traces vs. ``predict_sweep_reference`` (``tests/oracles/model.py``)
-  on scalar copies. This is the PR's acceptance path and must show at
-  least a 5x speedup.
+  on ``ScalarTrace`` copies. This is the Table IV path and must show
+  at least a 5x speedup.
 * **profilecache** — put/get of the quick LAMMPS and CosmoFlow
   profiles through :class:`repro.apps.AppProfileCache` (one ``.npz``
   per entry), after asserting the loaded profiles' canonical
@@ -36,22 +38,24 @@ import pytest
 from repro.apps import AppProfileCache
 from repro.apps.profilecache import _profile_doc
 from repro.model import CDIProfiler
-from tests.oracles.model import predict_sweep_reference
 from repro.proxy import PAPER_SLACK_VALUES_S
 from repro.trace import (
-    ColumnarTrace,
     EventKind,
     Trace,
     TraceEvent,
     Tracer,
     device_gaps,
-    device_gaps_reference,
     kernel_duration_profile,
     memcpy_size_profile,
     utilization_series,
-    utilization_series_reference,
 )
 from repro.des import Environment
+from tests.oracles.model import predict_sweep_reference
+from tests.oracles.trace import (
+    ScalarTrace,
+    device_gaps_reference,
+    utilization_series_reference,
+)
 
 #: Where the perf artifact lands (repo root, next to BENCH_sweep.json).
 TRACE_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_trace.json"
@@ -89,9 +93,10 @@ def _best_of(fn, repeats=3):
 
 
 def _scalar_copy(profile):
-    """The same profile with its trace as a legacy scalar ``Trace``."""
+    """The same profile with its trace as a list-backed ``ScalarTrace``."""
     return dataclasses.replace(
-        profile, trace=Trace(list(profile.trace), name=profile.trace.name)
+        profile,
+        trace=ScalarTrace(list(profile.trace), name=profile.trace.name),
     )
 
 
@@ -108,7 +113,7 @@ def test_bench_record_throughput():
         return tracer.trace
 
     def record_scalar():
-        trace = Trace(name="bench")
+        trace = ScalarTrace(name="bench")
         for i in range(n):
             trace.append(
                 TraceEvent(
@@ -230,7 +235,7 @@ def test_bench_profilecache(ctx, tmp_path):
     )
     json_get_s, _ = _best_of(
         lambda: [
-            ColumnarTrace.from_doc(json.loads(d)["trace"])
+            Trace.from_doc(json.loads(d)["trace"])
             for d in docs.values()
         ],
         5,

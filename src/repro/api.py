@@ -43,9 +43,9 @@ sweeps & experiments
     :func:`run_all`, :class:`CDIProfiler`, :class:`SlackPrediction`.
 simulation core
     :class:`Environment` (the DES engine), :class:`CudaRuntime`,
-    :class:`KernelSpec`, :func:`matmul_kernel`, :class:`Trace`,
-    :class:`ColumnarTrace` (the append-only columnar store backing
-    every traced run — see ``docs/performance.md``), :class:`Tracer`.
+    :class:`KernelSpec`, :func:`matmul_kernel`, :class:`Trace` (the
+    append-only columnar store behind every traced run — see
+    ``docs/performance.md``), :class:`Tracer`.
 hardware & network models
     :class:`GPUSpec`, :class:`NodeSpec`, the ``A100_SXM4_40GB`` /
     ``EPYC_7413`` / ``NARVAL_NODE`` catalog entries,
@@ -233,7 +233,7 @@ from .serve import (
     SurrogateModel,
     predict_penalty,
 )
-from .trace import ColumnarTrace, Trace, Tracer
+from .trace import Trace, Tracer
 
 __all__ = [
     "__version__",
@@ -265,7 +265,6 @@ __all__ = [
     "KernelSpec",
     "matmul_kernel",
     "Trace",
-    "ColumnarTrace",
     "Tracer",
     # hardware & network models
     "GPUSpec",

@@ -23,12 +23,10 @@ from ..gpusim.interpret import des_reason, run_des
 from ..network import SlackModel
 from ..obs import get_registry
 from ..trace import Trace
-from ..trace.store import ColumnarTrace
 
 __all__ = [
     "AppProfile",
     "ApplicationModel",
-    "publish_fastforward",
     "run_programs",
     "app_device",
 ]
@@ -65,7 +63,7 @@ def run_programs(
     *,
     fast_forward: Optional[bool],
     faults: Optional[Any],
-) -> Tuple[float, ColumnarTrace, FastForwardInfo]:
+) -> Tuple[float, Trace, FastForwardInfo]:
     """Run an app's host programs on the index core or the DES interpreter.
 
     The runs :func:`~repro.gpusim.interpret.des_reason` names
@@ -73,9 +71,8 @@ def run_programs(
     :func:`~repro.gpusim.interpret.run_des`;
     every other run goes to the index core (:meth:`FlatDevice.run`),
     which skips no app steady state (``no-app-skip``). Counts the run
-    (``appcore.runs`` or ``appcore.fallbacks.<reason>``, and the
-    ``appff.*`` outcome) and returns its runtime, trace and
-    fast-forward record.
+    (``appcore.runs`` or ``appcore.fallbacks.<reason>``) and returns
+    its runtime, trace and fast-forward record.
 
     The two engines record a run's rows in the order they complete
     them, which differs between them. ``list(trace)`` is the same on
@@ -97,25 +94,7 @@ def run_programs(
         enabled=fast_forward is not False, certified=False,
         reason=fallback or "no-app-skip",
     )
-    publish_fastforward(info)
     return end_s, trace.time_ordered(), info
-
-
-def publish_fastforward(info: FastForwardInfo) -> None:
-    """Publish one profiling run's fast-forward outcome (``appff.*``).
-
-    Counters: ``appff.hits`` / ``appff.fallbacks`` for certified vs
-    full runs, plus ``appff.cycles_skipped`` and
-    ``appff.events_skipped`` for how much simulation the certified
-    runs avoided.
-    """
-    reg = get_registry()
-    if info.certified:
-        reg.counter("appff.hits").inc()
-        reg.counter("appff.cycles_skipped").inc(info.skipped_iterations)
-        reg.counter("appff.events_skipped").inc(info.events_skipped)
-    else:
-        reg.counter("appff.fallbacks").inc()
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ..cdi import (
 )
 from ..des import Environment, Event, quantize
 from ..gpusim.flatcore import FastForwardInfo
-from .base import AppProfile, publish_fastforward
+from .base import AppProfile
 
 __all__ = [
     "CpuOnlyApp",
@@ -120,7 +120,7 @@ def profile_cpuonly(
     ``reason="cpu-only"`` (nothing device-side to certify), recorded
     on the profile like any other gate.
     """
-    from ..trace.store import ColumnarTrace
+    from ..trace.store import Trace
 
     config = config or CpuOnlyProfileConfig()
     env = Environment()
@@ -148,10 +148,9 @@ def profile_cpuonly(
         certified=False,
         reason="disabled" if not enabled else "cpu-only",
     )
-    publish_fastforward(info)
     return AppProfile(
         name="cpuonly",
-        trace=ColumnarTrace(name="cpuonly"),
+        trace=Trace(name="cpuonly"),
         runtime_s=float(main_proc.value),
         queue_parallelism=1,
         cuda_calls_per_second=0.0,

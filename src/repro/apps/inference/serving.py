@@ -43,7 +43,7 @@ from ...gpusim import CudaRuntime, KernelSpec
 from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
 from ...network import SlackModel
 from ...trace import CopyKind, EventKind
-from ..base import AppProfile, publish_fastforward
+from ..base import AppProfile
 from .arrivals import Request, generate_requests
 from .batcher import BatchQueue
 from .llm import LLMSpec
@@ -430,7 +430,6 @@ def run_inference(
         certified=False,
         reason="disabled" if not enabled else "aperiodic-arrivals",
     )
-    publish_fastforward(info)
 
     trace = rt.tracer.trace
     api_calls = trace.count_kind(EventKind.API)

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from ...proxy.sweep import SweepPoint
 from ...trace import EventKind
-from ...trace.store import ColumnarTrace
+from ...trace.store import Trace
 from ..base import AppProfile
 from .serving import (
     InferenceProfileConfig,
@@ -169,7 +169,7 @@ def phase_profile(profile: AppProfile, phase: int) -> AppProfile:
         raise ValueError(
             f"profile {profile.name!r} has no events for phase {phase}"
         )
-    trace = ColumnarTrace(events, name=f"{profile.name}-{suffix}")
+    trace = Trace(events, name=f"{profile.name}-{suffix}")
     span = trace.busy_time()
     if span <= 0:
         raise ValueError(f"phase {suffix} spans no simulated time")

@@ -36,7 +36,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 import numpy as np
 
 from ..obs import get_registry
-from ..trace.store import ColumnarTrace
+from ..trace.store import Trace
 from .base import AppProfile
 
 __all__ = ["PROFILE_CACHE_VERSION", "AppProfileCache", "profile_key"]
@@ -96,28 +96,19 @@ def profile_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _columnar(profile: AppProfile) -> ColumnarTrace:
-    trace = profile.trace
-    if not isinstance(trace, ColumnarTrace):
-        # Scalar traces (e.g. hand-built in tests) encode through a
-        # temporary columnar copy; materialization is bit-exact.
-        trace = ColumnarTrace(iter(trace), name=trace.name)
-    return trace
-
-
 def _profile_doc(profile: AppProfile) -> dict:
     return {
         "name": profile.name,
         "runtime_s": profile.runtime_s,
         "queue_parallelism": profile.queue_parallelism,
         "cuda_calls_per_second": profile.cuda_calls_per_second,
-        "trace": _columnar(profile).to_doc(),
+        "trace": profile.trace.to_doc(),
     }
 
 
 def _profile_arrays(profile: AppProfile) -> Dict[str, np.ndarray]:
     """The ``np.savez`` members of one entry (trace arrays + header)."""
-    arrays, header = _columnar(profile).to_arrays()
+    arrays, header = profile.trace.to_arrays()
     header.update(
         name=profile.name,
         runtime_s=profile.runtime_s,
@@ -134,7 +125,7 @@ def _profile_from_arrays(arrays: Mapping[str, np.ndarray]) -> AppProfile:
     header = json.loads(arrays["header"].tobytes().decode("utf-8"))
     return AppProfile(
         name=str(header["name"]),
-        trace=ColumnarTrace.from_arrays(arrays, header),
+        trace=Trace.from_arrays(arrays, header),
         runtime_s=float(header["runtime_s"]),
         queue_parallelism=int(header["queue_parallelism"]),
         cuda_calls_per_second=float(header["cuda_calls_per_second"]),

@@ -829,7 +829,7 @@ def run_fleet(
       admission fleet-wide while the fabric is down (composition needs
       the fabric; held cores keep accruing trapped time). This *does*
       change the schedule — parity holds for ``faults=None``.
-    * ``trace``: a :class:`repro.trace.ColumnarTrace` that receives
+    * ``trace``: a :class:`repro.trace.Trace` that receives
       one KERNEL event per job (name = tenant, thread = tenant index,
       ``nbytes`` = GPU count) via the bulk columnar append.
     * ``registry``: fleet metrics are published under ``fleet.*``
@@ -1021,7 +1021,7 @@ def _evaluate_penalties(
 
 
 def _record_trace(result: FleetResult, trace: object) -> None:
-    """Record one KERNEL event per job into a ColumnarTrace."""
+    """Record one KERNEL event per job into a Trace."""
     from ..trace import EventKind
 
     jobs = result.jobs

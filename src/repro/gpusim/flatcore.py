@@ -102,8 +102,8 @@ from ..trace.store import (
     COPY_CODE,
     KIND_CODE,
     NO_CODE,
-    ColumnarTrace,
     ColumnStore,
+    Trace,
 )
 from .engines import DeviceActivity, starvation_charge
 from .kernels import explicit_execution_time
@@ -247,7 +247,7 @@ class FlatRun(NamedTuple):
     """What one :meth:`FlatDevice.run` produced."""
 
     #: The recorded trace, rows in DES record order.
-    trace: ColumnarTrace
+    trace: Trace
     #: Simulated time of the last event.
     end_s: float
     #: Starvation cost the compute engine charged, summed in grant
@@ -1002,7 +1002,7 @@ def _trace(
     blocks: List[np.ndarray],
     names: List[str],
     metas: List[Optional[Dict[str, Any]]],
-) -> ColumnarTrace:
+) -> Trace:
     """The ``gpu0`` trace of the recorded rows (float64 ``blocks`` of
     one row per :data:`COLUMNS` field)."""
     # Every int field is far below 2**53, so float64 holds all nine
@@ -1010,4 +1010,4 @@ def _trace(
     table = np.concatenate(blocks, axis=1)
     columns = {col: table[i] for i, col in enumerate(COLUMNS)}
     store = ColumnStore.from_columns(columns, names, metas)
-    return ColumnarTrace(name="gpu0", store=store)
+    return Trace(name="gpu0", store=store)

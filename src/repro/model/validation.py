@@ -62,23 +62,22 @@ def _proxy_profile(
     """
     trace = baseline.trace
     if duration_jitter > 0:
-        from ..trace import Trace, TraceEvent
+        from ..trace.store import COLUMNS, ColumnStore, Trace
 
-        rng = np.random.default_rng(seed)
-        jittered = Trace(name=trace.name)
-        for e in trace:
-            factor = float(rng.lognormal(0.0, duration_jitter))
-            end = e.start + e.duration * factor
-            nbytes = int(e.nbytes * factor) if e.nbytes else 0
-            jittered.append(
-                TraceEvent(
-                    kind=e.kind, name=e.name, start=e.start, end=end,
-                    stream=e.stream, nbytes=nbytes, copy_kind=e.copy_kind,
-                    correlation_id=e.correlation_id, thread=e.thread,
-                    meta=dict(e.meta),
-                )
-            )
-        trace = jittered
+        # One factor per event in iteration order, drawn in one call.
+        rows = trace.time_ordered().store
+        n = rows.n
+        factor = np.random.default_rng(seed).lognormal(
+            0.0, duration_jitter, size=n
+        )
+        columns = {col: getattr(rows, col)[:n] for col in COLUMNS}
+        start = columns["start"]
+        columns["end"] = start + (columns["end"] - start) * factor
+        columns["nbytes"] = (columns["nbytes"] * factor).astype(np.int64)
+        trace = Trace(
+            name=trace.name,
+            store=ColumnStore.from_columns(columns, rows.names, rows.metas),
+        )
     return AppProfile(
         name=f"proxy-n{config.matrix_size}",
         trace=trace,

@@ -149,22 +149,18 @@ def publish_executor(
 def publish_trace_store(
     trace: Any, registry: Optional[MetricsRegistry] = None
 ) -> None:
-    """Publish one columnar trace's storage accounting.
+    """Publish one trace's column-store accounting.
 
     Counters under ``trace.store.*`` accumulate events recorded,
     column bytes and geometric growths across every trace published in
     the run; ``trace.store.peak_bytes`` is a high-water gauge (the
     largest single columnar footprint seen), the one-shot memory
-    number ``repro metrics`` surfaces. Traces without a column store
-    (plain scalar :class:`~repro.trace.Trace`) publish nothing.
+    number ``repro metrics`` surfaces.
     """
     reg: Any = registry if registry is not None else get_registry()
     if not reg.enabled:
         return
-    store = getattr(trace, "store", None)
-    if store is None:
-        return
-    stats = store.stats()
+    stats = trace.store.stats()
     reg.counter("trace.store.events").inc(stats["events"])
     reg.counter("trace.store.bytes").inc(stats["bytes"])
     reg.counter("trace.store.growths").inc(stats["growths"])

@@ -15,22 +15,14 @@ from .analysis import (
     summarize,
 )
 from .compare import KernelDelta, TraceComparison, compare_traces
-from .container import Trace
 from .events import CopyKind, EventKind, TraceEvent
 from .export import from_csv, from_json, to_csv, to_json
-from .store import ColumnarTrace, ColumnStore
-from .timeline import (
-    GapAnalysis,
-    device_gaps,
-    device_gaps_reference,
-    utilization_series,
-    utilization_series_reference,
-)
+from .store import ColumnStore, Trace
+from .timeline import GapAnalysis, device_gaps, utilization_series
 from .tracer import NullTracer, Tracer
 
 __all__ = [
     "Trace",
-    "ColumnarTrace",
     "ColumnStore",
     "TraceEvent",
     "EventKind",
@@ -49,9 +41,7 @@ __all__ = [
     "from_csv",
     "GapAnalysis",
     "device_gaps",
-    "device_gaps_reference",
     "utilization_series",
-    "utilization_series_reference",
     "KernelDelta",
     "TraceComparison",
     "compare_traces",

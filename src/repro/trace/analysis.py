@@ -14,8 +14,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .container import Trace
 from .events import CopyKind
+from .store import Trace
 
 __all__ = [
     "ViolinSummary",

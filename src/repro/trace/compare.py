@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .container import Trace
+from .store import Trace
 from .events import EventKind
 from .timeline import device_gaps
 
@@ -102,7 +102,7 @@ def compare_traces(baseline: Trace, other: Trace) -> TraceComparison:
             )
         )
 
-    direct = other.filter(lambda e: e.kind is EventKind.SLACK).total_time()
+    direct = other.of_kinds(EventKind.SLACK).total_time()
     starvation = float(
         sum(
             e.meta.get("starvation_cost", 0.0)

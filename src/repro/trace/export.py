@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .container import Trace
+from .store import Trace
 from .events import TraceEvent
 
 __all__ = ["to_json", "from_json", "to_csv", "from_csv"]

@@ -1,31 +1,29 @@
-"""Columnar trace storage: append-only numpy columns behind ``Trace``.
+"""The trace: append-only numpy columns with lazy event objects.
 
 Recording every kernel/memcpy as a frozen :class:`TraceEvent` dataclass
-makes the *application* side of the paper's method the bench bottleneck
-once the proxy side is fast-forwarded: a traced LAMMPS run emits tens of
-thousands of events, and every analysis pass (duration extraction,
-``%Runtime`` unions, Table IV binning) walks those objects in scalar
-Python. This module replaces the object stream with an **append-only
-columnar store**:
+would make the *application* side of the paper's method the bottleneck:
+a traced LAMMPS run emits tens of thousands of events, and every
+analysis pass (duration extraction, ``%Runtime`` unions, Table IV
+binning) would walk those objects in scalar Python. Traces are
+therefore stored as columns:
 
 * :class:`ColumnStore` — preallocated, geometrically grown numpy arrays
   for ``start``/``end``/``stream``/``nbytes``/``correlation_id``/
   ``thread``, plus interned code tables for event kinds, names and copy
   directions. Appending a row is O(1) amortized and costs no object
   allocation beyond the (rare, usually-``None``) meta dict.
-* :class:`ColumnarTrace` — a :class:`~repro.trace.container.Trace`
-  whose ground truth is a :class:`ColumnStore` (optionally restricted
-  to a row selection). Every summary the paper's pipeline needs —
-  durations, sizes, busy-time unions, concurrency, per-name groups —
-  is a masked column operation; iteration and ``filter`` lazily
-  materialize bit-identical :class:`TraceEvent` objects, preserving the
-  container API as a compatibility view.
+* :class:`Trace` — a time-sorted trace whose ground truth is a
+  :class:`ColumnStore` (optionally restricted to a row selection).
+  Every summary the paper's pipeline needs — durations, sizes,
+  busy-time unions, concurrency, per-name groups — is a masked column
+  operation; iteration and indexing lazily materialize
+  :class:`TraceEvent` objects.
 
-All vectorized summaries are *exact* replications of the scalar
-reference implementations in :class:`Trace`: the same IEEE operations
-in the same order (running maxima for interval unions, per-run
-accumulation, stable sorts), verified element-for-element by the parity
-property tests in ``tests/trace/test_store.py``.
+The vectorized summaries replicate the straightforward list-of-events
+loops exactly: the same IEEE operations in the same order (running
+maxima for interval unions, per-run accumulation, stable sorts). The
+parity tests in ``tests/trace/test_store.py`` check them element for
+element against the list-backed oracle in ``tests/oracles/trace.py``.
 """
 
 from __future__ import annotations
@@ -45,12 +43,11 @@ from typing import (
 
 import numpy as np
 
-from .container import Trace
 from .events import CopyKind, EventKind, TraceEvent
 
 __all__ = [
     "ColumnStore",
-    "ColumnarTrace",
+    "Trace",
     "COLUMNS",
     "KIND_CODE",
     "COPY_CODE",
@@ -511,16 +508,17 @@ def _numeric_column(values: List[Any]) -> Optional[np.ndarray]:
     return None
 
 
-class ColumnarTrace(Trace):
-    """A :class:`Trace` whose ground truth is a :class:`ColumnStore`.
+class Trace:
+    """A time-sorted sequence of :class:`TraceEvent` held as columns.
 
     The root trace of a :class:`~repro.trace.tracer.Tracer` owns the
     whole store; filtered views (``kernels()``, ``memcpys()``,
-    ``by_name()`` groups) share the parent's columns through a fixed
-    row-selection array, so no event data is ever copied. Analysis
-    methods are vectorized; iteration, indexing and generic ``filter``
+    ``of_kinds()``, ``by_name()`` groups) share the parent's columns
+    through a fixed row-selection array, so no event data is ever
+    copied. Analysis methods are vectorized; iteration and indexing
     lazily materialize the sorted :class:`TraceEvent` sequence (cached
-    until more rows are appended).
+    until more rows are appended). All durations are simulated
+    seconds, sizes are bytes.
     """
 
     def __init__(
@@ -531,12 +529,13 @@ class ColumnarTrace(Trace):
         store: Optional[ColumnStore] = None,
         selection: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(None, name=name)
+        self.name = name
         self._store = store if store is not None else ColumnStore()
         #: Fixed row selection for views; None = all (live) store rows.
         self._selection = selection
         self._perm: Optional[np.ndarray] = None
         self._perm_rows = -1
+        self._events: List[TraceEvent] = []
         self._events_rows = -1
         if events:
             for e in events:
@@ -634,6 +633,7 @@ class ColumnarTrace(Trace):
         )
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
+        """Add many events."""
         for e in events:
             self.append(e)
 
@@ -666,33 +666,33 @@ class ColumnarTrace(Trace):
         self._perm_rows = count
         return self._perm
 
-    def _view(self, selection: np.ndarray, name: Optional[str] = None) -> "ColumnarTrace":
-        return ColumnarTrace(
+    def _view(self, selection: np.ndarray, name: Optional[str] = None) -> "Trace":
+        return Trace(
             name=self.name if name is None else name,
             store=self._store,
             selection=selection,
         )
 
-    # -- compatibility materialization ---------------------------------------------
-    def _ensure_sorted(self) -> None:
+    # -- event materialization ---------------------------------------------------
+    def _sorted_events(self) -> List[TraceEvent]:
+        """The events in iteration order, built once per row count."""
         count = self._row_count()
-        if self._events_rows == count:
-            return
-        store = self._store
-        self._events = [store.event_at(i) for i in self._sorted_rows()]
-        self._sorted = True
-        self._events_rows = count
+        if self._events_rows != count:
+            store = self._store
+            self._events = [store.event_at(i) for i in self._sorted_rows()]
+            self._events_rows = count
+        return self._events
 
     def events_in_record_order(self) -> List[TraceEvent]:
         """Materialize the events in append order (not time-sorted).
 
-        This is the order the scalar path's ``_events`` list holds
-        before any analysis sorts it.
+        Replay-style consumers need the order events were recorded in,
+        because stable-sort tie order downstream depends on it.
         """
         store = self._store
         return [store.event_at(int(i)) for i in self._rows()]
 
-    def time_ordered(self) -> "ColumnarTrace":
+    def time_ordered(self) -> "Trace":
         """A root copy of this trace in iteration order.
 
         Rows come in (start, end)-sorted order and names are interned
@@ -710,7 +710,7 @@ class ColumnarTrace(Trace):
         columns = {col: getattr(store, col)[perm] for col in COLUMNS}
         columns["name_code"] = remap[codes]
         metas = store.metas
-        return ColumnarTrace(
+        return Trace(
             name=self.name,
             store=ColumnStore.from_columns(
                 columns,
@@ -723,12 +723,10 @@ class ColumnarTrace(Trace):
         return self._row_count()
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        self._ensure_sorted()
-        return iter(self._events)
+        return iter(self._sorted_events())
 
     def __getitem__(self, idx: int) -> TraceEvent:
-        self._ensure_sorted()
-        return self._events[idx]
+        return self._sorted_events()[idx]
 
     # -- vectorized views ----------------------------------------------------------
     def starts(self) -> np.ndarray:
@@ -739,7 +737,7 @@ class ColumnarTrace(Trace):
         """Event end times in sorted order (vectorized)."""
         return self._store.end[self._sorted_rows()]
 
-    def of_kinds(self, *kinds: EventKind) -> "ColumnarTrace":
+    def of_kinds(self, *kinds: EventKind) -> "Trace":
         """Masked view of the events whose kind is in ``kinds``."""
         rows = self._rows()
         codes = self._store.kind[rows]
@@ -753,10 +751,12 @@ class ColumnarTrace(Trace):
         rows = self._rows()
         return int((self._store.kind[rows] == KIND_CODE[kind]).sum())
 
-    def kernels(self) -> "ColumnarTrace":
+    def kernels(self) -> "Trace":
+        """Only kernel-execution events."""
         return self.of_kinds(EventKind.KERNEL)
 
-    def memcpys(self, direction: Optional[CopyKind] = None) -> "ColumnarTrace":
+    def memcpys(self, direction: Optional[CopyKind] = None) -> "Trace":
+        """Only memcpy events, optionally a single direction."""
         copies = self.of_kinds(EventKind.MEMCPY)
         if direction is None:
             return copies
@@ -764,15 +764,14 @@ class ColumnarTrace(Trace):
         sel = rows[self._store.copy[rows] == COPY_CODE[direction]]
         return self._view(sel)
 
-    def by_name(self) -> Dict[str, "ColumnarTrace"]:
+    def by_name(self) -> Dict[str, "Trace"]:
         """Per-name views, keyed in first-occurrence (sorted) order."""
         perm = self._sorted_rows()
         codes = self._store.name_code[perm]
-        groups: Dict[str, ColumnarTrace] = {}
+        groups: Dict[str, Trace] = {}
         if codes.size == 0:
             return groups
-        # First occurrence order over the sorted sequence = the order
-        # the scalar grouping loop discovers names.
+        # Names in order of first occurrence over the sorted sequence.
         uniq, first = np.unique(codes, return_index=True)
         for code in uniq[np.argsort(first, kind="stable")]:
             name = self._store.name_at(int(code))
@@ -780,12 +779,14 @@ class ColumnarTrace(Trace):
         return groups
 
     def threads(self) -> List[int]:
+        """Distinct issuing host threads."""
         rows = self._rows()
         return [int(t) for t in np.unique(self._store.thread[rows])]
 
     # -- vectorized summaries --------------------------------------------------------
     @property
     def start(self) -> float:
+        """Earliest event start (0 for an empty trace)."""
         rows = self._rows()
         if rows.size == 0:
             return 0.0
@@ -793,31 +794,43 @@ class ColumnarTrace(Trace):
 
     @property
     def end(self) -> float:
+        """Latest event end (0 for an empty trace)."""
         rows = self._rows()
         if rows.size == 0:
             return 0.0
         return float(self._store.end[rows].max())
 
+    @property
+    def span(self) -> float:
+        """Wall-clock extent covered by the trace."""
+        return self.end - self.start
+
     def durations(self) -> np.ndarray:
+        """Event durations in sorted order."""
         perm = self._sorted_rows()
         return self._store.end[perm] - self._store.start[perm]
 
     def sizes(self) -> np.ndarray:
+        """Event byte counts in sorted order, as floats."""
         return self._store.nbytes[self._sorted_rows()].astype(float)
 
     def total_time(self) -> float:
+        """Sum of event durations (double-counts overlap)."""
         if self._row_count() == 0:
             return 0.0
         return float(self.durations().sum())
 
     def busy_time(self) -> float:
-        """Union length of the event intervals, exactly as the scalar.
+        """Union length of the event intervals (no double counting).
 
-        The scalar merge's running ``cur_end`` equals the running
+        This is the device-busy time the paper's ``%Runtime`` weights
+        use: overlapping kernels from parallel threads count once.
+
+        A sorted interval merge's running ``cur_end`` equals the running
         maximum of the sorted end times (a merged run only breaks when
         a start exceeds *every* previous end), so run boundaries fall
         where ``start[i] > runmax[i-1]``. Per-run parts are accumulated
-        in run order with scalar adds, reproducing the reference
+        in run order with scalar adds, reproducing the merge loop's
         left-to-right float sum bit for bit.
         """
         if self._row_count() == 0:
@@ -831,6 +844,16 @@ class ColumnarTrace(Trace):
             busy += p
         return busy
 
+    def runtime_fraction(self, total_runtime: Optional[float] = None) -> float:
+        """Fraction of the run spent in these events (union time).
+
+        ``total_runtime`` defaults to the trace's own span.
+        """
+        total = self.span if total_runtime is None else total_runtime
+        if total <= 0:
+            return 0.0
+        return min(1.0, self.busy_time() / total)
+
     def _merged_runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted starts, running-max ends, and run-break mask."""
         starts = self.starts()
@@ -839,6 +862,11 @@ class ColumnarTrace(Trace):
         return starts, runmax, breaks
 
     def max_concurrency(self) -> int:
+        """Maximum number of simultaneously-open intervals.
+
+        Used to estimate an application's effective queue parallelism
+        (the paper reads ~8 for LAMMPS, ~4 effective for CosmoFlow).
+        """
         count = self._row_count()
         if count == 0:
             return 0
@@ -852,6 +880,11 @@ class ColumnarTrace(Trace):
         return int(np.cumsum(deltas[order]).max())
 
     def top_names_by_total_time(self, n: int = 5) -> List[str]:
+        """The ``n`` event names with the largest summed duration.
+
+        Matches the paper's Figure 4 presentation: CosmoFlow executes
+        dozens of kernels; the top five cover ~half the kernel time.
+        """
         totals = {
             name: tr.total_time() for name, tr in self.by_name().items()
         }
@@ -862,7 +895,7 @@ class ColumnarTrace(Trace):
 
     def __repr__(self) -> str:
         return (
-            f"<ColumnarTrace {self.name!r}: {len(self)} events, "
+            f"<Trace {self.name!r}: {len(self)} events, "
             f"span={self.span:.6g}s>"
         )
 
@@ -876,7 +909,7 @@ class ColumnarTrace(Trace):
         return doc
 
     @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "ColumnarTrace":
+    def from_doc(cls, doc: Dict[str, Any]) -> "Trace":
         """Rebuild a trace from :meth:`to_doc` output."""
         return cls(
             name=str(doc.get("name", "")), store=ColumnStore.from_doc(doc)
@@ -893,7 +926,7 @@ class ColumnarTrace(Trace):
     @classmethod
     def from_arrays(
         cls, arrays: Mapping[str, np.ndarray], header: Dict[str, Any]
-    ) -> "ColumnarTrace":
+    ) -> "Trace":
         """Rebuild a trace from :meth:`to_arrays` output."""
         return cls(
             name=str(header["trace_name"]),

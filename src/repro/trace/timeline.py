@@ -10,20 +10,14 @@ reads off an NSys timeline when diagnosing a starved GPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .container import Trace
+from .store import Trace
 from .events import EventKind
 
-__all__ = [
-    "GapAnalysis",
-    "device_gaps",
-    "device_gaps_reference",
-    "utilization_series",
-    "utilization_series_reference",
-]
+__all__ = ["GapAnalysis", "device_gaps", "utilization_series"]
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ def device_gaps(trace: Trace, min_gap_s: float = 0.0) -> GapAnalysis:
     equals the running maximum of the end times, so merged-run breaks
     fall exactly where ``start[i] > max(end[:i])``. Gap values and the
     per-run busy parts are computed as column operations; the busy sum
-    is accumulated in run order, bit-identical to the scalar reference
-    (:func:`device_gaps_reference`).
+    is accumulated in run order, bit-identical to the scalar merge loop
+    (``device_gaps_reference`` in ``tests/oracles/trace.py``).
     """
     if min_gap_s < 0:
         raise ValueError("min_gap_s must be non-negative")
@@ -97,31 +91,6 @@ def device_gaps(trace: Trace, min_gap_s: float = 0.0) -> GapAnalysis:
     return GapAnalysis(gaps=gaps, busy_time=busy, span=device.span)
 
 
-def device_gaps_reference(trace: Trace, min_gap_s: float = 0.0) -> GapAnalysis:
-    """Scalar reference for :func:`device_gaps` (parity tests/bench)."""
-    if min_gap_s < 0:
-        raise ValueError("min_gap_s must be non-negative")
-    device = trace.filter(
-        lambda e: e.kind in (EventKind.KERNEL, EventKind.MEMCPY)
-    )
-    if len(device) == 0:
-        raise ValueError("trace has no device activity")
-    gaps: List[float] = []
-    busy = 0.0
-    cur_start, cur_end = device[0].start, device[0].end
-    for e in list(device)[1:]:
-        if e.start > cur_end:
-            gap = e.start - cur_end
-            if gap > min_gap_s:
-                gaps.append(gap)
-            busy += cur_end - cur_start
-            cur_start, cur_end = e.start, e.end
-        else:
-            cur_end = max(cur_end, e.end)
-    busy += cur_end - cur_start
-    return GapAnalysis(gaps=tuple(gaps), busy_time=busy, span=device.span)
-
-
 def utilization_series(
     trace: Trace, window_s: float, kind: Optional[EventKind] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -134,7 +103,8 @@ def utilization_series(
     flat (event, window) contribution array and accumulated with
     ``np.add.at`` (unbuffered, applied in array order), so every float
     lands in ``busy`` through the same operations in the same order as
-    the scalar reference (:func:`utilization_series_reference`).
+    the scalar nested loop (``utilization_series_reference`` in
+    ``tests/oracles/trace.py``).
     """
     if window_s <= 0:
         raise ValueError("window_s must be positive")
@@ -171,32 +141,5 @@ def utilization_series(
             - np.maximum(np.repeat(ev_start, counts), w_start),
         )
         np.add.at(busy, w, contrib)
-    centres = start + (np.arange(n_windows) + 0.5) * window_s
-    return centres, np.minimum(1.0, busy / window_s)
-
-
-def utilization_series_reference(
-    trace: Trace, window_s: float, kind: Optional[EventKind] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar reference for :func:`utilization_series` (parity tests)."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    selected = trace.filter(
-        lambda e: e.kind in (EventKind.KERNEL, EventKind.MEMCPY)
-        if kind is None
-        else e.kind is kind
-    )
-    if len(selected) == 0:
-        raise ValueError("no matching activity in trace")
-    start, end = selected.start, selected.end
-    n_windows = max(1, int(np.ceil((end - start) / window_s)))
-    busy = np.zeros(n_windows)
-    for e in selected:
-        first = int((e.start - start) / window_s)
-        last = int(min((e.end - start) / window_s, n_windows - 1))
-        for w in range(first, last + 1):
-            w_start = start + w * window_s
-            w_end = w_start + window_s
-            busy[w] += max(0.0, min(e.end, w_end) - max(e.start, w_start))
     centres = start + (np.arange(n_windows) + 0.5) * window_s
     return centres, np.minimum(1.0, busy / window_s)

@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterator, Optional
 
 from ..des import Environment
 from .events import CopyKind, EventKind, TraceEvent
-from .store import ColumnarTrace
+from .store import Trace
 
 __all__ = ["Tracer", "NullTracer"]
 
@@ -25,7 +25,7 @@ class Tracer:
     manager) as activity completes. ``enabled`` can be toggled to
     bracket the traced region, mirroring profiler capture windows.
 
-    Events land in an append-only :class:`ColumnarTrace`: recording
+    Events land in an append-only columnar :class:`Trace`: recording
     writes numpy columns directly (no ``TraceEvent`` allocation), and
     the dataclass view is materialized lazily only where analysis
     still iterates events.
@@ -33,7 +33,7 @@ class Tracer:
 
     def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
-        self.trace = ColumnarTrace(name=name)
+        self.trace = Trace(name=name)
         self.enabled = True
         self._correlation = itertools.count(1)
 

@@ -202,7 +202,6 @@ class TestDispatch:
             profile = profile_lammps(config)
         assert reg.counter("appcore.runs").value == 1
         assert profile.fastforward.reason == "no-app-skip"
-        assert reg.counter("appff.fallbacks").value == 1
 
     def test_fault_plan_falls_back_to_the_des(self):
         plan = FaultPlan.from_spec(
@@ -240,8 +239,6 @@ class TestDispatch:
         assert profile.fastforward.enabled
         _assert_took_the_core(profile)
         assert reg.counter("appcore.runs").value == 1
-        assert reg.counter("appff.fallbacks").value == 1
-        assert reg.counter("appff.hits").value == 0
 
 
 @pytest.fixture(scope="module")

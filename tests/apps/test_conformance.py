@@ -24,7 +24,7 @@ import pytest
 
 from repro.apps import AppProfileCache, registered_apps
 from repro.apps.profilecache import _profile_doc
-from repro.trace.store import ColumnarTrace
+from repro.trace.store import Trace
 
 from ..bytesdiff import assert_same_document
 
@@ -90,9 +90,9 @@ class TestTraceRoundTrip:
     def test_store_round_trip_is_bit_exact(self, app):
         profile = app.profiler(app.conformance_config())
         trace = profile.trace
-        assert isinstance(trace, ColumnarTrace)
+        assert isinstance(trace, Trace)
         doc = trace.to_doc()
-        restored = ColumnarTrace.from_doc(doc)
+        restored = Trace.from_doc(doc)
         assert restored.to_doc() == doc
         assert list(restored) == list(trace)
 

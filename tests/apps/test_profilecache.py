@@ -20,13 +20,13 @@ from repro.apps.lammps import LammpsProfileConfig, LJParams, profile_lammps
 from repro.apps.profilecache import _profile_arrays, _profile_doc
 from repro.experiments import ExperimentContext
 from repro.obs import collecting
-from repro.trace import ColumnarTrace, CopyKind, EventKind, Trace, TraceEvent
+from repro.trace import CopyKind, EventKind, Trace, TraceEvent
 
 from ..bytesdiff import assert_same_document
 
 
 def small_profile(name="app"):
-    trace = ColumnarTrace(name=name)
+    trace = Trace(name=name)
     trace.record_fast(EventKind.KERNEL, "pair", 0.0, 1.5e-3, stream=0,
                       meta={"n": 3})
     trace.record_fast(EventKind.MEMCPY, "up", 2e-3, 2.5e-3, stream=1,
@@ -113,7 +113,7 @@ class TestRoundTrip:
         cache.put("lammps", cfg, profile)
         loaded = cache.get("lammps", cfg)
         assert list(loaded.trace) == events
-        assert isinstance(loaded.trace, ColumnarTrace)
+        assert isinstance(loaded.trace, Trace)
 
     def test_corrupt_entry_is_a_miss(self, cache):
         cfg = LammpsProfileConfig()

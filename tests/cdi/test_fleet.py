@@ -33,7 +33,7 @@ from repro.cdi.placement import place_locality, place_pack, place_spread
 from repro.des import quantize
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
-from repro.trace import ColumnarTrace, EventKind
+from repro.trace import EventKind, Trace
 
 CLUSTER = ClusterSpec(nodes=4)
 
@@ -354,7 +354,7 @@ class TestPenaltiesAndStats:
 class TestObservability:
     def test_trace_records_one_event_per_job(self):
         jobs = fleet_jobs(80, seed=31)
-        trace = ColumnarTrace(name="fleet")
+        trace = Trace(name="fleet")
         result = run_fleet(jobs, CLUSTER, "cdi", trace=trace)
         assert len(trace) == len(jobs)
         events = sorted(trace, key=lambda e: (e.start, e.name))

@@ -4,8 +4,9 @@ The PR's acceptance criterion: every figure/table artifact produced by
 the vectorized pipeline (columnar traces, ``np.searchsorted`` binning,
 matrix-product ``predict_sweep``) must be **byte-identical** — compared
 as canonical sorted-keys JSON — to the same experiment run through the
-retained scalar implementations (legacy ``Trace`` objects, per-value
-``bin_values_reference`` loop, per-slack ``predict_sweep_reference``).
+retained scalar implementations (list-backed ``ScalarTrace`` objects,
+per-value ``bin_values_reference`` loop, per-slack
+``predict_sweep_reference``).
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from repro.experiments import ExperimentContext, run_experiment
 from repro.model import CDIProfiler
 from ..oracles.model import bin_values_reference, predict_sweep_reference
-from repro.trace import Trace
+from ..oracles.trace import ScalarTrace
 
 #: The paper artifacts the acceptance criterion names.
 GOLDEN_IDS = [
@@ -37,17 +38,17 @@ def golden_pair():
     vec = {i: canonical(run_experiment(i, vec_ctx)) for i in GOLDEN_IDS}
 
     # A second context sharing the surface, but with every vectorized
-    # layer forced back to its scalar reference: profiles carry legacy
-    # scalar Trace objects (so Figure 4/5 analysis runs the base-class
-    # loops) and the model pipeline routes through the reference
-    # implementations.
+    # layer forced back to its scalar reference: profiles carry
+    # list-backed ScalarTrace objects (so Figure 4/5 analysis runs the
+    # oracle's loops) and the model pipeline routes through the
+    # reference implementations.
     sca_ctx = ExperimentContext(quick=True)
     sca_ctx._surface = vec_ctx.surface()
     for app in ("lammps", "cosmoflow"):
         profile = vec_ctx._profiles[app]
         sca_ctx._profiles[app] = dataclasses.replace(
             profile,
-            trace=Trace(list(profile.trace), name=profile.trace.name),
+            trace=ScalarTrace(list(profile.trace), name=profile.trace.name),
         )
     mp = pytest.MonkeyPatch()
     try:

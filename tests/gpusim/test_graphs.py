@@ -134,9 +134,9 @@ class TestReplay:
             yield from g.launch(blocking=True)
 
         drive(env, host())
-        apis = rt.tracer.trace.filter(
-            lambda e: e.kind is EventKind.API and e.name == "cudaGraphLaunch"
-        )
+        apis = rt.tracer.trace.of_kinds(EventKind.API).by_name()[
+            "cudaGraphLaunch"
+        ]
         assert len(apis) == 1
         assert apis[0].meta["nodes"] == 3
 

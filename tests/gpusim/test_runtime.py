@@ -220,7 +220,7 @@ class TestSynchronize:
             yield from rt.synchronize()
 
         drive(env, host())
-        syncs = rt.tracer.trace.filter(lambda e: e.kind is EventKind.SYNC)
+        syncs = rt.tracer.trace.of_kinds(EventKind.SYNC)
         assert len(syncs) == 1
 
 
@@ -252,7 +252,7 @@ class TestSlackInjection:
             yield from rt.memcpy(MiB, CopyKind.H2D)
 
         drive(env, host())
-        slacks = rt.tracer.trace.filter(lambda e: e.kind is EventKind.SLACK)
+        slacks = rt.tracer.trace.of_kinds(EventKind.SLACK)
         assert len(slacks) == 1
         assert slacks[0].duration == pytest.approx(50e-6)
 

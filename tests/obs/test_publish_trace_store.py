@@ -1,11 +1,11 @@
 """Publishing columnar-store accounting into the metrics registry."""
 
 from repro.obs import collecting, get_registry, publish_trace_store
-from repro.trace import ColumnarTrace, EventKind, Trace, TraceEvent
+from repro.trace import EventKind, Trace
 
 
 def make_trace(n=10):
-    trace = ColumnarTrace(name="t")
+    trace = Trace(name="t")
     for i in range(n):
         trace.record_fast(EventKind.KERNEL, "k", i * 1e-3, i * 1e-3 + 1e-4)
     return trace
@@ -25,13 +25,6 @@ def test_counters_accumulate_and_peak_is_high_water():
         # The gauge keeps the largest single footprint, not the last.
         assert reg.gauge("trace.store.peak_bytes").value == peak_after_big
         assert peak_after_big == big.store.stats()["bytes"]
-
-
-def test_scalar_traces_publish_nothing():
-    trace = Trace([TraceEvent(EventKind.KERNEL, "k", 0.0, 1.0)])
-    with collecting() as reg:
-        publish_trace_store(trace)
-        assert "trace.store.events" not in reg.names()
 
 
 def test_noop_when_metrics_disabled():

@@ -134,7 +134,14 @@ def test_adaptive_slack_sweep_tol_kwarg_is_a_type_error():
 
 @pytest.mark.parametrize(
     "module, name",
-    [("repro.parallel", "ExecutorStats"), ("repro.gpusim", "MarkerOp")],
+    [
+        ("repro.parallel", "ExecutorStats"),
+        ("repro.gpusim", "MarkerOp"),
+        ("repro.trace", "ColumnarTrace"),
+        ("repro.api", "ColumnarTrace"),
+        ("repro.trace", "device_gaps_reference"),
+        ("repro.trace", "utilization_series_reference"),
+    ],
 )
 def test_removed_names_are_gone(module, name):
     import importlib
@@ -167,13 +174,24 @@ def test_proxy_fastforward_module_is_gone():
 
 @pytest.mark.parametrize(
     "module",
-    ["repro.des.fastforward", "repro.trace.epochs", "repro.gpusim.cuda_event"],
+    [
+        "repro.des.fastforward",
+        "repro.trace.epochs",
+        "repro.gpusim.cuda_event",
+        "repro.trace.container",
+    ],
 )
 def test_des_fastforward_modules_are_gone(module):
     import importlib
 
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+def test_trace_has_no_generic_filter():
+    from repro.trace import Trace
+
+    assert not hasattr(Trace, "filter")
 
 
 def test_surrogate_alias_is_gone():

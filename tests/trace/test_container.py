@@ -134,7 +134,12 @@ class TestTrace:
         t.append(kernel("b", 1.0, 2.0, thread=1))
         assert t.threads() == [1, 3]
 
-    def test_filter_predicate(self):
+    def test_kind_and_name_views(self):
         t = self._sample()
-        long_events = t.filter(lambda e: e.duration >= 1.0)
-        assert len(long_events) == 4
+        copies = t.of_kinds(EventKind.MEMCPY)
+        assert [e.nbytes for e in copies] == [100, 200]
+        both = t.of_kinds(EventKind.KERNEL, EventKind.MEMCPY)
+        assert len(both) == 5 and len(t.of_kinds(EventKind.API)) == 0
+        gemm = t.by_name()["gemm"]
+        assert [e.start for e in gemm] == [0.0, 2.0]
+        assert gemm.total_time() == 3.0

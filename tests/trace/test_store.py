@@ -2,7 +2,8 @@
 
 Hypothesis-style seeded property tests: random event streams (ties,
 zero-duration events, mixed kinds, shared names, metas) are recorded
-into both a legacy scalar :class:`Trace` and a :class:`ColumnarTrace`,
+into both the list-backed oracle :class:`ScalarTrace`
+(``tests/oracles/trace.py``) and the columnar :class:`Trace`,
 and every public behavior — materialized event sequences, filtered
 views, vectorized summaries, timeline analysis, JSON round-trips —
 must match **bit for bit**.
@@ -17,17 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace import (
-    ColumnarTrace,
     CopyKind,
     EventKind,
     Trace,
     TraceEvent,
     device_gaps,
-    device_gaps_reference,
     utilization_series,
-    utilization_series_reference,
 )
 from repro.trace.store import ColumnStore
+
+from ..oracles.trace import (
+    ScalarTrace,
+    device_gaps_reference,
+    utilization_series_reference,
+)
 
 SEEDS = [0, 1, 7, 42, 1234, 987654]
 
@@ -74,8 +78,8 @@ def random_events(seed, n=None):
 
 
 def build_both(events):
-    scalar = Trace(name="t")
-    columnar = ColumnarTrace(name="t")
+    scalar = ScalarTrace(name="t")
+    columnar = Trace(name="t")
     for e in events:
         scalar.append(e)
         columnar.append(e)
@@ -147,12 +151,9 @@ class TestSummaryParity:
         assert columnar.top_names_by_total_time(
             3
         ) == scalar.top_names_by_total_time(3)
-        # Generic filter falls back to materialization, same result.
-        pred = lambda e: e.thread % 2 == 0
-        assert list(columnar.filter(pred)) == list(scalar.filter(pred))
 
     def test_empty_trace(self):
-        columnar = ColumnarTrace(name="empty")
+        columnar = Trace(name="empty")
         assert len(columnar) == 0
         assert columnar.start == 0.0 and columnar.end == 0.0
         assert columnar.total_time() == 0.0
@@ -194,7 +195,7 @@ class TestTimelineParity:
 
 class TestValidationAndStore:
     def test_record_fast_validates_like_traceevent(self):
-        columnar = ColumnarTrace()
+        columnar = Trace()
         with pytest.raises(ValueError, match="before it starts"):
             columnar.record_fast(EventKind.KERNEL, "k", 1.0, 0.5)
         with pytest.raises(ValueError, match="nbytes"):
@@ -214,7 +215,7 @@ class TestValidationAndStore:
 
     def test_geometric_growth_accounting(self):
         store = ColumnStore(capacity=4)
-        trace = ColumnarTrace(store=store)
+        trace = Trace(store=store)
         for i in range(33):
             trace.record_fast(EventKind.API, "call", float(i), float(i))
         stats = store.stats()
@@ -233,7 +234,7 @@ class TestValidationAndStore:
         events = random_events(seed)
         _, columnar = build_both(events)
         doc = json.loads(json.dumps(columnar.to_doc()))
-        again = ColumnarTrace.from_doc(doc)
+        again = Trace.from_doc(doc)
         assert again.name == columnar.name
         assert list(again) == list(columnar)
         assert again.events_in_record_order() == (
@@ -256,14 +257,14 @@ class TestBulkAppend:
         nbytes = rng.randint(0, 1 << 20, size=n)
         thread = rng.randint(0, 8, size=n)
 
-        looped = ColumnarTrace(name="t")
+        looped = Trace(name="t")
         for i in range(n):
             looped.record_fast(
                 EventKind.KERNEL, names[i], float(start[i]), float(end[i]),
                 stream=int(stream[i]), nbytes=int(nbytes[i]),
                 thread=int(thread[i]),
             )
-        batched = ColumnarTrace(name="t")
+        batched = Trace(name="t")
         batched.record_batch(
             EventKind.KERNEL, names, start, end,
             stream=stream, nbytes=nbytes, thread=thread,
@@ -277,7 +278,7 @@ class TestBulkAppend:
         )
 
     def test_shared_name_and_defaults(self):
-        trace = ColumnarTrace(name="t")
+        trace = Trace(name="t")
         trace.record_batch(
             EventKind.API, "call", np.array([0.0, 1.0]), np.array([0.5, 2.0])
         )
@@ -288,7 +289,7 @@ class TestBulkAppend:
         assert trace.store.stats()["interned_names"] == 1
 
     def test_batch_memcpy_needs_copy_kind(self):
-        trace = ColumnarTrace(name="t")
+        trace = Trace(name="t")
         with pytest.raises(ValueError, match="copy_kind"):
             trace.record_batch(
                 EventKind.MEMCPY, "cp", np.array([0.0]), np.array([1.0])
@@ -300,7 +301,7 @@ class TestBulkAppend:
         assert trace.events_in_record_order()[0].copy_kind is CopyKind.H2D
 
     def test_batch_validation_reports_first_offender(self):
-        trace = ColumnarTrace(name="t")
+        trace = Trace(name="t")
         with pytest.raises(ValueError, match="'b' ends"):
             trace.record_batch(
                 EventKind.KERNEL, ["a", "b", "c"],
@@ -318,7 +319,7 @@ class TestBulkAppend:
             )
 
     def test_views_reject_bulk_recording(self):
-        trace = ColumnarTrace(name="t")
+        trace = Trace(name="t")
         trace.record_batch(
             EventKind.KERNEL, "k", np.array([0.0]), np.array([1.0])
         )
@@ -329,7 +330,7 @@ class TestBulkAppend:
 
     def test_single_grow_for_large_batch(self):
         store = ColumnStore(capacity=4)
-        trace = ColumnarTrace(store=store)
+        trace = Trace(store=store)
         trace.record_batch(
             EventKind.KERNEL, "k",
             np.arange(1000, dtype=np.float64),
@@ -382,7 +383,7 @@ class TestArrayRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(_ROWS)
     def test_to_doc_survives_the_array_round_trip(self, rows):
-        trace = ColumnarTrace(name="t")
+        trace = Trace(name="t")
         for kind, name, start, duration, stream, copy, nbytes, meta in rows:
             trace.record_fast(
                 kind, name, start, start + duration, stream=stream,
@@ -402,7 +403,7 @@ class TestArrayRoundTrip:
     def test_root_trace_round_trip_keeps_its_name(self):
         _, columnar = build_both(random_events(3))
         arrays, header = columnar.to_arrays()
-        again = ColumnarTrace.from_arrays(arrays, header)
+        again = Trace.from_arrays(arrays, header)
         assert again.name == columnar.name
         assert again.events_in_record_order() == (
             columnar.events_in_record_order()
