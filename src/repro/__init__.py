@@ -19,43 +19,7 @@ the per-paper-artifact runners. The *supported* import surface — the
 names covered by the deprecation policy — is :mod:`repro.api`.
 """
 
-from .apps import (
-    CosmoFlowProfileConfig,
-    LammpsProfileConfig,
-    LammpsScalingModel,
-    LJParams,
-    profile_cosmoflow,
-    profile_lammps,
-)
-from .des import Environment
-from .experiments import ExperimentContext, run_all, run_experiment
-from .gpusim import CudaRuntime, KernelSpec, matmul_kernel
-from .hw import A100_SXM4_40GB, EPYC_7413, GPUSpec, NARVAL_NODE, NodeSpec
-from .model import CDIProfiler, SlackPrediction
-from .obs import (
-    MetricsRegistry,
-    RunReport,
-    collecting,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-)
-from .parallel import PointCache, SweepExecutor
-from .network import (
-    Fabric,
-    FabricSpec,
-    SlackModel,
-    fibre_distance_for_latency,
-    latency_for_fibre_distance,
-)
-from .proxy import (
-    ProxyConfig,
-    ProxyResult,
-    SlackResponseSurface,
-    run_proxy,
-    run_slack_sweep,
-)
-from .trace import Trace, Tracer
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -102,3 +66,50 @@ __all__ = [
     "get_registry",
     "collecting",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".des.core": ("Environment",),
+        ".gpusim.runtime": ("CudaRuntime",),
+        ".gpusim.kernels": ("KernelSpec", "matmul_kernel"),
+        ".hw.specs": (
+            "GPUSpec",
+            "NodeSpec",
+            "A100_SXM4_40GB",
+            "EPYC_7413",
+            "NARVAL_NODE",
+        ),
+        ".network.slack": (
+            "SlackModel",
+            "fibre_distance_for_latency",
+            "latency_for_fibre_distance",
+        ),
+        ".network.fabric": ("Fabric", "FabricSpec"),
+        ".trace.store": ("Trace",),
+        ".trace.tracer": ("Tracer",),
+        ".proxy.matmul": ("ProxyConfig", "ProxyResult", "run_proxy"),
+        ".proxy.sweep": ("run_slack_sweep",),
+        ".parallel.executor": ("SweepExecutor",),
+        ".parallel.pointcache": ("PointCache",),
+        ".proxy.response": ("SlackResponseSurface",),
+        ".apps.lammps.lj": ("LJParams",),
+        ".apps.lammps.scaling": ("LammpsScalingModel",),
+        ".apps.lammps.gpu_offload": ("LammpsProfileConfig", "profile_lammps"),
+        ".apps.cosmoflow.training": (
+            "CosmoFlowProfileConfig",
+            "profile_cosmoflow",
+        ),
+        ".model.predictor": ("CDIProfiler", "SlackPrediction"),
+        ".experiments.context": ("ExperimentContext",),
+        ".experiments.runner": ("run_experiment", "run_all"),
+        ".obs.metrics": (
+            "MetricsRegistry",
+            "enable_metrics",
+            "disable_metrics",
+            "get_registry",
+            "collecting",
+        ),
+        ".obs.report": ("RunReport",),
+    },
+)

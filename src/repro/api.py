@@ -106,6 +106,10 @@ observability
     :func:`get_registry`, :func:`collecting` (the serving layer
     publishes under ``serve.*`` and reports ``kind="serve"``).
 
+Every name resolves lazily (PEP 562, :mod:`repro._lazy`): reading it
+imports its defining module once, so ``from repro.api import
+predict_penalty`` loads the serving layer, not the simulator.
+
 No deprecated aliases or legacy call forms remain; ``docs/api.md``
 lists the removed spellings and their replacements.
 """
@@ -113,127 +117,7 @@ lists the removed spellings and their replacements.
 from __future__ import annotations
 
 from . import __version__
-from .apps import (
-    AppProfileCache,
-    CosmoFlowProfileConfig,
-    CpuOnlyProfileConfig,
-    InferenceProfileConfig,
-    InferenceRunResult,
-    LammpsProfileConfig,
-    LammpsScalingModel,
-    LJParams,
-    LLMSpec,
-    PenaltyMetric,
-    RegisteredApp,
-    SLOReport,
-    SLOResponse,
-    app_names,
-    get_app,
-    measure_slo_response,
-    phase_profile,
-    predict_slo_response,
-    profile_cosmoflow,
-    profile_cpuonly,
-    profile_inference,
-    profile_lammps,
-    register_app,
-    registered_apps,
-    run_inference,
-)
-from .cdi import (
-    ClusterSpec,
-    FleetConfig,
-    FleetJobs,
-    FleetResult,
-    FleetTopology,
-    SimJob,
-    TenantSpec,
-    TenantStats,
-    assert_fleet_parity,
-    generate_fleet_jobs,
-    run_fleet,
-    simulate_cdi,
-    simulate_traditional,
-    synthetic_job_mix,
-)
-from .des import Environment
-from .experiments import ExperimentContext, run_all, run_experiment
-from .faults import (
-    CongestionEpisode,
-    DegradedSweepResult,
-    FabricTimeoutError,
-    FaultPlan,
-    GpuStall,
-    LatencySpike,
-    LinkFlap,
-    MessageLoss,
-    run_degraded_sweep,
-)
-from .gpusim import CudaRuntime, KernelSpec, matmul_kernel
-from .hw import (
-    A100_SXM4_40GB,
-    EPYC_7413,
-    GPUSpec,
-    NARVAL_NODE,
-    NodeSpec,
-    OutOfMemoryError,
-)
-from .model import CDIProfiler, SlackPrediction
-from .network import (
-    Fabric,
-    FabricSpec,
-    SlackModel,
-    fibre_distance_for_latency,
-    latency_for_fibre_distance,
-)
-from .obs import (
-    MetricsRegistry,
-    RunReport,
-    collecting,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-)
-from .parallel import (
-    GridSpec,
-    PointCache,
-    ShardCoordinator,
-    ShardMergeError,
-    ShardMergeStats,
-    SweepExecutor,
-    SweepShard,
-    faults_digest,
-    load_shard,
-    merge_shards,
-    options_digest,
-    run_sweep_shard,
-    write_shard,
-)
-from .proxy import (
-    FastForwardInfo,
-    PAPER_MATRIX_SIZES,
-    PAPER_SLACK_VALUES_S,
-    PAPER_THREAD_COUNTS,
-    ProxyConfig,
-    ProxyResult,
-    ShardingUnsupportedError,
-    SlackResponseSurface,
-    SweepOptions,
-    SweepResult,
-    SweepTiming,
-    run_proxy,
-    run_slack_sweep,
-)
-from .serve import (
-    ColdPathConfig,
-    PenaltyService,
-    Prediction,
-    ServiceOverloadedError,
-    SurrogateDomainError,
-    SurrogateModel,
-    predict_penalty,
-)
-from .trace import Trace, Tracer
+from ._lazy import lazy_exports
 
 __all__ = [
     "__version__",
@@ -358,3 +242,136 @@ __all__ = [
     "get_registry",
     "collecting",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".serve.surrogate": (
+            "SurrogateModel",
+            "Prediction",
+            "SurrogateDomainError",
+        ),
+        ".serve.service": (
+            "PenaltyService",
+            "ColdPathConfig",
+            "ServiceOverloadedError",
+            "predict_penalty",
+        ),
+        ".experiments.context": ("ExperimentContext",),
+        ".experiments.runner": ("run_experiment", "run_all"),
+        ".proxy.sweep": (
+            "run_slack_sweep",
+            "SweepResult",
+            "SweepTiming",
+            "PAPER_MATRIX_SIZES",
+            "PAPER_SLACK_VALUES_S",
+            "PAPER_THREAD_COUNTS",
+        ),
+        ".proxy.options": ("SweepOptions", "ShardingUnsupportedError"),
+        ".proxy.response": ("SlackResponseSurface",),
+        ".model.predictor": ("CDIProfiler", "SlackPrediction"),
+        ".des.core": ("Environment",),
+        ".gpusim.runtime": ("CudaRuntime",),
+        ".gpusim.kernels": ("KernelSpec", "matmul_kernel"),
+        ".trace.store": ("Trace",),
+        ".trace.tracer": ("Tracer",),
+        ".hw.specs": (
+            "GPUSpec",
+            "NodeSpec",
+            "A100_SXM4_40GB",
+            "EPYC_7413",
+            "NARVAL_NODE",
+        ),
+        ".hw.memory": ("OutOfMemoryError",),
+        ".network.slack": (
+            "SlackModel",
+            "fibre_distance_for_latency",
+            "latency_for_fibre_distance",
+        ),
+        ".network.fabric": ("Fabric", "FabricSpec"),
+        ".proxy.matmul": ("ProxyConfig", "ProxyResult", "run_proxy"),
+        ".gpusim.flatcore": ("FastForwardInfo",),
+        ".apps.lammps.lj": ("LJParams",),
+        ".apps.lammps.scaling": ("LammpsScalingModel",),
+        ".apps.lammps.gpu_offload": ("LammpsProfileConfig", "profile_lammps"),
+        ".apps.cosmoflow.training": (
+            "CosmoFlowProfileConfig",
+            "profile_cosmoflow",
+        ),
+        ".apps.cpuonly": ("CpuOnlyProfileConfig", "profile_cpuonly"),
+        ".apps.inference.llm": ("LLMSpec",),
+        ".apps.inference.serving": (
+            "InferenceProfileConfig",
+            "InferenceRunResult",
+            "SLOReport",
+            "run_inference",
+            "profile_inference",
+        ),
+        ".apps.inference.slo": (
+            "SLOResponse",
+            "measure_slo_response",
+            "phase_profile",
+            "predict_slo_response",
+        ),
+        ".apps.registry": (
+            "RegisteredApp",
+            "PenaltyMetric",
+            "register_app",
+            "get_app",
+            "registered_apps",
+            "app_names",
+        ),
+        ".cdi.simulation": (
+            "SimJob",
+            "ClusterSpec",
+            "simulate_traditional",
+            "simulate_cdi",
+            "synthetic_job_mix",
+        ),
+        ".cdi.fleet": (
+            "TenantSpec",
+            "TenantStats",
+            "FleetConfig",
+            "FleetJobs",
+            "FleetResult",
+            "generate_fleet_jobs",
+            "run_fleet",
+            "assert_fleet_parity",
+        ),
+        ".cdi.placement": ("FleetTopology",),
+        ".faults.plan": (
+            "FaultPlan",
+            "LatencySpike",
+            "CongestionEpisode",
+            "LinkFlap",
+            "MessageLoss",
+            "GpuStall",
+        ),
+        ".faults.runtime": ("FabricTimeoutError",),
+        ".faults.degraded": ("run_degraded_sweep", "DegradedSweepResult"),
+        ".parallel.executor": ("SweepExecutor",),
+        ".parallel.pointcache": ("PointCache",),
+        ".apps.profilecache": ("AppProfileCache",),
+        ".parallel.shards": (
+            "GridSpec",
+            "SweepShard",
+            "run_sweep_shard",
+            "write_shard",
+            "load_shard",
+            "merge_shards",
+            "ShardCoordinator",
+            "ShardMergeStats",
+            "ShardMergeError",
+            "faults_digest",
+            "options_digest",
+        ),
+        ".obs.metrics": (
+            "MetricsRegistry",
+            "enable_metrics",
+            "disable_metrics",
+            "get_registry",
+            "collecting",
+        ),
+        ".obs.report": ("RunReport",),
+    },
+)

@@ -18,11 +18,10 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gpusim.flatcore import FastForwardInfo, FlatDevice
-from ..gpusim.interpret import des_reason, run_des
-from ..network import SlackModel
-from ..obs import get_registry
-from ..trace import Trace
+from ..gpusim.flatcore import FastForwardInfo, FlatDevice, des_reason
+from ..network.slack import SlackModel
+from ..obs.metrics import get_registry
+from ..trace.store import Trace
 
 __all__ = [
     "AppProfile",
@@ -87,6 +86,8 @@ def run_programs(
         run = dev.run(programs, threads, join)
         end_s, trace = run.end_s, run.trace
     else:
+        from ..gpusim.interpret import run_des
+
         reg.counter(f"appcore.fallbacks.{fallback}").inc()
         end_s, rt = run_des(dev, programs, threads, join, faults=faults)
         trace = rt.tracer.trace

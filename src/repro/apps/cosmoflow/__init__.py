@@ -5,22 +5,7 @@ sequences, prefetch input pipeline, Horovod-style gradient exchange —
 the GPU-dominant counterpart to LAMMPS in the paper's study.
 """
 
-from .layers import (
-    CONV_CHANNELS,
-    Conv3DBlock,
-    DENSE_UNITS,
-    DenseLayer,
-    INPUT_SHAPE,
-    cosmoflow_layers,
-)
-from .model import CosmoFlowNet
-from .training import (
-    COSMOFLOW_REQUIRED_CORES,
-    CosmoFlowProfileConfig,
-    LAUNCH_PHASE_FRACTION,
-    cosmoflow_cpu_runtime,
-    profile_cosmoflow,
-)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "CosmoFlowNet",
@@ -36,3 +21,25 @@ __all__ = [
     "COSMOFLOW_REQUIRED_CORES",
     "LAUNCH_PHASE_FRACTION",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".model": ("CosmoFlowNet",),
+        ".layers": (
+            "Conv3DBlock",
+            "DenseLayer",
+            "cosmoflow_layers",
+            "INPUT_SHAPE",
+            "CONV_CHANNELS",
+            "DENSE_UNITS",
+        ),
+        ".training": (
+            "CosmoFlowProfileConfig",
+            "profile_cosmoflow",
+            "cosmoflow_cpu_runtime",
+            "COSMOFLOW_REQUIRED_CORES",
+            "LAUNCH_PHASE_FRACTION",
+        ),
+    },
+)

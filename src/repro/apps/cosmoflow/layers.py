@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ...gpusim import KernelSpec
+from ...gpusim.kernels import KernelSpec
 
 __all__ = [
     "Conv3DBlock",

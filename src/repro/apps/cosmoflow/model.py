@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ...gpusim import KernelSpec
-from ...hw import GPUSpec
+from ...gpusim.kernels import KernelSpec
+from ...hw.specs import GPUSpec
 from .layers import Conv3DBlock, DenseLayer, cosmoflow_layers
 
 __all__ = ["CosmoFlowNet"]

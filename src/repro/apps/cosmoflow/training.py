@@ -27,16 +27,18 @@ records which ran in :attr:`~repro.apps.base.AppProfile.fastforward`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ...faults import FaultPlan
-from ...gpusim import KernelSpec
+from ...gpusim.kernels import KernelSpec
 from ...gpusim.flatcore import FlatDevice
-from ...hw import A100_SXM4_40GB, GPUSpec, MiB, PCIE_GEN4_X16, PCIeSpec
-from ...network import SlackModel
-from ...trace import CopyKind, EventKind
+from ...hw.specs import A100_SXM4_40GB, GPUSpec, MiB, PCIE_GEN4_X16, PCIeSpec
+from ...network.slack import SlackModel
+from ...trace.events import CopyKind, EventKind
 from ..base import AppProfile, app_device, run_programs
 from .model import CosmoFlowNet
+
+if TYPE_CHECKING:
+    from ...faults.plan import FaultPlan
 
 __all__ = [
     "CosmoFlowProfileConfig",

@@ -19,16 +19,15 @@ from typing import Any, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cdi import (
+from ..cdi.scheduler import (
     CDIScheduler,
-    CPUNode,
-    GPUChassis,
     JobRequest,
-    ResourcePool,
     ScheduleOutcome,
     TraditionalScheduler,
 )
-from ..des import Environment, Event, quantize
+from ..cdi.resources import CPUNode, GPUChassis, ResourcePool
+from ..des.core import Environment, Event
+from ..des.timebase import quantize
 from ..gpusim.flatcore import FastForwardInfo
 from .base import AppProfile
 

@@ -4,31 +4,7 @@ See :mod:`repro.apps.inference.serving` for the DES,
 :mod:`repro.apps.inference.slo` for the latency-SLO penalty layer.
 """
 
-from .arrivals import Request, generate_requests
-from .batcher import BatchQueue
-from .llm import LLMSpec
-from .serving import (
-    BatchRecord,
-    InferenceProfileConfig,
-    InferenceRunResult,
-    PHASE_DECODE,
-    PHASE_KV,
-    PHASE_MISC,
-    PHASE_PREFILL,
-    RequestRecord,
-    SLOReport,
-    profile_inference,
-    run_inference,
-)
-from .slo import (
-    PredictedSLOResponse,
-    SLOResponse,
-    TPOT_SERIES,
-    TTFT_SERIES,
-    measure_slo_response,
-    phase_profile,
-    predict_slo_response,
-)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "LLMSpec",
@@ -54,3 +30,34 @@ __all__ = [
     "TTFT_SERIES",
     "TPOT_SERIES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".llm": ("LLMSpec",),
+        ".arrivals": ("Request", "generate_requests"),
+        ".batcher": ("BatchQueue",),
+        ".serving": (
+            "InferenceProfileConfig",
+            "InferenceRunResult",
+            "RequestRecord",
+            "BatchRecord",
+            "SLOReport",
+            "run_inference",
+            "profile_inference",
+            "PHASE_PREFILL",
+            "PHASE_DECODE",
+            "PHASE_KV",
+            "PHASE_MISC",
+        ),
+        ".slo": (
+            "SLOResponse",
+            "PredictedSLOResponse",
+            "measure_slo_response",
+            "phase_profile",
+            "predict_slo_response",
+            "TTFT_SERIES",
+            "TPOT_SERIES",
+        ),
+    },
+)

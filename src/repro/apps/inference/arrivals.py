@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ...des import quantize
+from ...des.timebase import quantize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .serving import InferenceProfileConfig

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...gpusim import KernelSpec
+from ...gpusim.kernels import KernelSpec
 
 __all__ = ["LLMSpec"]
 

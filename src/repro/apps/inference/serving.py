@@ -32,21 +32,25 @@ every refusal, in :attr:`~repro.apps.base.AppProfile.fastforward`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ...des import Environment, Event, quantize
+from ...des.core import Environment, Event
+from ...des.timebase import quantize
 from ...gpusim.flatcore import FastForwardInfo
-from ...faults import FaultPlan
-from ...gpusim import CudaRuntime, KernelSpec
-from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
-from ...network import SlackModel
-from ...trace import CopyKind, EventKind
+from ...gpusim.runtime import CudaRuntime
+from ...gpusim.kernels import KernelSpec
+from ...hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ...network.slack import SlackModel
+from ...trace.events import CopyKind, EventKind
 from ..base import AppProfile
 from .arrivals import Request, generate_requests
 from .batcher import BatchQueue
 from .llm import LLMSpec
+
+if TYPE_CHECKING:
+    from ...faults.plan import FaultPlan
 
 __all__ = [
     "PHASE_PREFILL",
@@ -450,7 +454,7 @@ def run_inference(
         slo=_slo_report(config, tuple(records), runtime),
         queue_high_water=queue.high_water,
     )
-    from ...obs import publish_inference
+    from ...obs.publish import publish_inference
 
     publish_inference(result)
     return result

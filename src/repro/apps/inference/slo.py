@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from ...proxy.sweep import SweepPoint
-from ...trace import EventKind
+from ...trace.events import EventKind
 from ...trace.store import Trace
 from ..base import AppProfile
 from .serving import (
@@ -42,7 +42,7 @@ from .serving import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...faults import FaultPlan
+    from ...faults.plan import FaultPlan
     from ...model.predictor import CDIProfiler, SlackPrediction
 
 __all__ = [
@@ -133,7 +133,7 @@ def measure_slo_response(
     for s in slacks:
         if s <= 0:
             raise ValueError("slack values must be positive")
-    from ...network import SlackModel
+    from ...network.slack import SlackModel
 
     baseline = run_inference(config, SlackModel.none(), faults=faults)
     reports = tuple(

@@ -5,22 +5,7 @@ results) plus a traced simulation of the GPU package's per-step data
 path (Figures 4-5, Table III).
 """
 
-from .gpu_offload import (
-    FORCE_BYTES_PER_ATOM,
-    LammpsProfileConfig,
-    NEIGHBOR_EVERY,
-    PAIR_SECONDS_PER_ATOM,
-    POSITION_BYTES_PER_ATOM,
-    profile_lammps,
-)
-from .lj import ATOMS_PER_UNIT_BOX, DEFAULT_BOX, LJParams, PAPER_BOX_SIZES
-from .scaling import LammpsScalingModel, PER_ATOM_RUN_S, SETUP_S
-from .weak_scaling import (
-    BasicUnit,
-    WeakScalingProjection,
-    find_basic_unit,
-    project_weak_scaling,
-)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "LJParams",
@@ -41,3 +26,30 @@ __all__ = [
     "find_basic_unit",
     "project_weak_scaling",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".lj": (
+            "LJParams",
+            "DEFAULT_BOX",
+            "ATOMS_PER_UNIT_BOX",
+            "PAPER_BOX_SIZES",
+        ),
+        ".scaling": ("LammpsScalingModel", "SETUP_S", "PER_ATOM_RUN_S"),
+        ".gpu_offload": (
+            "LammpsProfileConfig",
+            "profile_lammps",
+            "POSITION_BYTES_PER_ATOM",
+            "FORCE_BYTES_PER_ATOM",
+            "PAIR_SECONDS_PER_ATOM",
+            "NEIGHBOR_EVERY",
+        ),
+        ".weak_scaling": (
+            "BasicUnit",
+            "WeakScalingProjection",
+            "find_basic_unit",
+            "project_weak_scaling",
+        ),
+    },
+)

@@ -31,16 +31,18 @@ profile records which ran in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ...faults import FaultPlan
 from ...gpusim.flatcore import FlatDevice
-from ...hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
-from ...network import SlackModel
-from ...trace import CopyKind, EventKind
+from ...hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ...network.slack import SlackModel
+from ...trace.events import CopyKind, EventKind
 from ..base import AppProfile, app_device, run_programs
 from .lj import LJParams
 from .scaling import LammpsScalingModel
+
+if TYPE_CHECKING:
+    from ...faults.plan import FaultPlan
 
 __all__ = ["LammpsProfileConfig", "profile_lammps"]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ...network import Fabric, FabricSpec, Scale
+from ...network.fabric import Fabric, FabricSpec, Scale
 from .lj import LJParams
 from .scaling import LammpsScalingModel
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from ..obs import get_registry
+from ..obs.metrics import get_registry
 from ..trace.store import Trace
 from .base import AppProfile
 

@@ -122,10 +122,11 @@ def app_model_version(name: str) -> str:
 
 def _register_builtin_apps() -> None:
     """Register the reproduction's own workloads (import-time)."""
-    from .cosmoflow import CosmoFlowProfileConfig, profile_cosmoflow
+    from .cosmoflow.training import CosmoFlowProfileConfig, profile_cosmoflow
     from .cpuonly import CpuOnlyProfileConfig, profile_cpuonly
-    from .inference import InferenceProfileConfig, profile_inference
-    from .lammps import LammpsProfileConfig, LJParams, profile_lammps
+    from .inference.serving import InferenceProfileConfig, profile_inference
+    from .lammps.gpu_offload import LammpsProfileConfig, profile_lammps
+    from .lammps.lj import LJParams
 
     def lammps_default(quick: bool) -> LammpsProfileConfig:
         return LammpsProfileConfig(

@@ -6,47 +6,7 @@ traditional-vs-CDI scheduling comparison of Section V, and the mapping
 from physical placement to the slack a job experiences.
 """
 
-from .composer import Composer, CompositionError
-from .fleet import (
-    FleetConfig,
-    FleetJobs,
-    FleetResult,
-    TenantSpec,
-    TenantStats,
-    assert_fleet_parity,
-    generate_fleet_jobs,
-    run_fleet,
-)
-from .power import PowerComparison, PowerModel, compare_power
-from .placement import (
-    PLACEMENT_POLICIES,
-    CompositionSlack,
-    FleetTopology,
-    PlacementResolver,
-)
-from .resources import Composition, CPUNode, GPUChassis, ResourcePool
-from .simulation import (
-    ClusterSpec,
-    JobMetrics,
-    SimJob,
-    SimulationMetrics,
-    compare_throughput,
-    simulate_cdi,
-    simulate_traditional,
-    synthetic_job_mix,
-)
-from .scheduler import (
-    CDIScheduler,
-    JobPlacement,
-    JobRequest,
-    ScheduleOutcome,
-    TraditionalScheduler,
-)
-from .utilization import (
-    SchedulingComparison,
-    compare_schedulers,
-    discussion_example,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CPUNode",
@@ -87,3 +47,50 @@ __all__ = [
     "run_fleet",
     "assert_fleet_parity",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".resources": ("CPUNode", "GPUChassis", "ResourcePool", "Composition"),
+        ".composer": ("Composer", "CompositionError"),
+        ".scheduler": (
+            "JobRequest",
+            "JobPlacement",
+            "ScheduleOutcome",
+            "TraditionalScheduler",
+            "CDIScheduler",
+        ),
+        ".placement": (
+            "PlacementResolver",
+            "CompositionSlack",
+            "FleetTopology",
+            "PLACEMENT_POLICIES",
+        ),
+        ".utilization": (
+            "SchedulingComparison",
+            "compare_schedulers",
+            "discussion_example",
+        ),
+        ".power": ("PowerModel", "PowerComparison", "compare_power"),
+        ".simulation": (
+            "SimJob",
+            "ClusterSpec",
+            "JobMetrics",
+            "SimulationMetrics",
+            "simulate_traditional",
+            "simulate_cdi",
+            "synthetic_job_mix",
+            "compare_throughput",
+        ),
+        ".fleet": (
+            "TenantSpec",
+            "TenantStats",
+            "FleetConfig",
+            "FleetJobs",
+            "FleetResult",
+            "generate_fleet_jobs",
+            "run_fleet",
+            "assert_fleet_parity",
+        ),
+    },
+)

@@ -48,13 +48,13 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..des import TICK_S
-from ..faults import FaultPlan
-from ..obs import MetricsRegistry, RunReport, get_registry
+from ..des.timebase import TICK_S
+from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.report import RunReport
 from ..obs.publish import publish_fleet
 from .placement import PLACEMENT_POLICIES, FleetTopology
 from .simulation import (
@@ -64,6 +64,9 @@ from .simulation import (
     simulate_cdi,
     simulate_traditional,
 )
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "TenantSpec",
@@ -1022,7 +1025,7 @@ def _evaluate_penalties(
 
 def _record_trace(result: FleetResult, trace: object) -> None:
     """Record one KERNEL event per job into a Trace."""
-    from ..trace import EventKind
+    from ..trace.events import EventKind
 
     jobs = result.jobs
     trace.record_batch(  # type: ignore[attr-defined]

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..network import Fabric, PathInfo, SlackModel
+from ..network.fabric import Fabric, PathInfo
+from ..network.slack import SlackModel
 from .resources import Composition
 
 __all__ = [

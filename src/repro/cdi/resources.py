@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..hw import CPUSpec, EPYC_7413, GPUSpec, A100_SXM4_40GB, PCIeDomain
+from ..hw.specs import CPUSpec, EPYC_7413, GPUSpec, A100_SXM4_40GB
+from ..hw.pcie import PCIeDomain
 
 __all__ = ["CPUNode", "GPUChassis", "ResourcePool", "Composition"]
 

@@ -18,7 +18,8 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..des import Container, Environment, Event
+from ..des.resources import Container
+from ..des.core import Environment, Event
 
 __all__ = [
     "SimJob",

@@ -52,14 +52,21 @@ import sys
 import time
 from typing import List, Optional
 
-from .experiments import (
-    ExperimentContext,
-    experiment_ids,
-    run_experiment,
-)
-from .network import fibre_distance_for_latency
-
 __all__ = ["main", "build_parser"]
+
+
+class _RegisteredApps:
+    """The ``profile`` choices: the app registry's names, read when
+    ``profile`` is parsed or its help printed. The registry imports
+    every app model, which no other command needs."""
+
+    def __iter__(self):
+        from .apps.registry import app_names
+
+        return iter(app_names())
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,14 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     slack_p = sub.add_parser("slack", help="slack <-> fibre distance")
     slack_p.add_argument("seconds", type=float, help="one-way slack in seconds")
 
-    from .apps.registry import app_names
-
     prof_p = sub.add_parser(
         "profile", help="trace an application and predict its slack penalty"
     )
-    prof_p.add_argument("app", choices=list(app_names()),
+    prof_p.add_argument("app", choices=_RegisteredApps(), metavar="APP",
                         help="application model to profile (from the "
-                             "app registry)")
+                             "app registry: %(choices)s)")
     prof_p.add_argument("--slack", type=float, action="append",
                         metavar="SECONDS", dest="slacks",
                         help="slack value(s) to predict at "
@@ -322,24 +327,36 @@ def _resolve_workers(args: argparse.Namespace) -> int:
     return workers
 
 
+def _freeze_imports() -> None:
+    """Move everything imported so far out of the collector's reach.
+
+    Modules live as long as the process, so the first allocation-heavy
+    span should not pay a full collection of every imported one. Each
+    command calls this once its modules are imported (they are imported
+    by the command, not at start-up).
+    Once per process: a later in-process call would also freeze the
+    garbage earlier runs left for the collector.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Everything imported so far lives as long as the process: move it
-    # out of the collector's reach, so that the first allocation-heavy
-    # span does not pay a full collection of every imported module.
-    # Once per process: a later in-process call would also freeze the
-    # garbage earlier runs left for the collector.
-    if not gc.get_freeze_count():
-        gc.freeze()
-
     if args.command == "list":
+        from .experiments.runner import experiment_ids
+
+        _freeze_imports()
         for eid in experiment_ids():
             print(eid)
         return 0
 
     if args.command == "slack":
+        from .network.slack import fibre_distance_for_latency
+
+        _freeze_imports()
         if args.seconds < 0:
             print("slack must be non-negative", file=sys.stderr)
             return 2
@@ -364,7 +381,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_predict(args)
     if args.command == "serve":
         return _cmd_serve(args)
+    return _cmd_experiments(args)
 
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """``run`` and ``all``: regenerate experiments and print them."""
+    from .experiments.context import ExperimentContext
+    from .experiments.runner import experiment_ids, run_all, run_experiment
+
+    _freeze_imports()
     options = _sweep_options(args)
     workers = options.workers
     metrics_out = _maybe_enable_metrics(args)
@@ -381,8 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     if args.command == "all" and workers > 1:
-        from .experiments import run_all
-
         t0 = time.time()
         results = run_all(ctx, workers=workers)
         for result in results:
@@ -391,7 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[{len(results)} experiments, {workers} workers: "
               f"{time.time() - t0:.1f}s]", file=sys.stderr)
         if getattr(args, "output", None):
-            from .experiments import write_markdown_report
+            from .experiments.export import write_markdown_report
 
             path = write_markdown_report(results, args.output)
             print(f"markdown report written to {path}")
@@ -417,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[{eid}: {time.time() - t0:.1f}s]", file=sys.stderr)
         print()
     if getattr(args, "output", None):
-        from .experiments import write_markdown_report
+        from .experiments.export import write_markdown_report
 
         path = write_markdown_report(results, args.output)
         print(f"markdown report written to {path}")
@@ -432,7 +455,7 @@ def _maybe_enable_metrics(args: argparse.Namespace) -> Optional[str]:
     """Enable the metrics registry if ``--metrics-out`` was given."""
     path = getattr(args, "metrics_out", None)
     if path:
-        from .obs import enable_metrics
+        from .obs.metrics import enable_metrics
 
         enable_metrics()
     return path
@@ -447,7 +470,8 @@ def _write_metrics_report(
     """Write (and announce) the RunReport of a ``--metrics-out`` run."""
     if not path:
         return
-    from .obs import RunReport, disable_metrics, get_registry
+    from .obs.report import RunReport
+    from .obs.metrics import disable_metrics, get_registry
 
     if report is None:
         report = RunReport.collect(get_registry(), kind=kind, meta=meta or {})
@@ -458,8 +482,10 @@ def _write_metrics_report(
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Render a RunReport JSON (or a fresh demo report) as a table."""
-    from .obs import RunReport, collecting
+    from .obs.report import RunReport
+    from .obs.metrics import collecting
 
+    _freeze_imports()
     if args.report:
         try:
             report = RunReport.from_json(args.report)
@@ -472,7 +498,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     # No file given: measure a tiny sweep with metrics enabled and
     # render its report, so `repro metrics` is self-demonstrating.
-    from .proxy import run_slack_sweep
+    from .proxy.sweep import run_slack_sweep
 
     with collecting():
         sweep = run_slack_sweep(
@@ -489,10 +515,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Trace one registered application and predict its slack penalty."""
     from .apps.registry import get_app
-    from .model import CDIProfiler
-    from .proxy import PAPER_SLACK_VALUES_S
-    from .trace import to_json
+    from .experiments.context import ExperimentContext
+    from .model.predictor import CDIProfiler
+    from .proxy.sweep import PAPER_SLACK_VALUES_S
+    from .trace.export import to_json
 
+    _freeze_imports()
     app = get_app(args.app)
     ctx = ExperimentContext(quick=not args.full)
     profile = ctx.app_profile(args.app)
@@ -525,7 +553,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = CDIProfiler(ctx.surface())
 
     if app.penalty.kind == "latency-slo":
-        from .apps.inference import measure_slo_response, predict_slo_response
+        from .apps.inference.slo import (
+            measure_slo_response,
+            predict_slo_response,
+        )
 
         positive = sorted(s for s in slacks if s > 0)
         resp = measure_slo_response(ctx.app_config(args.app), positive)
@@ -562,8 +593,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Describe or validate a fault-plan spec without running anything."""
-    from .faults import FaultPlan
+    from .faults.plan import FaultPlan
 
+    _freeze_imports()
     try:
         plan = FaultPlan.from_spec(args.spec).validate()
     except ValueError as exc:
@@ -581,7 +613,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _parse_tenant_arg(spec: str):
     """Parse ``--tenant NAME:PER_HOUR[:CPU%:GPU%]`` into a TenantSpec."""
-    from .cdi import TenantSpec
+    from .cdi.fleet import TenantSpec
 
     parts = spec.split(":")
     try:
@@ -601,15 +633,16 @@ def _parse_tenant_arg(spec: str):
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Generate a multi-tenant stream and run the fleet engine."""
-    from .cdi import (
-        ClusterSpec,
+    from .cdi.simulation import ClusterSpec
+    from .cdi.fleet import (
         FleetConfig,
-        FleetTopology,
         assert_fleet_parity,
         generate_fleet_jobs,
         run_fleet,
     )
+    from .cdi.placement import FleetTopology
 
+    _freeze_imports()
     try:
         cluster = ClusterSpec(
             nodes=args.nodes,
@@ -656,6 +689,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     surrogate = None
     if args.penalties:
+        from .experiments.context import ExperimentContext
+
         ctx = ExperimentContext(quick=not args.full)
         surrogate = ctx.surrogate(method="loglinear")
     faults = _parse_faults_arg(args)
@@ -750,7 +785,7 @@ def _parse_faults_arg(args: argparse.Namespace):
     spec = getattr(args, "faults", None)
     if not spec:
         return None
-    from .faults import FaultPlan
+    from .faults.plan import FaultPlan
 
     try:
         plan = FaultPlan.from_spec(spec).validate()
@@ -761,7 +796,7 @@ def _parse_faults_arg(args: argparse.Namespace):
 
 def _sweep_options(args: argparse.Namespace) -> "SweepOptions":
     """The resolved execution-knob bundle of one CLI invocation."""
-    from .proxy import SweepOptions
+    from .proxy.options import SweepOptions
 
     return SweepOptions(
         workers=_resolve_workers(args),
@@ -788,8 +823,13 @@ def _parse_shard_arg(spec: str):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run a custom proxy sweep and print the surface."""
-    from .proxy import PAPER_MATRIX_SIZES, PAPER_SLACK_VALUES_S, run_slack_sweep
+    from .proxy.sweep import (
+        PAPER_MATRIX_SIZES,
+        PAPER_SLACK_VALUES_S,
+        run_slack_sweep,
+    )
 
+    _freeze_imports()
     matrix_sizes = args.matrix_sizes or list(PAPER_MATRIX_SIZES)
     slacks = sorted(args.slacks or PAPER_SLACK_VALUES_S)
     threads = args.threads or [1]
@@ -820,7 +860,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     metrics_out = _maybe_enable_metrics(args)
 
     if args.shard:
-        from .parallel import GridSpec, run_sweep_shard, write_shard
+        from .parallel.shards import GridSpec, run_sweep_shard, write_shard
 
         if not args.shard_out:
             print("--shard requires --shard-out PATH", file=sys.stderr)
@@ -849,7 +889,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     if args.merge_shards:
-        from .parallel import ShardMergeError, load_shard, merge_shards
+        from .parallel.shards import ShardMergeError, load_shard, merge_shards
 
         try:
             grid = load_shard(args.merge_shards[0]).grid
@@ -868,7 +908,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _print_sweep_surface(args, sweep, slacks, metrics_out)
 
     if args.shard_workers:
-        from .parallel import GridSpec, ShardCoordinator
+        from .parallel.shards import GridSpec, ShardCoordinator
 
         grid = GridSpec(
             matrix_sizes=matrix_sizes,
@@ -903,7 +943,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         options=options,
     )
     if options.adaptive:
-        from .model import adaptive_slack_sweep
+        from .model.adaptive import adaptive_slack_sweep
 
         res = adaptive_slack_sweep(**common)
         sweep = res.dense
@@ -928,7 +968,7 @@ def _print_sweep_surface(
     metrics_out: Optional[str],
 ) -> int:
     """Shared sweep-output tail: timing, report, skips, surface table."""
-    from .proxy import SlackResponseSurface
+    from .proxy.response import SlackResponseSurface
 
     if sweep.timing is not None:
         t = sweep.timing
@@ -958,8 +998,10 @@ def _print_sweep_surface(
 
 def _serve_setup(args: argparse.Namespace):
     """Fit the surrogate and cold-path config for predict/serve."""
-    from .serve import ColdPathConfig
+    from .experiments.context import ExperimentContext
+    from .serve.service import ColdPathConfig
 
+    _freeze_imports()
     ctx = ExperimentContext(quick=not args.full)
     model = ctx.surrogate(method=args.method)
     cold = ColdPathConfig() if args.cold else None
@@ -968,7 +1010,8 @@ def _serve_setup(args: argparse.Namespace):
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     """One-shot penalty prediction from the serving surrogate."""
-    from .serve import SurrogateDomainError, predict_penalty
+    from .serve.surrogate import SurrogateDomainError
+    from .serve.service import predict_penalty
 
     model, cold = _serve_setup(args)
     try:
@@ -994,7 +1037,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Interactive serving loop over stdin queries."""
     import asyncio
 
-    from .serve import PenaltyService, SurrogateDomainError
+    from .serve.service import PenaltyService
+    from .serve.surrogate import SurrogateDomainError
 
     model, cold = _serve_setup(args)
     metrics_out = _maybe_enable_metrics(args)

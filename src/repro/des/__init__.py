@@ -6,35 +6,7 @@ Everything above this layer — PCIe links, NICs, GPU engines, the slack
 injector — is expressed as processes and resources from this package.
 """
 
-from .core import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Environment,
-    Event,
-    NORMAL,
-    PENDING,
-    Process,
-    Timeout,
-    URGENT,
-)
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from .monitor import IntervalRecord, TimeSeriesMonitor, UtilizationTracker
-from .timebase import TICK_S, quantize
-from .resources import (
-    Barrier,
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveRequest,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Environment",
@@ -69,3 +41,47 @@ __all__ = [
     "TICK_S",
     "quantize",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "Environment",
+            "Event",
+            "Timeout",
+            "Process",
+            "Condition",
+            "AllOf",
+            "AnyOf",
+            "PENDING",
+            "NORMAL",
+            "URGENT",
+        ),
+        ".errors": (
+            "SimulationError",
+            "StopSimulation",
+            "EmptySchedule",
+            "Interrupt",
+        ),
+        ".resources": (
+            "Resource",
+            "PriorityResource",
+            "Request",
+            "PriorityRequest",
+            "Release",
+            "Preempted",
+            "PreemptiveResource",
+            "PreemptiveRequest",
+            "Container",
+            "Store",
+            "Barrier",
+            "FilterStore",
+        ),
+        ".monitor": (
+            "TimeSeriesMonitor",
+            "UtilizationTracker",
+            "IntervalRecord",
+        ),
+        ".timebase": ("TICK_S", "quantize"),
+    },
+)

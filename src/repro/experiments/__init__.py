@@ -4,10 +4,7 @@ Every table and figure of the paper's evaluation has a runner here;
 ``run_experiment(id)`` regenerates its rows/series from the simulator.
 """
 
-from .context import ExperimentContext, default_cache_dir
-from .export import results_to_markdown, write_markdown_report
-from .report import ExperimentResult, Series, Table
-from .runner import EXPERIMENTS, experiment_ids, run_all, run_experiment
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExperimentContext",
@@ -22,3 +19,18 @@ __all__ = [
     "results_to_markdown",
     "write_markdown_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".context": ("ExperimentContext", "default_cache_dir"),
+        ".report": ("ExperimentResult", "Table", "Series"),
+        ".runner": (
+            "EXPERIMENTS",
+            "experiment_ids",
+            "run_experiment",
+            "run_all",
+        ),
+        ".export": ("results_to_markdown", "write_markdown_report"),
+    },
+)

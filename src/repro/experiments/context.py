@@ -22,23 +22,25 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from ..apps import CosmoFlowProfileConfig, LammpsProfileConfig
-from ..apps.base import AppProfile
-from ..apps.profilecache import AppProfileCache
-from ..apps.registry import app_names, get_app
-from ..obs import publish_trace_store
-from ..parallel import PointCache
-from ..proxy import (
+from ..obs.publish import publish_trace_store
+from ..proxy.options import SweepOptions
+from ..proxy.response import SlackResponseSurface
+from ..proxy.sweep import (
     PAPER_MATRIX_SIZES,
     PAPER_SLACK_VALUES_S,
     PAPER_THREAD_COUNTS,
-    SlackResponseSurface,
-    SweepOptions,
     SweepTiming,
     run_slack_sweep,
 )
+
+if TYPE_CHECKING:
+    from ..apps.base import AppProfile
+    from ..apps.cosmoflow.training import CosmoFlowProfileConfig
+    from ..apps.lammps.gpu_offload import LammpsProfileConfig
+    from ..apps.profilecache import AppProfileCache
+    from ..parallel.pointcache import PointCache
 
 __all__ = ["ExperimentContext", "default_cache_dir"]
 
@@ -168,7 +170,7 @@ class ExperimentContext:
         :class:`~repro.serve.SurrogateModel` on its points — what
         ``rowscale-cdi serve``/``predict`` do at startup.
         """
-        from ..serve import SurrogateModel
+        from ..serve.surrogate import SurrogateModel
 
         return SurrogateModel.fit(self.surface(), method=method)
 
@@ -212,16 +214,22 @@ class ExperimentContext:
         context's ``quick`` knob — for ``lammps``/``cosmoflow`` these
         are the historical configurations bit for bit.
         """
+        from ..apps.registry import get_app
+
         return get_app(name).default_config(self.quick)
 
     def app_profile(self, name: str) -> AppProfile:
         """Any registered app's traced profile (memoized + disk-cached)."""
+        from ..apps.registry import get_app
+
         return self._profile(
             name, self.app_config(name), get_app(name).profiler
         )
 
     def app_profiles(self) -> Dict[str, AppProfile]:
         """Every registered app's profile, keyed by name."""
+        from ..apps.registry import app_names
+
         return {name: self.app_profile(name) for name in app_names()}
 
     def lammps_config(self) -> LammpsProfileConfig:
@@ -241,6 +249,8 @@ class ExperimentContext:
         byte-identically (the columnar trace document round-trips
         exactly).
         """
+        from ..apps.profilecache import AppProfileCache
+
         if not self.options.cache:
             return None
         return AppProfileCache(self._cache_base() / "profiles")

@@ -7,7 +7,10 @@ derives from this: 4 GPUs use at most 8 cores, stranding 40.
 
 from __future__ import annotations
 
-from ..apps.cosmoflow import COSMOFLOW_REQUIRED_CORES, cosmoflow_cpu_runtime
+from ..apps.cosmoflow.training import (
+    COSMOFLOW_REQUIRED_CORES,
+    cosmoflow_cpu_runtime,
+)
 from .context import ExperimentContext
 from .report import ExperimentResult, Series, Table
 

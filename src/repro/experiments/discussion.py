@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..cdi import discussion_example
+from ..cdi.utilization import discussion_example
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

@@ -18,18 +18,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cdi import compare_power, discussion_example
-from ..gpusim import (
+from ..apps.lammps.weak_scaling import find_basic_unit, project_weak_scaling
+from ..cdi.power import compare_power
+from ..cdi.simulation import ClusterSpec, compare_throughput, synthetic_job_mix
+from ..cdi.utilization import discussion_example
+from ..gpusim.multigpu import (
     CHASSIS_INTERNAL,
     CROSS_CHASSIS,
     NVLINK3,
-    PreloadShim,
     ring_allreduce_time,
 )
+from ..gpusim.preload import PreloadShim
 from ..gpusim.flatcore import FlatDevice
-from ..hw import A100_SXM4_40GB, MiB, PCIE_GEN4_X16
-from ..network import CongestionModel, SlackModel, utilization_for_inflation
-from ..proxy import ProxyConfig, run_proxy
+from ..gpusim.remoting import RemotingSpec, make_remoting_device
+from ..hw.specs import A100_SXM4_40GB, MiB, PCIE_GEN4_X16
+from ..model.sensitivity import cap_sensitivity, ramp_sensitivity
+from ..network.congestion import CongestionModel, utilization_for_inflation
+from ..network.fabric import Fabric, FabricSpec
+from ..network.slack import SlackModel
+from ..proxy.matmul import ProxyConfig, run_proxy
 from ..proxy.core import iteration_body
 from .context import ExperimentContext
 from .report import ExperimentResult, Series, Table
@@ -174,8 +181,6 @@ def run_remoting(ctx: ExperimentContext | None = None) -> ExperimentResult:
     path and behind an API-remoting layer whose memcpys cross a
     100 Gb/s network instead of PCIe.
     """
-    from ..gpusim.remoting import RemotingSpec, make_remoting_device
-
     def loop_time(dev, n, iters=10):
         return dev.run([iteration_body(dev, n)], [0], count=iters).end_s
 
@@ -214,8 +219,6 @@ def run_sensitivity(ctx: ExperimentContext | None = None) -> ExperimentResult:
     constants change — the 'calibrated, not derived' caveat of
     EXPERIMENTS.md made quantitative.
     """
-    from ..model import cap_sensitivity, ramp_sensitivity
-
     ramp_table = Table(
         title="Idle-ramp fraction vs the 2^13 / 10 ms anchor (paper ~10%)",
         headers=["fraction", "penalty [%]"],
@@ -289,8 +292,6 @@ def run_throughput(ctx: ExperimentContext | None = None) -> ExperimentResult:
     efficiency for job throughput and time to solution", measured on a
     synthetic stream of the paper's three workload archetypes.
     """
-    from ..cdi import ClusterSpec, compare_throughput, synthetic_job_mix
-
     jobs = synthetic_job_mix(120, np.random.default_rng(7))
     trad, cdi = compare_throughput(jobs, ClusterSpec())
     table = Table(
@@ -329,8 +330,6 @@ def run_weak_scaling(ctx: ExperimentContext | None = None) -> ExperimentResult:
     best cores-per-GPU unit for LJ box 120 and replicate it across GPU
     counts under CDI (exact units) vs traditional nodes (12 cores/GPU).
     """
-    from ..apps.lammps import find_basic_unit, project_weak_scaling
-
     unit = find_basic_unit(120)
     table = Table(
         title=f"LAMMPS weak scaling from the basic unit "
@@ -367,8 +366,6 @@ def run_resilience(ctx: ExperimentContext | None = None) -> ExperimentResult:
     component class in a two-chassis row and report the surviving
     placements and their slack.
     """
-    from ..network import Fabric, FabricSpec
-
     fabric = Fabric(FabricSpec(racks_per_row=8, chassis_racks=(0, 4)))
     host = "host:7:0"
     table = Table(

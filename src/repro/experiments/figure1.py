@@ -7,14 +7,9 @@ versus over a row-scale CDI fabric, at several deployment scales.
 
 from __future__ import annotations
 
-from ..hw import PCIE_GEN4_X16
-from ..network import (
-    Fabric,
-    FabricSpec,
-    Scale,
-    SlackComponents,
-    fibre_distance_for_latency,
-)
+from ..hw.specs import PCIE_GEN4_X16
+from ..network.fabric import Fabric, FabricSpec, Scale
+from ..network.slack import SlackComponents, fibre_distance_for_latency
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..apps.lammps import LJParams, LammpsScalingModel, PAPER_BOX_SIZES
+from ..apps.lammps.lj import LJParams, PAPER_BOX_SIZES
+from ..apps.lammps.scaling import LammpsScalingModel
 from .context import ExperimentContext
 from .report import ExperimentResult, Series
 

@@ -9,7 +9,7 @@ are reported clamped to 1, with the raw value preserved in the notes
 
 from __future__ import annotations
 
-from ..proxy import PAPER_SLACK_VALUES_S
+from ..proxy.sweep import PAPER_SLACK_VALUES_S
 from .context import ExperimentContext
 from .report import ExperimentResult, Series
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..trace import kernel_duration_profile
+from ..trace.analysis import kernel_duration_profile
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

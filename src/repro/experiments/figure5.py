@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..hw import MiB
-from ..trace import memcpy_size_profile
+from ..hw.specs import MiB
+from ..trace.analysis import memcpy_size_profile
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

@@ -6,7 +6,8 @@ beat 24 cores, motivating CDI's whole-CPU-node + single-GPU shape.
 
 from __future__ import annotations
 
-from ..apps.lammps import LJParams, LammpsScalingModel
+from ..apps.lammps.lj import LJParams
+from ..apps.lammps.scaling import LammpsScalingModel
 from .context import ExperimentContext
 from .report import ExperimentResult, Series, Table
 

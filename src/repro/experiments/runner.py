@@ -7,14 +7,17 @@ function; the CLI and the benchmark harness both dispatch through
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from ..obs import get_registry
+from ..obs.metrics import get_registry
 from .context import ExperimentContext
+# The experiments reach the app models and the sweep through ``ctx``,
+# which imports them on first use: a context that only serves a cached
+# surface never loads them. The runner builds every artifact, so it
+# loads them with the experiments, and running one imports nothing.
+from ..apps import profilecache, registry  # noqa: F401
+from ..parallel import executor, pointcache  # noqa: F401
 from .report import ExperimentResult
 from . import (
     cosmoflow_cpu,
@@ -104,7 +107,13 @@ def run_all(
     """
     ctx = ctx or ExperimentContext()
     ids = experiment_ids()
-    if workers <= 1 or len(ids) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1 or len(ids) <= 1:
+        return _run_all_sequential(ids, ctx)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return _run_all_sequential(ids, ctx)
 
     # Warm the shared disk caches once so workers load, not re-measure.

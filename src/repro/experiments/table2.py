@@ -3,14 +3,11 @@ compute-loop runtimes."""
 
 from __future__ import annotations
 
-from ..hw import MiB
-from ..network import SlackModel
-from ..proxy import (
-    PAPER_MATRIX_SIZES,
-    ProxyConfig,
-    calibrate_matrix_size,
-    run_proxy,
-)
+from ..hw.specs import MiB
+from ..network.slack import SlackModel
+from ..proxy.sweep import PAPER_MATRIX_SIZES
+from ..proxy.matmul import ProxyConfig, run_proxy
+from ..proxy.calibration import calibrate_matrix_size
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

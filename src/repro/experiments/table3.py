@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..hw import MiB
-from ..model import table3_bins
+from ..hw.specs import MiB
+from ..model.binning import table3_bins
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

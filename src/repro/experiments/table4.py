@@ -6,9 +6,9 @@ LAMMPS and CosmoFlow pessimistically lose less than 1%.
 
 from __future__ import annotations
 
-from ..model import CDIProfiler
-from ..network import fibre_distance_for_latency
-from ..proxy import PAPER_SLACK_VALUES_S
+from ..model.predictor import CDIProfiler
+from ..network.slack import fibre_distance_for_latency
+from ..proxy.sweep import PAPER_SLACK_VALUES_S
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

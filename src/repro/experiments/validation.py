@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..model import validation_report
+from ..model.validation import validation_report
 from .context import ExperimentContext
 from .report import ExperimentResult, Table
 

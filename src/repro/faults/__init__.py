@@ -20,18 +20,7 @@ See ``docs/faults.md`` for the taxonomy, the spec format, and the
 determinism guarantees.
 """
 
-from .degraded import DegradedSweepResult, run_degraded_sweep
-from .plan import (
-    CongestionEpisode,
-    FaultEvent,
-    FaultPlan,
-    GpuStall,
-    LatencySpike,
-    LinkFlap,
-    MessageLoss,
-    parse_seconds,
-)
-from .runtime import FabricTimeoutError, FaultInjector
+from .._lazy import lazy_exports
 
 __all__ = [
     "FaultPlan",
@@ -47,3 +36,21 @@ __all__ = [
     "run_degraded_sweep",
     "parse_seconds",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plan": (
+            "FaultPlan",
+            "FaultEvent",
+            "LatencySpike",
+            "CongestionEpisode",
+            "LinkFlap",
+            "MessageLoss",
+            "GpuStall",
+            "parse_seconds",
+        ),
+        ".runtime": ("FaultInjector", "FabricTimeoutError"),
+        ".degraded": ("DegradedSweepResult", "run_degraded_sweep"),
+    },
+)

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..proxy import SweepOptions, SweepResult
+    from ..proxy.options import SweepOptions
+    from ..proxy.sweep import SweepResult
 
 __all__ = ["DegradedSweepResult", "run_degraded_sweep"]
 
@@ -103,7 +104,8 @@ def run_degraded_sweep(
     the scaled plan, so intensities never alias each other (and
     intensity 0 shares entries with healthy sweeps).
     """
-    from ..proxy import SweepOptions, run_slack_sweep
+    from ..proxy.options import SweepOptions
+    from ..proxy.sweep import run_slack_sweep
     from ..proxy.sweep import PAPER_MATRIX_SIZES, PAPER_SLACK_VALUES_S
 
     opts = (options if options is not None else SweepOptions()).validate()

@@ -492,7 +492,7 @@ class FaultPlan:
         :mod:`repro.faults.runtime`, so what is printed is bit-for-bit
         what the simulator compares timestamps against).
         """
-        from ..des import TICK_S, quantize
+        from ..des.timebase import TICK_S, quantize
 
         def grid(start_s: float, length_s: Optional[float]) -> str:
             start = quantize(start_s)

@@ -31,10 +31,10 @@ import hashlib
 import math
 from typing import Any, Dict, Generator, List, NamedTuple, Optional, TYPE_CHECKING, Tuple
 
-from ..des import quantize
+from ..des.timebase import quantize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..des import Environment, Event
+    from ..des.core import Environment, Event
     from .plan import FaultPlan
 
 __all__ = ["FabricTimeoutError", "LossRegime", "FaultInjector"]

@@ -7,35 +7,7 @@ injection at the API boundary and a starvation cost model that charges
 for idle gaps the way a real GPU's clock ramp and queue re-priming do.
 """
 
-from .graphs import CudaGraph, GraphNode
-from .engines import (
-    ComputeEngine,
-    OccupancyComputeEngine,
-    CopyEngine,
-    DeviceActivity,
-    Engine,
-    ExecutionReceipt,
-)
-from .interception import SlackInjector
-from .kernels import (
-    KernelSpec,
-    matmul_sm_fraction,
-    MATMUL_EFF_HALF_N,
-    matmul_efficiency,
-    matmul_kernel,
-)
-from .multigpu import (
-    CHASSIS_INTERNAL,
-    CROSS_CHASSIS,
-    GPUGroup,
-    NVLINK3,
-    PeerLinkSpec,
-    ring_allreduce_time,
-)
-from .preload import PreloadShim
-from .remoting import RemotingSpec, make_remoting_runtime
-from .runtime import CudaRuntime
-from .stream import CopyOp, KernelOp, Stream
+from .._lazy import lazy_exports
 
 __all__ = [
     "CudaRuntime",
@@ -66,3 +38,38 @@ __all__ = [
     "CudaGraph",
     "GraphNode",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".runtime": ("CudaRuntime",),
+        ".stream": ("Stream", "KernelOp", "CopyOp"),
+        ".kernels": (
+            "KernelSpec",
+            "matmul_kernel",
+            "matmul_efficiency",
+            "matmul_sm_fraction",
+            "MATMUL_EFF_HALF_N",
+        ),
+        ".engines": (
+            "Engine",
+            "ComputeEngine",
+            "OccupancyComputeEngine",
+            "CopyEngine",
+            "DeviceActivity",
+            "ExecutionReceipt",
+        ),
+        ".interception": ("SlackInjector",),
+        ".multigpu": (
+            "GPUGroup",
+            "PeerLinkSpec",
+            "NVLINK3",
+            "CHASSIS_INTERNAL",
+            "CROSS_CHASSIS",
+            "ring_allreduce_time",
+        ),
+        ".preload": ("PreloadShim",),
+        ".remoting": ("RemotingSpec", "make_remoting_runtime"),
+        ".graphs": ("CudaGraph", "GraphNode"),
+    },
+)

@@ -25,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..des import Environment, Event, Resource, UtilizationTracker, quantize
-from ..hw import GPUSpec
+from ..des.core import Environment, Event
+from ..des.resources import Resource
+from ..des.monitor import UtilizationTracker
+from ..des.timebase import quantize
+from ..hw.specs import GPUSpec
 
 __all__ = ["DeviceActivity", "starvation_charge", "Engine", "ComputeEngine", "CopyEngine", "ExecutionReceipt"]
 
@@ -182,7 +185,7 @@ class OccupancyComputeEngine(ComputeEngine):
         name: str = "compute-occupancy",
     ) -> None:
         super().__init__(env, gpu, activity, name)
-        from ..des import Container
+        from ..des.resources import Container
 
         self._sms = Container(
             env, capacity=float(gpu.sm_count), init=float(gpu.sm_count)

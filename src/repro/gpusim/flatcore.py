@@ -93,10 +93,10 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..des import quantize
-from ..hw import GPUSpec, PCIeSpec
-from ..network import SlackModel
-from ..trace import CopyKind, EventKind
+from ..des.timebase import quantize
+from ..hw.specs import GPUSpec, PCIeSpec
+from ..network.slack import SlackModel
+from ..trace.events import CopyKind, EventKind
 from ..trace.store import (
     COLUMNS,
     COPY_CODE,
@@ -111,6 +111,7 @@ from .runtime import API_OVERHEAD_S, host_overheads, transfer_delay
 
 __all__ = [
     "FastForwardInfo",
+    "des_reason",
     "FlatDevice",
     "FlatRun",
     "MAX_WARMUP_EPOCHS",
@@ -797,6 +798,25 @@ class FlatDevice:
             rng.bit_generator.state = start
             tables[mu] = rng.lognormal(mu, self.sigma, size=total).tolist()
         return tables
+
+
+def des_reason(
+    fast_forward: Optional[bool], faults: Optional[Any]
+) -> Optional[str]:
+    """Why a workload's run goes to the DES interpreter
+    (:func:`~repro.gpusim.interpret.run_des`) rather than the index
+    core (None = core), as far as every GPU workload shares it.
+
+    ``disabled`` — ``fast_forward=False`` selects the event-by-event
+    reference run; ``faults-active`` — a non-empty fault plan, which
+    only the DES models. ``fast_forward=None`` and ``True`` dispatch
+    alike. A workload may add reasons of its own after these.
+    """
+    if fast_forward is False:
+        return "disabled"
+    if faults is not None and not faults.is_empty:
+        return "faults-active"
+    return None
 
 
 def skip_refusal(slack: SlackModel, cycles: int) -> Optional[str]:

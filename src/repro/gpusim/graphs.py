@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Union
 
-from ..des import Event
-from ..trace import CopyKind, EventKind
+from ..des.core import Event
+from ..trace.events import CopyKind, EventKind
 from .kernels import KernelSpec
 from .runtime import CudaRuntime
 from .stream import CopyOp, KernelOp, Stream

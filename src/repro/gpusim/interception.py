@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from ..des import Environment, Event
-from ..network import SlackModel
-from ..trace import EventKind, Tracer
+from ..des.core import Environment, Event
+from ..network.slack import SlackModel
+from ..trace.events import EventKind
+from ..trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultInjector
+    from ..faults.runtime import FaultInjector
 
 __all__ = ["SlackInjector"]
 

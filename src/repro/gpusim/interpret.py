@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
-from ..des import Barrier, Environment, Event, quantize
+from ..des.resources import Barrier
+from ..des.core import Environment, Event
+from ..des.timebase import quantize
 from ..trace.store import COPY_CODE
 from .flatcore import (FlatDevice, OP_ASYNC, OP_CPU, OP_GRAPH, OP_LAUNCH,
                        OP_MEMCPY, OP_SYNC_DEVICE, OP_SYNC_STREAM)
@@ -23,28 +25,10 @@ from .graphs import CudaGraph
 from .kernels import KernelSpec
 from .runtime import CudaRuntime
 
-__all__ = ["des_reason", "run_des"]
+__all__ = ["run_des"]
 
 #: A memcpy instruction's copy code, back to its direction.
 _KINDS = {float(code): kind for kind, code in COPY_CODE.items()}
-
-
-def des_reason(
-    fast_forward: Optional[bool], faults: Optional[Any]
-) -> Optional[str]:
-    """Why a workload's run goes to :func:`run_des` rather than the
-    index core (None = core), as far as every GPU workload shares it.
-
-    ``disabled`` — ``fast_forward=False`` selects the event-by-event
-    reference run; ``faults-active`` — a non-empty fault plan, which
-    only the DES models. ``fast_forward=None`` and ``True`` dispatch
-    alike. A workload may add reasons of its own after these.
-    """
-    if fast_forward is False:
-        return "disabled"
-    if faults is not None and not faults.is_empty:
-        return "faults-active"
-    return None
 
 
 def run_des(

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..hw import GPUSpec
+from ..hw.specs import GPUSpec
 
 __all__ = ["KernelSpec", "explicit_execution_time", "matmul_kernel", "matmul_efficiency", "matmul_sm_fraction", "MATMUL_EFF_HALF_N"]
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Sequence
 
-from ..des import Environment, Event
-from ..hw import A100_SXM4_40GB, GPUSpec, PCIeSpec, PCIE_GEN4_X16
-from ..network import SlackModel
-from ..trace import Tracer
+from ..des.core import Environment, Event
+from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIeSpec, PCIE_GEN4_X16
+from ..network.slack import SlackModel
+from ..trace.tracer import Tracer
 from .runtime import CudaRuntime
 
 __all__ = [

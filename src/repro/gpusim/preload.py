@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..network import SlackModel
+from ..network.slack import SlackModel
 
 __all__ = ["PreloadShim"]
 

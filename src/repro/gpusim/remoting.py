@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, TYPE_CHECKING
 
-from ..des import Environment
+from ..des.core import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
-from ..hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
-from ..network import SlackModel
-from ..trace import Tracer
+    from ..faults.plan import FaultPlan
+from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..network.slack import SlackModel
+from ..trace.tracer import Tracer
 from .flatcore import FlatDevice
 from .runtime import API_OVERHEAD_S, CudaRuntime
 

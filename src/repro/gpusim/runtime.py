@@ -23,17 +23,13 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, Optional, Tuple
 
-from ..des import Environment, Event, quantize
-from ..hw import (
-    A100_SXM4_40GB,
-    DeviceAllocation,
-    DeviceMemory,
-    GPUSpec,
-    PCIE_GEN4_X16,
-    PCIeSpec,
-)
-from ..network import SlackModel
-from ..trace import CopyKind, EventKind, Tracer
+from ..des.core import Environment, Event
+from ..des.timebase import quantize
+from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..hw.memory import DeviceAllocation, DeviceMemory
+from ..network.slack import SlackModel
+from ..trace.events import CopyKind, EventKind
+from ..trace.tracer import Tracer
 from .engines import ComputeEngine, CopyEngine, DeviceActivity, OccupancyComputeEngine
 from .interception import SlackInjector
 from .kernels import KernelSpec

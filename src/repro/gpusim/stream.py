@@ -13,8 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Union
 
-from ..des import Environment, Event, Store
-from ..trace import CopyKind, EventKind, Tracer
+from ..des.core import Environment, Event
+from ..des.resources import Store
+from ..trace.events import CopyKind, EventKind
+from ..trace.tracer import Tracer
 from .engines import ComputeEngine, CopyEngine, ExecutionReceipt
 from .kernels import KernelSpec
 

@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..obs import get_registry
+from ..obs.metrics import get_registry
 from ..proxy.matmul import CUDA_CALLS_PER_ITERATION
 from ..proxy.options import SweepOptions
 from ..proxy.sweep import (
@@ -64,7 +64,8 @@ from ..proxy.sweep import (
 from .surrogate import interp_penalty
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import PointMeasurement, PointTask, SweepExecutor
+    from ..parallel.point import PointMeasurement, PointTask
+    from ..parallel.executor import SweepExecutor
 
 __all__ = [
     "DEFAULT_TOL",
@@ -181,7 +182,7 @@ def adaptive_slack_sweep(
     baseline is implicit, exactly like the dense sweep) and are sorted
     internally; the dense result covers the sorted grid.
     """
-    from ..parallel import SweepExecutor
+    from ..parallel.executor import SweepExecutor
     from ..parallel.executor import merge_stats
 
     opts = (options if options is not None else SweepOptions()).validate()

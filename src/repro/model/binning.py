@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..hw import MiB
+from ..hw.specs import MiB
 
 __all__ = [
     "BinnedDistribution",

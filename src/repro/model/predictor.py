@@ -19,7 +19,8 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from ..apps.base import AppProfile
-from ..proxy import SlackResponseSurface, calibrate_matrix_size
+from ..proxy.response import SlackResponseSurface
+from ..proxy.calibration import calibrate_matrix_size
 from .binning import BinnedDistribution, bin_kernel_durations, bin_transfer_sizes
 from .equations import equation2_total_slack_penalty, equation3_binned_slack_penalty
 

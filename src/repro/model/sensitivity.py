@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
-from ..hw import A100_SXM4_40GB, GPUSpec
-from ..network import SlackModel
-from ..proxy import ProxyConfig, run_proxy
+from ..hw.specs import A100_SXM4_40GB, GPUSpec
+from ..network.slack import SlackModel
+from ..proxy.matmul import ProxyConfig, run_proxy
 
 __all__ = ["SensitivityPoint", "ramp_sensitivity", "cap_sensitivity"]
 

@@ -18,8 +18,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..apps.base import AppProfile
-from ..network import SlackModel
-from ..proxy import ProxyConfig, ProxyResult, SlackResponseSurface, run_proxy
+from ..network.slack import SlackModel
+from ..proxy.matmul import ProxyConfig, ProxyResult, run_proxy
+from ..proxy.response import SlackResponseSurface
 from .predictor import CDIProfiler
 
 __all__ = ["SelfValidationResult", "validate_self_prediction", "validation_report"]

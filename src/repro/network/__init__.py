@@ -7,21 +7,7 @@ topology; :class:`CongestionModel` relaxes the paper's no-congestion
 assumption.
 """
 
-from .congestion import CongestionModel, utilization_for_inflation
-from .fabric import Fabric, FabricSpec, PathInfo, Scale
-from .link import Link, LinkSpec, NIC, NICSpec
-from .slack import (
-    FIBRE_REFRACTIVE_INDEX,
-    MS,
-    SPEED_OF_LIGHT_FIBRE_M_PER_S,
-    SPEED_OF_LIGHT_VACUUM_M_PER_S,
-    SlackComponents,
-    SlackModel,
-    US,
-    fibre_distance_for_latency,
-    latency_for_fibre_distance,
-    slack_budget,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SlackModel",
@@ -45,3 +31,24 @@ __all__ = [
     "CongestionModel",
     "utilization_for_inflation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".slack": (
+            "SlackModel",
+            "SlackComponents",
+            "slack_budget",
+            "fibre_distance_for_latency",
+            "latency_for_fibre_distance",
+            "SPEED_OF_LIGHT_VACUUM_M_PER_S",
+            "SPEED_OF_LIGHT_FIBRE_M_PER_S",
+            "FIBRE_REFRACTIVE_INDEX",
+            "US",
+            "MS",
+        ),
+        ".link": ("Link", "LinkSpec", "NIC", "NICSpec"),
+        ".fabric": ("Fabric", "FabricSpec", "PathInfo", "Scale"),
+        ".congestion": ("CongestionModel", "utilization_for_inflation"),
+    },
+)

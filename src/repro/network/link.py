@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
-from ..des import Environment, Event, Resource
+from ..des.core import Environment, Event
+from ..des.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultInjector
+    from ..faults.runtime import FaultInjector
 
 __all__ = ["LinkSpec", "Link", "NICSpec", "NIC"]
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..des import quantize
+from ..des.timebase import quantize
 
 __all__ = [
     "SPEED_OF_LIGHT_VACUUM_M_PER_S",

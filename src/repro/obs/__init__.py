@@ -27,33 +27,7 @@ service publishes its request/batch/cold-path counters through
 :func:`publish_service`).
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    Timer,
-    collecting,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-    metrics_enabled,
-)
-from .publish import (
-    publish_executor,
-    publish_fleet,
-    publish_inference,
-    publish_link,
-    publish_nic,
-    publish_service,
-    publish_shard,
-    publish_shard_merge,
-    publish_snapshot,
-    publish_trace_store,
-    simulation_snapshot,
-)
-from .report import RUN_REPORT_SCHEMA_VERSION, RunReport
+from .._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -81,3 +55,36 @@ __all__ = [
     "RunReport",
     "RUN_REPORT_SCHEMA_VERSION",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "Timer",
+            "MetricsRegistry",
+            "NullRegistry",
+            "collecting",
+            "enable_metrics",
+            "disable_metrics",
+            "get_registry",
+            "metrics_enabled",
+        ),
+        ".publish": (
+            "simulation_snapshot",
+            "publish_snapshot",
+            "publish_executor",
+            "publish_fleet",
+            "publish_inference",
+            "publish_link",
+            "publish_nic",
+            "publish_service",
+            "publish_shard",
+            "publish_shard_merge",
+            "publish_trace_store",
+        ),
+        ".report": ("RunReport", "RUN_REPORT_SCHEMA_VERSION"),
+    },
+)

@@ -30,10 +30,10 @@ from typing import Any, Dict, Optional, TYPE_CHECKING
 from .metrics import MetricsRegistry, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..des import Environment
-    from ..gpusim import CudaRuntime
+    from ..des.core import Environment
+    from ..gpusim.runtime import CudaRuntime
     from ..network.link import Link, NIC
-    from ..proxy import SweepTiming
+    from ..proxy.sweep import SweepTiming
 
 __all__ = [
     "simulation_snapshot",

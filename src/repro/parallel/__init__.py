@@ -22,24 +22,7 @@ giving up reproducibility:
   :class:`ShardCoordinator`).
 """
 
-from .executor import SweepExecutor, fork_available, merge_stats
-from .point import PointMeasurement, PointTask, measure_point
-from .pointcache import POINT_CACHE_VERSION, PointCache, point_key
-from .shards import (
-    GridSpec,
-    SHARD_SCHEMA_VERSION,
-    ShardCoordinator,
-    ShardMergeError,
-    ShardMergeStats,
-    SweepShard,
-    faults_digest,
-    load_shard,
-    merge_shards,
-    options_digest,
-    run_sweep_shard,
-    shard_of_task,
-    write_shard,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SweepExecutor",
@@ -65,3 +48,27 @@ __all__ = [
     "shard_of_task",
     "write_shard",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".executor": ("SweepExecutor", "fork_available", "merge_stats"),
+        ".point": ("PointTask", "PointMeasurement", "measure_point"),
+        ".pointcache": ("PointCache", "point_key", "POINT_CACHE_VERSION"),
+        ".shards": (
+            "GridSpec",
+            "SHARD_SCHEMA_VERSION",
+            "ShardCoordinator",
+            "ShardMergeError",
+            "ShardMergeStats",
+            "SweepShard",
+            "faults_digest",
+            "load_shard",
+            "merge_shards",
+            "options_digest",
+            "run_sweep_shard",
+            "shard_of_task",
+            "write_shard",
+        ),
+    },
+)

@@ -22,14 +22,12 @@ the sweep layer attaches to :class:`~repro.proxy.SweepResult` as-is.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import List, Optional, Sequence
 
-from ..obs import get_registry, publish_executor, publish_snapshot
+from ..obs.metrics import get_registry
+from ..obs.publish import publish_executor, publish_snapshot
 from ..proxy.sweep import SweepTiming
 from .point import PointMeasurement, PointTask, measure_point
 from .pointcache import PointCache
@@ -64,6 +62,8 @@ def merge_stats(
 
 def fork_available() -> bool:
     """Whether this platform supports the ``fork`` start method."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -129,6 +129,8 @@ class SweepExecutor:
             pool_workers = min(self.workers, len(miss_tasks))
             measured: Optional[List[PointMeasurement]] = None
             if pool_workers > 1 and fork_available():
+                from concurrent.futures.process import BrokenProcessPool
+
                 try:
                     measured = self._run_pool(miss_tasks, pool_workers)
                     mode = "process"
@@ -199,6 +201,9 @@ class SweepExecutor:
         chunk = self.chunk_size or max(
             1, len(miss_tasks) // (pool_workers * 4)
         )
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             max_workers=pool_workers, mp_context=ctx

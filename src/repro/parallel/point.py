@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..faults import FabricTimeoutError, FaultPlan
-from ..hw import OutOfMemoryError
-from ..network import SlackModel
+from ..faults.runtime import FabricTimeoutError
+from ..hw.memory import OutOfMemoryError
+from ..network.slack import SlackModel
 from ..proxy.matmul import ProxyConfig, run_proxy
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = ["PointTask", "PointMeasurement", "measure_point"]
 

@@ -24,12 +24,14 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
-from ..faults import FaultPlan
-from ..obs import get_registry
+from ..obs.metrics import get_registry
 from ..proxy.matmul import ProxyConfig
 from .point import PointMeasurement, PointTask
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = ["POINT_CACHE_VERSION", "PointCache", "point_key"]
 

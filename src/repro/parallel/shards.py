@@ -70,13 +70,10 @@ from typing import (
 
 import numpy as np
 
-from ..faults import FaultPlan
-from ..obs import (
-    RunReport,
-    get_registry,
-    publish_shard,
-    publish_shard_merge,
-)
+from ..faults.plan import FaultPlan
+from ..obs.report import RunReport
+from ..obs.metrics import get_registry
+from ..obs.publish import publish_shard, publish_shard_merge
 from ..proxy.options import SweepOptions
 from ..proxy.sweep import (
     SweepResult,

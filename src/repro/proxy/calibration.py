@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..gpusim.flatcore import FlatDevice
-from ..hw import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
-from ..network import SlackModel
+from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..network.slack import SlackModel
 from .core import iteration_body
 
 __all__ = [

@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from ..gpusim import matmul_kernel
+from ..gpusim.kernels import matmul_kernel
 from ..gpusim.flatcore import FastForwardInfo, FlatDevice, FlatRun
-from ..trace import CopyKind, EventKind
+from ..trace.events import CopyKind, EventKind
 from ..trace.store import COPY_CODE, KIND_CODE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

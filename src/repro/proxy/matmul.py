@@ -22,24 +22,19 @@ is certified, for everything it covers; or the DES interpreter
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..faults import FaultPlan
-from ..gpusim.flatcore import FastForwardInfo, FlatDevice
-from ..gpusim.interpret import des_reason, run_des
-from ..hw import (
-    A100_SXM4_40GB,
-    DeviceMemory,
-    GPUSpec,
-    OutOfMemoryError,
-    PCIE_GEN4_X16,
-    PCIeSpec,
-)
-from ..network import SlackModel
-from ..obs import simulation_snapshot
-from ..trace import Trace
+from ..gpusim.flatcore import FastForwardInfo, FlatDevice, des_reason
+from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..hw.memory import DeviceMemory, OutOfMemoryError
+from ..network.slack import SlackModel
+from ..obs.publish import simulation_snapshot
+from ..trace.store import Trace
 from .calibration import calibrate_iterations, time_single_kernel
 from .core import iteration_body, proxy_core
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "ProxyConfig",
@@ -235,6 +230,8 @@ def run_proxy(
         loop_runtime, trace = run.end_s, run.trace
         injected, starvation = run.injected_slack_s, run.starvation_s
     else:
+        from ..gpusim.interpret import run_des
+
         loop_runtime, rt = run_des(
             dev,
             _thread_programs(config, body, iterations),

@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
-    from ..parallel import PointCache
+    from ..faults.plan import FaultPlan
+    from ..parallel.pointcache import PointCache
 
 __all__ = [
     "ShardingUnsupportedError",
@@ -142,7 +142,7 @@ class SweepOptions:
         ``REPRO_CACHE_DIR`` override); ``False``/``None`` disable
         caching; a :class:`~repro.parallel.PointCache` passes through.
         """
-        from ..parallel import PointCache
+        from ..parallel.pointcache import PointCache
 
         if isinstance(self.cache, PointCache):
             return self.cache

@@ -22,15 +22,15 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..obs import RunReport, get_registry
-from .calibration import calibrate_iterations, time_single_kernel
-from .matmul import ProxyConfig, run_proxy  # noqa: F401
+from ..obs.report import RunReport
+from ..obs.metrics import get_registry
 from .options import ShardingUnsupportedError, SweepOptions
 from .quantize import slack_bucket, slack_tolerance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
-    from ..parallel import SweepExecutor
+    from .matmul import ProxyConfig
+    from ..faults.plan import FaultPlan
+    from ..parallel.executor import SweepExecutor
     from ..parallel.point import PointMeasurement, PointTask
 
 __all__ = [
@@ -266,7 +266,9 @@ def plan_grid_tasks(
     so ``slack_values_s=()`` plans the baselines alone, from which the
     adaptive sweep derives its probes.
     """
-    from ..parallel import PointTask
+    from ..parallel.point import PointTask
+    from .calibration import calibrate_iterations, time_single_kernel
+    from .matmul import ProxyConfig
 
     calibration: Dict[int, Tuple[float, int]] = {}
     tasks: List[PointTask] = []
@@ -415,7 +417,7 @@ def run_slack_sweep(
     telemetry into the active registry and attaches a
     :class:`repro.obs.RunReport` snapshot as ``SweepResult.report``.
     """
-    from ..parallel import SweepExecutor
+    from ..parallel.executor import SweepExecutor
 
     opts = (options if options is not None else SweepOptions()).validate()
 

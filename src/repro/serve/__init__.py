@@ -21,19 +21,7 @@ Constructors here are keyword-only: the serving API is configuration,
 and configuration reads better named.
 """
 
-from .service import (
-    ColdPathConfig,
-    PenaltyService,
-    ServiceOverloadedError,
-    predict_penalty,
-)
-from .surrogate import (
-    Prediction,
-    REFUSAL_REASONS,
-    SurrogateDomainError,
-    SurrogateModel,
-    assert_parity,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SurrogateModel",
@@ -46,3 +34,22 @@ __all__ = [
     "ServiceOverloadedError",
     "predict_penalty",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".surrogate": (
+            "SurrogateModel",
+            "Prediction",
+            "SurrogateDomainError",
+            "REFUSAL_REASONS",
+            "assert_parity",
+        ),
+        ".service": (
+            "PenaltyService",
+            "ColdPathConfig",
+            "ServiceOverloadedError",
+            "predict_penalty",
+        ),
+    },
+)

@@ -45,7 +45,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import RunReport, get_registry
+from ..obs.report import RunReport
+from ..obs.metrics import get_registry
 from ..obs.publish import publish_service
 from ..proxy.options import SweepOptions
 from ..proxy.quantize import slack_bucket

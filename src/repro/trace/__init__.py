@@ -6,20 +6,7 @@ simulated CUDA runtime, and produces the distribution profiles
 prediction model consumes.
 """
 
-from .analysis import (
-    DistributionProfile,
-    ViolinSummary,
-    kernel_duration_profile,
-    launch_parallelism,
-    memcpy_size_profile,
-    summarize,
-)
-from .compare import KernelDelta, TraceComparison, compare_traces
-from .events import CopyKind, EventKind, TraceEvent
-from .export import from_csv, from_json, to_csv, to_json
-from .store import ColumnStore, Trace
-from .timeline import GapAnalysis, device_gaps, utilization_series
-from .tracer import NullTracer, Tracer
+from .._lazy import lazy_exports
 
 __all__ = [
     "Trace",
@@ -46,3 +33,23 @@ __all__ = [
     "TraceComparison",
     "compare_traces",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".store": ("Trace", "ColumnStore"),
+        ".events": ("TraceEvent", "EventKind", "CopyKind"),
+        ".tracer": ("Tracer", "NullTracer"),
+        ".analysis": (
+            "ViolinSummary",
+            "DistributionProfile",
+            "summarize",
+            "kernel_duration_profile",
+            "memcpy_size_profile",
+            "launch_parallelism",
+        ),
+        ".export": ("to_json", "from_json", "to_csv", "from_csv"),
+        ".timeline": ("GapAnalysis", "device_gaps", "utilization_series"),
+        ".compare": ("KernelDelta", "TraceComparison", "compare_traces"),
+    },
+)

@@ -47,6 +47,35 @@ class ViolinSummary:
         return self.q3 - self.q1
 
 
+def _quartiles(arr: np.ndarray) -> List[float]:
+    """q1, median and q3 of a finite, non-empty sample, bit for bit as
+    ``np.percentile(arr, [25, 50, 75])`` computes them.
+
+    This is numpy's default (linear) method on one sort: quantile ``q``
+    sits at virtual index ``(n - 1) * q`` and is interpolated as
+    numpy's ``_lerp`` does, from the upper neighbour when the weight is
+    at least 1/2. ``np.percentile`` itself dedupes its partition
+    indices with ``np.unique``, whose first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(arr)
+    last = ordered.size - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        virtual = last * q
+        if virtual >= last:
+            out.append(float(ordered[last]))
+            continue
+        i = int(virtual)
+        gamma = virtual - i
+        lo, hi = float(ordered[i]), float(ordered[i + 1])
+        diff = hi - lo
+        if gamma >= 0.5:
+            out.append(hi - diff * (1 - gamma))
+        else:
+            out.append(lo + diff * gamma)
+    return out
+
+
 def summarize(
     values: Sequence[float] | np.ndarray, label: str = ""
 ) -> ViolinSummary:
@@ -56,14 +85,14 @@ def summarize(
         raise ValueError(f"cannot summarize empty sample {label!r}")
     if np.any(~np.isfinite(arr)):
         raise ValueError(f"sample {label!r} contains non-finite values")
-    q1, med, q3 = np.percentile(arr, [25, 50, 75])
+    q1, med, q3 = _quartiles(arr)
     return ViolinSummary(
         label=label,
         count=int(arr.size),
         minimum=float(arr.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
+        q1=q1,
+        median=med,
+        q3=q3,
         maximum=float(arr.max()),
         mean=float(arr.mean()),
         std=float(arr.std()),

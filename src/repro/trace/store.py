@@ -632,11 +632,6 @@ class Trace:
             meta=event.meta,
         )
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Add many events."""
-        for e in events:
-            self.append(e)
-
     # -- row plumbing -------------------------------------------------------------
     def _rows(self) -> np.ndarray:
         """Selected row indices in append order."""
@@ -682,15 +677,6 @@ class Trace:
             self._events = [store.event_at(i) for i in self._sorted_rows()]
             self._events_rows = count
         return self._events
-
-    def events_in_record_order(self) -> List[TraceEvent]:
-        """Materialize the events in append order (not time-sorted).
-
-        Replay-style consumers need the order events were recorded in,
-        because stable-sort tie order downstream depends on it.
-        """
-        store = self._store
-        return [store.event_at(int(i)) for i in self._rows()]
 
     def time_ordered(self) -> "Trace":
         """A root copy of this trace in iteration order.

@@ -11,7 +11,7 @@ import itertools
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
-from ..des import Environment
+from ..des.core import Environment
 from .events import CopyKind, EventKind, TraceEvent
 from .store import Trace
 

@@ -23,6 +23,7 @@ from repro.obs import collecting
 from repro.trace import CopyKind, EventKind, Trace, TraceEvent
 
 from ..bytesdiff import assert_same_document
+from ..oracles.trace import events_in_record_order
 
 
 def small_profile(name="app"):
@@ -93,8 +94,8 @@ class TestRoundTrip:
         # The trace round-trips bit for bit, in record order too.
         assert list(loaded.trace) == list(original.trace)
         assert (
-            loaded.trace.events_in_record_order()
-            == original.trace.events_in_record_order()
+            events_in_record_order(loaded.trace)
+            == events_in_record_order(original.trace)
         )
         assert cache.hits == 1 and cache.misses == 1 and cache.writes == 1
         assert cache.hit_rate == 0.5

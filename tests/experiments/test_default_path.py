@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro import cli
 from repro.des import core
+from repro.experiments import runner
 
 REFERENCE_DIGESTS = (
     Path(__file__).resolve().parents[2] / "perfbench" / "reference_digests.json"
@@ -42,14 +43,15 @@ def test_quick_all_builds_two_environments_and_reference_outputs(
 
     monkeypatch.setattr(core.Environment, "__init__", counting_init)
     digests = {}
-    run_experiment = cli.run_experiment
+    run_experiment = runner.run_experiment
 
     def recording(eid, ctx):
         result = run_experiment(eid, ctx)
         digests[eid] = hashlib.sha256(result.render().encode()).hexdigest()
         return result
 
-    monkeypatch.setattr(cli, "run_experiment", recording)
+    # The CLI imports the runner's function when the command runs.
+    monkeypatch.setattr(runner, "run_experiment", recording)
     stdouts = []
     for _ in ("cold", "warm"):
         built.clear()

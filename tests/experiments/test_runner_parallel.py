@@ -63,7 +63,10 @@ def test_worker_context_keeps_the_parents_options(tmp_path, monkeypatch):
             fast_forward=False,
         ),
     )
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _InlinePool)
+    # run_all imports the pool only when it starts one.
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor", _InlinePool
+    )
     monkeypatch.setattr(runner, "_WORKER_CTX", None)
     monkeypatch.setattr(ctx, "surface", lambda: None)  # no sweep needed
     monkeypatch.setattr(runner, "experiment_ids", lambda: ["a", "b"])

@@ -12,7 +12,9 @@ is the per-event loop the self-validation jitter
 draws. The parity tests (``tests/trace/test_store.py``,
 ``tests/model/test_validation_jitter.py``), the golden scalar-parity
 test and ``benchmarks/bench_trace.py`` compare the product against
-them bit for bit.
+them bit for bit. :func:`events_in_record_order` reads a trace's rows
+back in the order they were appended, which the store's round-trip
+tests compare (iteration is time-sorted, so it hides that order).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.trace import CopyKind, EventKind, GapAnalysis, Trace, TraceEvent
 __all__ = [
     "ScalarTrace",
     "device_gaps_reference",
+    "events_in_record_order",
     "jittered_reference",
     "utilization_series_reference",
 ]
@@ -200,6 +203,12 @@ class ScalarTrace:
             depth += delta
             best = max(best, depth)
         return best
+
+
+def events_in_record_order(trace: Trace) -> List[TraceEvent]:
+    """``trace``'s events in append order (not time-sorted)."""
+    store = trace._store
+    return [store.event_at(int(i)) for i in trace._rows()]
 
 
 def device_gaps_reference(

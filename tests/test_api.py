@@ -194,6 +194,75 @@ def test_trace_has_no_generic_filter():
     assert not hasattr(Trace, "filter")
 
 
+@pytest.mark.parametrize("name", ["extend", "events_in_record_order"])
+def test_trace_uncalled_methods_are_gone(name):
+    """No product code called them; the record-order read is a test
+    oracle now (``tests/oracles/trace.py``)."""
+    from repro.trace import Trace
+
+    assert not hasattr(Trace, name)
+
+
+# -- the lazy surface ---------------------------------------------------------
+
+_RESOLVE = """
+import importlib, json, pathlib, sys
+import repro
+
+root = pathlib.Path(repro.__file__).parent
+surfaces = ["repro", "repro.api"] + sorted(
+    "repro." + ".".join(p.parent.relative_to(root).parts)
+    for p in root.rglob("__init__.py") if p.parent != root
+)
+report = {}
+for name in surfaces:
+    module = importlib.import_module(name)
+    listed = set(dir(module))
+    try:
+        getattr(module, "no_such_name")
+        unknown = None
+    except AttributeError as exc:
+        unknown = str(exc)
+    report[name] = {
+        "unresolved": [n for n in module.__all__ if not hasattr(module, n)],
+        "unlisted": [n for n in module.__all__ if n not in listed],
+        "unknown": unknown,
+    }
+print(json.dumps(report))
+"""
+
+
+def test_every_lazy_name_resolves_in_a_fresh_interpreter(tmp_path):
+    """Every name of ``repro``, ``repro.api`` and each subpackage's
+    ``__all__`` resolves and is in ``dir()``; an unknown name is an
+    ``AttributeError`` naming the module. Fresh, so no earlier import
+    resolved anything first; DeprecationWarnings are errors."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", _RESOLVE],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert len(report) == 19  # repro, repro.api and 17 subpackages
+    for name, found in report.items():
+        assert found["unresolved"] == [], name
+        assert found["unlisted"] == [], name
+        assert found["unknown"] == (
+            f"module {name!r} has no attribute 'no_such_name'"
+        )
+
+
 def test_surrogate_alias_is_gone():
     with pytest.raises(AttributeError):
         api.Surrogate

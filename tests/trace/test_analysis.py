@@ -1,6 +1,9 @@
 """Unit tests for trace analysis (violin summaries, parallelism) and export."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import (
     CopyKind,
@@ -18,6 +21,7 @@ from repro.trace import (
     to_json,
 )
 from repro.des import Environment
+from repro.trace.analysis import _quartiles
 
 
 def kernel(name, start, end, stream=0):
@@ -53,6 +57,47 @@ class TestSummarize:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             summarize([1.0, float("nan")])
+
+
+#: Samples as the profiles hold them: finite, any sign and scale, with
+#: ties (durations repeat) and sizes around the 4-element period of the
+#: quartile indices.
+SAMPLES = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.sampled_from([0.0, 1e-6, 2.5e-6, 1.0, 4096.0]),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+def assert_same_bits(got, expected):
+    """Equal as float64 bit patterns (NaNs included), except that a zero
+    may carry either sign: 0.0 and -0.0 are ties, and a sort and a
+    partition may order ties differently. Durations and sizes are never
+    -0.0."""
+    got = np.asarray(got, dtype=np.float64)
+    for g, e in zip(got, expected):
+        if not (g == 0.0 and e == 0.0):
+            assert g.view(np.int64) == e.view(np.int64), (g, e)
+
+
+class TestQuartiles:
+    """``summarize`` takes its quartiles from one sort instead of
+    ``np.percentile``; they must be the same floats."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(SAMPLES)
+    def test_bit_identical_to_np_percentile(self, values):
+        arr = np.asarray(values, dtype=float)
+        assert_same_bits(_quartiles(arr), np.percentile(arr, [25, 50, 75]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 1001, 20_000])
+    def test_bit_identical_on_large_samples(self, n):
+        rng = np.random.default_rng(n)
+        arr = rng.lognormal(-12.0, 2.0, size=n)
+        assert_same_bits(_quartiles(arr), np.percentile(arr, [25, 50, 75]))
 
 
 class TestProfiles:

@@ -30,6 +30,7 @@ from repro.trace.store import ColumnStore
 from ..oracles.trace import (
     ScalarTrace,
     device_gaps_reference,
+    events_in_record_order,
     utilization_series_reference,
 )
 
@@ -100,7 +101,7 @@ class TestMaterializationParity:
     def test_record_order_preserved(self, seed):
         events = random_events(seed)
         _, columnar = build_both(events)
-        assert columnar.events_in_record_order() == events
+        assert events_in_record_order(columnar) == events
 
     def test_iteration_is_cached_until_append(self):
         events = random_events(3, n=20)
@@ -237,8 +238,8 @@ class TestValidationAndStore:
         again = Trace.from_doc(doc)
         assert again.name == columnar.name
         assert list(again) == list(columnar)
-        assert again.events_in_record_order() == (
-            columnar.events_in_record_order()
+        assert events_in_record_order(again) == (
+            events_in_record_order(columnar)
         )
         assert again.busy_time() == columnar.busy_time()
 
@@ -270,8 +271,8 @@ class TestBulkAppend:
             stream=stream, nbytes=nbytes, thread=thread,
         )
         assert list(batched) == list(looped)
-        assert batched.events_in_record_order() == (
-            looped.events_in_record_order()
+        assert events_in_record_order(batched) == (
+            events_in_record_order(looped)
         )
         assert batched.store.stats()["interned_names"] == (
             looped.store.stats()["interned_names"]
@@ -282,7 +283,7 @@ class TestBulkAppend:
         trace.record_batch(
             EventKind.API, "call", np.array([0.0, 1.0]), np.array([0.5, 2.0])
         )
-        events = trace.events_in_record_order()
+        events = events_in_record_order(trace)
         assert [e.name for e in events] == ["call", "call"]
         assert all(e.stream is None for e in events)
         assert all(e.nbytes == 0 and e.thread == 0 for e in events)
@@ -298,7 +299,7 @@ class TestBulkAppend:
             EventKind.MEMCPY, "cp", np.array([0.0]), np.array([1.0]),
             nbytes=np.array([64]), copy_kind=CopyKind.H2D,
         )
-        assert trace.events_in_record_order()[0].copy_kind is CopyKind.H2D
+        assert events_in_record_order(trace)[0].copy_kind is CopyKind.H2D
 
     def test_batch_validation_reports_first_offender(self):
         trace = Trace(name="t")
@@ -405,8 +406,8 @@ class TestArrayRoundTrip:
         arrays, header = columnar.to_arrays()
         again = Trace.from_arrays(arrays, header)
         assert again.name == columnar.name
-        assert again.events_in_record_order() == (
-            columnar.events_in_record_order()
+        assert events_in_record_order(again) == (
+            events_in_record_order(columnar)
         )
         with pytest.raises(TypeError, match="root trace"):
             columnar.kernels().to_arrays()
