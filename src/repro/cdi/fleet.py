@@ -56,7 +56,7 @@ from ..des.timebase import TICK_S
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.report import RunReport
 from ..obs.publish import publish_fleet
-from .placement import PLACEMENT_POLICIES, FleetTopology
+from .placement import PLACEMENT_POLICIES, FleetTopology, RackPool
 from .simulation import (
     ClusterSpec,
     SimJob,
@@ -691,35 +691,47 @@ class FleetResult:
         return float(self.trapped_gpu_s.sum()) / 3600.0
 
     def tenant_stats(self) -> Dict[str, TenantStats]:
-        """Per-tenant queue-wait / usage / penalty distributions."""
+        """Per-tenant queue-wait / usage / penalty distributions.
+
+        The rows are grouped by tenant once: a stable sort of the tenant
+        column gathers each column a single time, and each tenant reads
+        its slice, which holds its rows in input order.
+        """
+        jobs = self.jobs
+        names = jobs.tenant_names
+        # The narrowest unsigned type that holds every tenant index:
+        # numpy's stable sort of 8- and 16-bit keys is a radix sort.
+        key = jobs.tenant.astype(np.min_scalar_type(max(len(names) - 1, 0)))
+        by_tenant = np.argsort(key, kind="stable")
+        counts = np.bincount(jobs.tenant, minlength=len(names)).tolist()
+        waits = self.wait_s[by_tenant]
+        gpu_s = (jobs.gpus * jobs.duration_s)[by_tenant]
+        core_s = self.trapped_core_s[by_tenant]
+        trapped_gpu_s = self.trapped_gpu_s[by_tenant]
+        pens = None if self.penalty is None else self.penalty[by_tenant]
         out: Dict[str, TenantStats] = {}
-        tenant = self.jobs.tenant
-        for tidx, name in enumerate(self.jobs.tenant_names):
-            mask = tenant == tidx
-            n = int(mask.sum())
+        hi = 0
+        for name, n in zip(names, counts):
+            lo, hi = hi, hi + n
             if n == 0:
                 continue
-            waits = self.wait_s[mask]
+            w = waits[lo:hi]
+            wait_p50, wait_p99 = np.percentile(w, [50, 99]).tolist()
             pen_p50 = pen_p99 = None
-            if self.penalty is not None:
-                pens = self.penalty[mask]
-                pens = pens[~np.isnan(pens)]
-                if len(pens):
-                    pen_p50 = float(np.percentile(pens, 50))
-                    pen_p99 = float(np.percentile(pens, 99))
+            if pens is not None:
+                p = pens[lo:hi]
+                p = p[~np.isnan(p)]
+                if len(p):
+                    pen_p50, pen_p99 = np.percentile(p, [50, 99]).tolist()
             out[name] = TenantStats(
                 name=name,
                 jobs=n,
-                mean_wait_s=float(waits.mean()),
-                wait_p50_s=float(np.percentile(waits, 50)),
-                wait_p99_s=float(np.percentile(waits, 99)),
-                gpu_busy_s=float(
-                    (self.jobs.gpus[mask] * self.jobs.duration_s[mask]).sum()
-                ),
-                trapped_core_hours=float(self.trapped_core_s[mask].sum())
-                / 3600.0,
-                trapped_gpu_hours=float(self.trapped_gpu_s[mask].sum())
-                / 3600.0,
+                mean_wait_s=float(w.mean()),
+                wait_p50_s=wait_p50,
+                wait_p99_s=wait_p99,
+                gpu_busy_s=float(gpu_s[lo:hi].sum()),
+                trapped_core_hours=float(core_s[lo:hi].sum()) / 3600.0,
+                trapped_gpu_hours=float(trapped_gpu_s[lo:hi].sum()) / 3600.0,
                 penalty_p50=pen_p50,
                 penalty_p99=pen_p99,
             )
@@ -959,9 +971,9 @@ def _replay_placement(
     slack_rank = sorted(
         range(topology.racks), key=lambda r: (rack_slack[r], r)
     )
-    free = [topology.gpus_per_rack] * topology.racks
-    placed: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    slack = [0.0] * m
+    pool = RackPool([topology.gpus_per_rack] * topology.racks)
+    release = pool.release
+    placed: List[Sequence[Tuple[int, int]]] = [()] * m
 
     # Event e < m grants GPU job e, e >= m releases job e - m; releases
     # at an instant come before grants at it, ties in grant order.
@@ -973,16 +985,15 @@ def _replay_placement(
     ))
     for e in events.tolist():
         if e >= m:
-            for rack, cnt in placed[e - m]:
-                free[rack] += cnt
+            release(placed[e - m])
         else:
-            got = policy(free, need[e], slack_rank)
-            placed[e] = got
-            slack[e] = (
-                rack_slack[got[0][0]]
-                if len(got) == 1
-                else max(rack_slack[r] for r, _ in got)
-            )
+            placed[e] = policy(pool, need[e], slack_rank)
+    slack = [
+        rack_slack[got[0][0]]
+        if len(got) == 1
+        else max(rack_slack[r] for r, _ in got)
+        for got in placed
+    ]
     slack_s = np.full(len(result.jobs), np.nan)
     slack_s[rows] = slack
     result.placement = placement
@@ -991,7 +1002,7 @@ def _replay_placement(
 
 
 def _rack_lists(
-    n: int, rows: np.ndarray, placed: List[List[Tuple[int, int]]]
+    n: int, rows: np.ndarray, placed: List[Sequence[Tuple[int, int]]]
 ) -> List[List[Tuple[int, int]]]:
     """The per-job ``rack_of_gpus`` lists from the per-GPU-job replay."""
     racks: List[List[Tuple[int, int]]] = [[] for _ in range(n)]

@@ -10,8 +10,9 @@ back to the proxy/prediction machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..network.fabric import Fabric, PathInfo
 from ..network.slack import SlackModel
@@ -21,6 +22,7 @@ __all__ = [
     "PlacementResolver",
     "CompositionSlack",
     "FleetTopology",
+    "RackPool",
     "place_pack",
     "place_spread",
     "place_locality",
@@ -82,8 +84,8 @@ class PlacementResolver:
 # The fleet engine (repro.cdi.fleet) schedules against total pool
 # capacity — placement never changes *when* a job runs, only *where*
 # its GPUs land and therefore what fabric slack it experiences. The
-# policies below are pure functions over per-rack free counts so they
-# stay cheap enough to run inline in a million-job simulation.
+# policies below take GPUs from a RackPool of per-rack free counts,
+# kept cheap enough to run once per grant in a million-job simulation.
 # ---------------------------------------------------------------------------
 
 
@@ -150,35 +152,55 @@ class FleetTopology:
         return cls(rack_slack_s=slacks, gpus_per_rack=gpus_per_rack)
 
 
-def place_pack(
-    free: List[int], need: int, slack_order: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Best-fit packing: the tightest single rack that fits, else span
-    the fullest racks — fewest racks touched, least fragmentation.
+class RackPool:
+    """Free GPUs per rack, also held in ``(free, rack)`` order.
 
-    ``free`` is mutated in place (GPUs are taken). Returns
-    ``[(rack, count), ...]``; raises if the pool cannot satisfy.
+    ``free[r]`` is rack ``r``'s free count. ``keys`` holds
+    ``free[r] * racks + r`` for every rack, sorted: the keys order the
+    racks by free count, then by index, so the rack with the fewest
+    free GPUs that still holds ``need`` (lowest index on ties) is the
+    key at ``bisect_left(keys, need * racks)``. A free count changes
+    only through :meth:`take` / :meth:`release`, which keep the two
+    views in step, or in :func:`place_pack`, which moves the key it
+    found itself.
     """
-    # One pass for the best fit: least free, then lowest rack index. An
-    # exact fit cannot be beaten by a later rack, so it ends the scan.
-    best = -1
-    best_free = float("inf")
-    for rack, avail in enumerate(free):
-        if need <= avail < best_free:
-            best, best_free = rack, avail
-            if avail == need:
-                break
-    if best >= 0:
-        free[best] -= need
-        return [(best, need)]
+
+    __slots__ = ("free", "keys", "racks")
+
+    def __init__(self, free: Sequence[int]) -> None:
+        self.free: List[int] = list(free)
+        self.racks = n = len(self.free)
+        self.keys: List[int] = sorted(
+            f * n + r for r, f in enumerate(self.free)
+        )
+
+    def take(self, rack: int, count: int) -> None:
+        """Take ``count`` GPUs from ``rack``."""
+        self.release(((rack, -count),))
+
+    def release(self, placed: Iterable[Tuple[int, int]]) -> None:
+        """Return a placement's ``(rack, count)`` pairs to the pool."""
+        free, keys, n = self.free, self.keys, self.racks
+        for rack, count in placed:
+            f = free[rack]
+            del keys[bisect_left(keys, f * n + rack)]
+            free[rack] = f = f + count
+            insort(keys, f * n + rack)
+
+
+def _span(
+    pool: RackPool, need: int, racks: Iterable[int]
+) -> List[Tuple[int, int]]:
+    """Fill ``racks`` in order until ``need`` GPUs are taken."""
+    free = pool.free
     placements: List[Tuple[int, int]] = []
     remaining = need
-    for rack in sorted(range(len(free)), key=lambda r: (-free[r], r)):
+    for rack in racks:
         if remaining == 0:
             break
         take = min(free[rack], remaining)
         if take > 0:
-            free[rack] -= take
+            pool.take(rack, take)
             placements.append((rack, take))
             remaining -= take
     if remaining > 0:
@@ -186,42 +208,53 @@ def place_pack(
     return placements
 
 
+def place_pack(
+    pool: RackPool, need: int, slack_order: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """Best-fit packing: the tightest single rack that fits, else span
+    the fullest racks — fewest racks touched, least fragmentation.
+
+    GPUs are taken from ``pool``. Returns ``[(rack, count), ...]``;
+    raises if the pool cannot satisfy.
+    """
+    keys, n = pool.keys, pool.racks
+    i = bisect_left(keys, need * n)
+    if i < len(keys):  # least free, then lowest rack index
+        key = keys[i]
+        rack = key % n
+        del keys[i]
+        insort(keys, key - need * n)
+        pool.free[rack] -= need
+        return [(rack, need)]
+    free = pool.free
+    return _span(pool, need, sorted(range(n), key=lambda r: (-free[r], r)))
+
+
 def place_spread(
-    free: List[int], need: int, slack_order: Sequence[int]
+    pool: RackPool, need: int, slack_order: Sequence[int]
 ) -> List[Tuple[int, int]]:
     """Load balancing: GPUs go one at a time to the emptiest rack."""
+    free = pool.free
     taken = [0] * len(free)
     for _ in range(need):
         rack = max(range(len(free)), key=lambda r: (free[r], -r))
         if free[rack] <= 0:
             raise ValueError(f"pool cannot place {need} GPUs")
-        free[rack] -= 1
+        pool.take(rack, 1)
         taken[rack] += 1
     return [(r, t) for r, t in enumerate(taken) if t > 0]
 
 
 def place_locality(
-    free: List[int], need: int, slack_order: Sequence[int]
+    pool: RackPool, need: int, slack_order: Sequence[int]
 ) -> List[Tuple[int, int]]:
     """Slack-aware: the nearest rack that fits whole, else fill racks
     in ascending-slack order (``slack_order``)."""
     for rack in slack_order:
-        if free[rack] >= need:
-            free[rack] -= need
+        if pool.free[rack] >= need:
+            pool.take(rack, need)
             return [(rack, need)]
-    placements: List[Tuple[int, int]] = []
-    remaining = need
-    for rack in slack_order:
-        if remaining == 0:
-            break
-        take = min(free[rack], remaining)
-        if take > 0:
-            free[rack] -= take
-            placements.append((rack, take))
-            remaining -= take
-    if remaining > 0:
-        raise ValueError(f"pool cannot place {need} GPUs")
-    return placements
+    return _span(pool, need, slack_order)
 
 
 PLACEMENT_POLICIES = {

@@ -10,7 +10,7 @@ the declarative half of the fault layer: a :class:`FaultPlan` is an
 immutable, picklable, JSON-serializable composition of
 :data:`FaultEvent` s that any simulation entry point
 (:func:`repro.proxy.run_proxy`, :func:`repro.proxy.run_slack_sweep`,
-:func:`repro.gpusim.make_remoting_runtime`, :class:`repro.network.Link`)
+:func:`repro.gpusim.interpret.run_des`, :class:`repro.network.Link`)
 accepts and compiles into a runtime injector
 (:class:`repro.faults.FaultInjector`).
 

@@ -34,7 +34,6 @@ __all__ = [
     "ring_allreduce_time",
     "PreloadShim",
     "RemotingSpec",
-    "make_remoting_runtime",
     "CudaGraph",
     "GraphNode",
 ]
@@ -69,7 +68,7 @@ __getattr__, __dir__ = lazy_exports(
             "ring_allreduce_time",
         ),
         ".preload": ("PreloadShim",),
-        ".remoting": ("RemotingSpec", "make_remoting_runtime"),
+        ".remoting": ("RemotingSpec",),
         ".graphs": ("CudaGraph", "GraphNode"),
     },
 )

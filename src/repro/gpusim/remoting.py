@@ -11,29 +11,24 @@ crosses the network:
   and every memcpy's payload is carried by the *network*, so
   bandwidth drops from PCIe's ~25.6 GB/s to the NIC's line rate.
 
-:func:`make_remoting_runtime` builds a :class:`CudaRuntime` with that
-cost structure, letting the proxy compare CDI against remoting on the
-same workload (the paper's reason for rejecting remoting as a slack
-*measurement* tool was controllability, but the performance contrast
-is what a deployer cares about).
+:func:`make_remoting_device` builds an index-core
+:class:`~repro.gpusim.flatcore.FlatDevice` with that cost structure,
+letting the proxy compare CDI against remoting on the same workload
+(the paper's reason for rejecting remoting as a slack *measurement*
+tool was controllability, but the performance contrast is what a
+deployer cares about).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, TYPE_CHECKING
 
-from ..des.core import Environment
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.plan import FaultPlan
-from ..hw.specs import A100_SXM4_40GB, GPUSpec, PCIE_GEN4_X16, PCIeSpec
+from ..hw.specs import A100_SXM4_40GB, PCIE_GEN4_X16, PCIeSpec
 from ..network.slack import SlackModel
-from ..trace.tracer import Tracer
 from .flatcore import FlatDevice
-from .runtime import API_OVERHEAD_S, CudaRuntime
+from .runtime import API_OVERHEAD_S
 
-__all__ = ["RemotingSpec", "make_remoting_device", "make_remoting_runtime"]
+__all__ = ["RemotingSpec", "make_remoting_device"]
 
 
 @dataclass(frozen=True)
@@ -72,43 +67,14 @@ class RemotingSpec:
         )
 
 
-def make_remoting_runtime(
-    env: Environment,
-    spec: Optional[RemotingSpec] = None,
-    gpu: GPUSpec = A100_SXM4_40GB,
-    pcie: PCIeSpec = PCIE_GEN4_X16,
-    tracer: Optional[Tracer] = None,
-    faults: Optional["FaultPlan"] = None,
-) -> CudaRuntime:
-    """A :class:`CudaRuntime` with rCUDA-style remoting costs.
-
-    Per-call RPC latency arrives through the slack injector (it is a
-    per-call delay, exactly like CDI slack); the bandwidth cap and the
-    latency on the data path arrive through the link spec; call
-    marshalling inflates the API overhead. ``faults`` (a
-    :class:`~repro.faults.FaultPlan`) degrades the RPC transport: each
-    forwarded call is subject to the plan's down-windows, message loss
-    with retry/backoff/timeout, and latency spikes — remoting forwards
-    *every* call over the network, so a flaky fabric hits it on every
-    API crossing, not just on memcpys.
-    """
-    spec = spec or RemotingSpec()
-    return CudaRuntime(
-        env,
-        gpu=gpu,
-        pcie=spec.as_link_spec(pcie),
-        tracer=tracer,
-        slack=SlackModel(spec.rpc_latency_s),
-        api_overhead_s=API_OVERHEAD_S + spec.per_call_overhead_s,
-        faults=faults.compile(env) if faults is not None else None,
-    )
-
-
 def make_remoting_device(spec: RemotingSpec) -> FlatDevice:
-    """The index-core twin of :func:`make_remoting_runtime` on its
-    default GPU and PCIe specs (without faults, which only the DES
-    models): the same slack model, link spec and API overhead on a
-    :class:`~repro.gpusim.flatcore.FlatDevice`.
+    """A :class:`~repro.gpusim.flatcore.FlatDevice` with rCUDA-style
+    remoting costs on the default A100 and PCIe Gen4 specs.
+
+    Per-call RPC latency arrives as slack (it is a per-call delay,
+    exactly like CDI slack); the bandwidth cap and the latency on the
+    data path arrive through the link spec; call marshalling inflates
+    the API overhead.
     """
     return FlatDevice(
         A100_SXM4_40GB,

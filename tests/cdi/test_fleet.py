@@ -29,11 +29,19 @@ from repro.cdi import (
     synthetic_job_mix,
 )
 from repro.cdi import fleet as fleet_engine
-from repro.cdi.placement import place_locality, place_pack, place_spread
+from repro.cdi.placement import (
+    RackPool,
+    place_locality,
+    place_pack,
+    place_spread,
+)
 from repro.des import quantize
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.trace import EventKind, Trace
+
+from ..oracles import fleet as fleet_oracle
+from ..oracles import placement as placement_oracle
 
 CLUSTER = ClusterSpec(nodes=4)
 
@@ -251,32 +259,39 @@ class TestFaultFreeze:
         assert (a.start_s == b.start_s).all()
 
 
+def pool_free(pool):
+    """The pool's free counts, after checking its sorted keys match."""
+    n = pool.racks
+    assert pool.keys == sorted(f * n + r for r, f in enumerate(pool.free))
+    return pool.free
+
+
 class TestPlacementPolicies:
     def test_pack_prefers_tightest_fit(self):
-        free = [2, 8, 4]
-        assert place_pack(free, 3, [0, 1, 2]) == [(2, 3)]
-        assert free == [2, 8, 1]
+        pool = RackPool([2, 8, 4])
+        assert place_pack(pool, 3, [0, 1, 2]) == [(2, 3)]
+        assert pool_free(pool) == [2, 8, 1]
 
     def test_pack_spans_when_needed(self):
-        free = [2, 3, 1]
-        assert place_pack(free, 5, [0, 1, 2]) == [(1, 3), (0, 2)]
-        assert free == [0, 0, 1]
+        pool = RackPool([2, 3, 1])
+        assert place_pack(pool, 5, [0, 1, 2]) == [(1, 3), (0, 2)]
+        assert pool_free(pool) == [0, 0, 1]
 
     def test_spread_balances(self):
-        free = [4, 4]
-        assert place_spread(free, 2, [0, 1]) == [(0, 1), (1, 1)]
-        assert free == [3, 3]
+        pool = RackPool([4, 4])
+        assert place_spread(pool, 2, [0, 1]) == [(0, 1), (1, 1)]
+        assert pool_free(pool) == [3, 3]
 
     def test_locality_prefers_low_slack(self):
-        free = [4, 4]
+        pool = RackPool([4, 4])
         # slack_order says rack 1 is nearer: it wins the whole fit.
-        assert place_locality(free, 2, [1, 0]) == [(1, 2)]
-        assert free == [4, 2]
+        assert place_locality(pool, 2, [1, 0]) == [(1, 2)]
+        assert pool_free(pool) == [4, 2]
 
     def test_exhaustion_raises(self):
         for policy in PLACEMENT_POLICIES.values():
             with pytest.raises(ValueError, match="cannot place"):
-                policy([1, 1], 3, [0, 1])
+                policy(RackPool([1, 1]), 3, [0, 1])
 
     @pytest.mark.parametrize("policy", sorted(PLACEMENT_POLICIES))
     def test_replay_conserves_rack_inventory(self, policy):
@@ -349,6 +364,87 @@ class TestPenaltiesAndStats:
                 float(result.wait_s[mask].mean())
             )
             assert s.wait_p50_s <= s.wait_p99_s
+
+    def test_tenant_stats_edge_cases(self):
+        # Tenant "idle" has no jobs; "cpu" has only NaN penalties.
+        result = _stats_result(
+            tenant=[0, 2, 0, 2, 0], names=("gpu", "idle", "cpu"),
+            waits=[1.0, 2.0, 1.0, 0.0, 3.0], gpus=[1, 0, 2, 0, 1],
+            durations=[10.0, 5.0, 10.0, 5.0, 2.5],
+            penalty=[0.5, np.nan, 0.5, np.nan, 0.25],
+        )
+        stats = result.tenant_stats()
+        assert stats == fleet_oracle.tenant_stats(result)
+        assert set(stats) == {"gpu", "cpu"}
+        assert stats["cpu"].penalty_p50 is None
+        assert stats["gpu"].penalty_p50 == 0.5
+        result.penalty = None
+        stats = result.tenant_stats()
+        assert stats == fleet_oracle.tenant_stats(result)
+        assert stats["gpu"].penalty_p99 is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tenants=st.integers(1, 4),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        nan_share=st.sampled_from([None, 0.0, 0.3, 1.0]),
+    )
+    def test_tenant_stats_property(self, tenants, n, seed, nan_share):
+        """Grouped stats == the mask loop, field for field. Some tenants
+        get no jobs; ``nan_share`` None drops the penalty column and 1.0
+        makes every penalty NaN."""
+        rng = np.random.default_rng(seed)
+        used = rng.permutation(tenants)[: rng.integers(1, tenants + 1)]
+
+        def column():
+            # Half the rows from a few values (ties), half wide floats.
+            tied = rng.choice([0.0, 0.5, 1.0, 3600.0], n)
+            return np.where(rng.random(n) < 0.5, tied, rng.random(n) * 1e6)
+
+        penalty = None
+        if nan_share is not None:
+            penalty = np.where(rng.random(n) < nan_share, np.nan, column())
+        result = _stats_result(
+            tenant=rng.choice(used, n),
+            names=tuple(f"t{i}" for i in range(tenants)),
+            waits=column(),
+            gpus=rng.integers(0, 17, n),
+            durations=column() + 1e-3,
+            trapped_core=column(),
+            trapped_gpu=column(),
+            penalty=penalty,
+        )
+        assert result.tenant_stats() == fleet_oracle.tenant_stats(result)
+
+
+def _stats_result(tenant, names, waits, gpus, durations, penalty=None,
+                  trapped_core=None, trapped_gpu=None):
+    """A FleetResult holding just the columns ``tenant_stats`` reads."""
+    n = len(tenant)
+    zeros = np.zeros(n)
+    jobs = FleetJobs(
+        arrival_s=zeros.copy(),
+        duration_s=np.asarray(durations, dtype=np.float64),
+        cores=np.ones(n, dtype=np.int64),
+        gpus=np.asarray(gpus, dtype=np.int64),
+        tenant=np.asarray(tenant, dtype=np.int64),
+        tenant_names=names,
+    )
+    return fleet_engine.FleetResult(
+        mode="cdi", cluster=CLUSTER, jobs=jobs,
+        start_s=zeros, end_s=zeros, cores_start_s=zeros,
+        wait_s=np.asarray(waits, dtype=np.float64),
+        trapped_core_s=np.asarray(
+            trapped_core if trapped_core is not None else zeros,
+            dtype=np.float64),
+        trapped_gpu_s=np.asarray(
+            trapped_gpu if trapped_gpu is not None else zeros,
+            dtype=np.float64),
+        makespan_s=0.0, core_busy_s=0.0, gpu_busy_s=0.0,
+        penalty=None if penalty is None else np.asarray(
+            penalty, dtype=np.float64),
+    )
 
 
 class TestObservability:
@@ -526,23 +622,62 @@ class TestPackProperty:
         need=st.integers(min_value=1, max_value=40),
     )
     def test_pack_is_brute_force_best_fit(self, free, need):
-        got_free = list(free)
+        pool = RackPool(free)
         fits = [(f, r) for r, f in enumerate(free) if f >= need]
         if fits:
             _, rack = min(fits)
-            assert place_pack(got_free, need, []) == [(rack, need)]
+            assert place_pack(pool, need, []) == [(rack, need)]
             want_free = list(free)
             want_free[rack] -= need
-            assert got_free == want_free
+            assert pool_free(pool) == want_free
             return
         want_free = list(free)
         placements, remaining = _spanning_reference(want_free, need)
         if remaining:
             with pytest.raises(ValueError, match="cannot place"):
-                place_pack(got_free, need, [])
+                place_pack(pool, need, [])
         else:
-            assert place_pack(got_free, need, []) == placements
-            assert got_free == want_free
+            assert place_pack(pool, need, []) == placements
+            assert pool_free(pool) == want_free
+
+
+class TestPoolProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(PLACEMENT_POLICIES)),
+        free=st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                      max_size=10),
+        data=st.data(),
+    )
+    def test_pool_equals_plain_list_oracle(self, policy, free, data):
+        """Random grants and releases give the oracle's placements and
+        free counts after every step."""
+        place = PLACEMENT_POLICIES[policy]
+        oracle = placement_oracle.PLACEMENT_POLICIES[policy]
+        slack_order = data.draw(st.permutations(range(len(free))))
+        pool, want = RackPool(free), list(free)
+        live = []
+        steps = data.draw(st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=30)),
+            max_size=40,
+        ))
+        for grant, value in steps:
+            if grant or not live:
+                need = value % 16 + 1
+                try:
+                    expected = oracle(want, need, slack_order)
+                except ValueError:
+                    with pytest.raises(ValueError, match="cannot place"):
+                        place(pool, need, slack_order)
+                else:
+                    assert place(pool, need, slack_order) == expected
+                    live.append(expected)
+            else:
+                got = live.pop(value % len(live))
+                pool.release(got)
+                for rack, count in got:
+                    want[rack] += count
+            assert pool_free(pool) == want
 
 
 class TestLazyRacks:

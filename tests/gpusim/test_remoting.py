@@ -3,18 +3,14 @@
 import pytest
 
 from repro.des import Environment
-from repro.gpusim import (
-    CudaRuntime,
-    KernelSpec,
-    RemotingSpec,
-    make_remoting_runtime,
-)
+from repro.gpusim import CudaRuntime, KernelSpec, RemotingSpec
 from repro.gpusim.remoting import make_remoting_device
 from repro.hw import GiB, MiB, PCIE_GEN4_X16
 from repro.proxy.core import iteration_body
 from repro.trace import CopyKind
 
 from ..oracles import proxyloop
+from ..oracles.remoting import make_remoting_runtime
 
 
 class TestRemotingSpec:

@@ -137,6 +137,7 @@ def test_adaptive_slack_sweep_tol_kwarg_is_a_type_error():
     [
         ("repro.parallel", "ExecutorStats"),
         ("repro.gpusim", "MarkerOp"),
+        ("repro.gpusim", "make_remoting_runtime"),
         ("repro.trace", "ColumnarTrace"),
         ("repro.api", "ColumnarTrace"),
         ("repro.trace", "device_gaps_reference"),
