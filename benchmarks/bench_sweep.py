@@ -4,20 +4,18 @@ Measures the same compact grid sequentially and through the process
 pool, records both timings (plus the parallel/sequential ratio) into
 the BENCH_sweep.json perf artifact, and asserts the engine's core
 contract: parallel output is exactly equal to sequential output. The
-sharded leg does the same for the multi-host scale-out path: one
-dense run vs. three local shard-worker subprocesses merged back
-together, with bit-parity asserted *before* any timing is recorded.
+DES-pool leg does the same on heavy reference-DES work: one dense
+inline run vs. a three-worker process pool, with bit-parity asserted
+*before* any timing is recorded.
 
-On single-core runners the pool and the shard fan-out degenerate
-gracefully — every parity assertion still holds, and the perf legs
-record a structured ``{"skipped": "single-cpu"}`` instead of a
-meaningless (or null) speedup.
+On single-core runners the pool degenerates gracefully — every parity
+assertion still holds, and the perf legs record a structured
+``{"skipped": ...}`` instead of a meaningless (or null) speedup.
 """
 
 import os
 
 from repro.obs import collecting
-from repro.parallel import GridSpec, ShardCoordinator
 from repro.proxy import SweepOptions, run_slack_sweep
 
 #: Compact but non-trivial grid: 3 sizes x 2 thread counts x 3 slacks
@@ -75,79 +73,61 @@ def test_bench_sweep_engine(benchmark, bench_extra):
     }
 
 
-#: Sharded-leg grid: a single matrix size keeps every point's cost
-#: uniform, so the deterministic hash partition (which balances point
-#: *counts*) also balances *work*. iterations=1075 is chosen so the
-#: 24 tasks split exactly 8/8/8 across 3 shards (the partition is a
-#: pure function of the task content — identical on every host) and
-#: so each shard carries several seconds of real compute, amortizing
-#: the ~1s subprocess startup. Fast-forward is off: the leg must
-#: measure the fan-out of real DES work, not of extrapolation.
-SHARD_GRID = GridSpec(
+#: DES-pool-leg grid: a single matrix size keeps every point's cost
+#: uniform, so the pool's even chunks of points are even chunks of
+#: work. At iterations=1075 each of the 24 points is a real
+#: reference-DES run (fast-forward off: the leg measures the fan-out of
+#: DES work, not of extrapolation), so three workers carry several
+#: seconds each and the pool's start-up is noise.
+DES_POOL_GRID = dict(
     matrix_sizes=(2048,),
     slack_values_s=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2),
     threads=(1, 2, 4, 8),
     iterations=1075,
 )
 
-#: Local shard workers in the sharded leg (the acceptance floor below
-#: is stated at this count).
-SHARD_WORKERS = 3
+#: Pool workers in the DES-pool leg (the acceptance floor below is
+#: stated at this count).
+DES_POOL_WORKERS = 3
 
 
-def test_bench_sharded_sweep(benchmark, bench_extra):
+def test_bench_des_pool_sweep(benchmark, bench_extra):
     opts = SweepOptions(workers=1, cache=None, fast_forward=False)
-    dense = run_slack_sweep(
-        matrix_sizes=SHARD_GRID.matrix_sizes,
-        slack_values_s=SHARD_GRID.slack_values_s,
-        threads=SHARD_GRID.threads,
-        iterations=SHARD_GRID.iterations,
-        options=opts,
-    )
+    dense = run_slack_sweep(**DES_POOL_GRID, options=opts)
 
-    coordinator = ShardCoordinator(SHARD_GRID, SHARD_WORKERS, options=opts)
-    merged = benchmark.pedantic(coordinator.run, rounds=1, iterations=1)
+    pooled = benchmark.pedantic(
+        lambda: run_slack_sweep(
+            **DES_POOL_GRID, options=opts.replace(workers=DES_POOL_WORKERS)
+        ),
+        rounds=1,
+        iterations=1,
+    )
 
     # Bit-parity FIRST: a timing number for a wrong result is worse
-    # than no number. Points, skips, surface — all byte-identical.
-    assert merged.points == dense.points
-    assert merged.skipped == dense.skipped
+    # than no number.
+    assert pooled.points == dense.points
+    assert pooled.skipped == dense.skipped
 
-    m = merged.merge
     leg = {
-        "shard_workers": SHARD_WORKERS,
-        "grid_points": m.grid_points,
-        "dense_wall_s": dense.timing.wall_s,
-        "coordinator_wall_s": m.coordinator_wall_s,
-        "shard_wall_s": [s["wall_s"] for s in m.shards],
-        "shard_points": [int(s["tasks"]) for s in m.shards],
-        "subprocess_wall_s": [
-            m.subprocess_wall_s[i] for i in sorted(m.subprocess_wall_s)
-        ],
-        "merge_wall_s": m.merge_wall_s,
-        "merge_overhead": m.merge_overhead,
+        "workers": DES_POOL_WORKERS,
+        "dense": dense.timing.to_doc(),
+        "pool": pooled.timing.to_doc(),
         "parity": True,
     }
-
-    # Merge must be noise, not a tax — regardless of core count.
-    assert m.merge_overhead is not None and m.merge_overhead < 0.05, (
-        f"merge overhead {m.merge_overhead:.1%} exceeds the 5% budget"
-    )
-
     cpus = os.cpu_count() or 1
     if cpus > 2:
-        wall_speedup = dense.timing.wall_s / m.coordinator_wall_s
+        wall_speedup = dense.timing.wall_s / pooled.timing.wall_s
         leg["wall_speedup"] = wall_speedup
-        bench_extra["sharded"] = leg
+        bench_extra["des_pool"] = leg
         assert wall_speedup >= 1.7, (
-            f"sharded speedup {wall_speedup:.2f}x below the 1.7x floor "
-            f"at {SHARD_WORKERS} shard workers on {cpus} cores"
+            f"DES pool speedup {wall_speedup:.2f}x below the 1.7x floor "
+            f"at {DES_POOL_WORKERS} workers on {cpus} cores"
         )
     else:
-        # Too few cores to fan out: the workers serialize and the
-        # "speedup" would measure nothing but subprocess startup.
-        leg["wall_speedup"] = {"skipped": "single-cpu"}
-        bench_extra["sharded"] = leg
+        # Too few cores for three workers: they share the cores and
+        # the "speedup" would measure the scheduler, not the pool.
+        leg["wall_speedup"] = {"skipped": f"{cpus}-cpu"}
+        bench_extra["des_pool"] = leg
 
 
 #: Reduced paper grid for the fast-forward benchmark. Auto-calibrated

@@ -91,15 +91,6 @@ parallel execution & caching
     :class:`SweepExecutor`, :class:`PointCache`,
     :class:`AppProfileCache` (content-addressed traced-profile store,
     see ``docs/performance.md``).
-multi-host sharding
-    :class:`GridSpec`, :func:`run_sweep_shard`, :func:`merge_shards`,
-    :class:`ShardCoordinator`, :func:`write_shard`,
-    :func:`load_shard`, the compatibility digests
-    :func:`faults_digest` / :func:`options_digest`, and the typed
-    errors :class:`ShardMergeError` /
-    :class:`ShardingUnsupportedError` — split one sweep grid across
-    hosts and merge the artifacts byte-identically (see "Scaling out
-    a sweep" in ``docs/performance.md``).
 observability
     :class:`MetricsRegistry`, :class:`RunReport`,
     :func:`enable_metrics`, :func:`disable_metrics`,
@@ -221,19 +212,6 @@ __all__ = [
     "SweepExecutor",
     "PointCache",
     "AppProfileCache",
-    # multi-host sharding
-    "GridSpec",
-    "SweepShard",
-    "run_sweep_shard",
-    "write_shard",
-    "load_shard",
-    "merge_shards",
-    "ShardCoordinator",
-    "ShardMergeStats",
-    "ShardMergeError",
-    "ShardingUnsupportedError",
-    "faults_digest",
-    "options_digest",
     # observability
     "MetricsRegistry",
     "RunReport",
@@ -267,7 +245,7 @@ __getattr__, __dir__ = lazy_exports(
             "PAPER_SLACK_VALUES_S",
             "PAPER_THREAD_COUNTS",
         ),
-        ".proxy.options": ("SweepOptions", "ShardingUnsupportedError"),
+        ".proxy.options": ("SweepOptions",),
         ".proxy.response": ("SlackResponseSurface",),
         ".model.predictor": ("CDIProfiler", "SlackPrediction"),
         ".des.core": ("Environment",),
@@ -352,19 +330,6 @@ __getattr__, __dir__ = lazy_exports(
         ".parallel.executor": ("SweepExecutor",),
         ".parallel.pointcache": ("PointCache",),
         ".apps.profilecache": ("AppProfileCache",),
-        ".parallel.shards": (
-            "GridSpec",
-            "SweepShard",
-            "run_sweep_shard",
-            "write_shard",
-            "load_shard",
-            "merge_shards",
-            "ShardCoordinator",
-            "ShardMergeStats",
-            "ShardMergeError",
-            "faults_digest",
-            "options_digest",
-        ),
         ".obs.metrics": (
             "MetricsRegistry",
             "enable_metrics",

@@ -6,9 +6,9 @@ explicit arrival trace verbatim) plus lognormal prompt/decode token
 counts, and quantizes every arrival timestamp onto the dyadic tick
 grid the DES runs on. Purity is the property the sweep machinery
 leans on — the same config produces the bit-identical request stream
-whether the run happens inline, in a process-pool worker, or on
-another shard host, so cached profiles and sharded sweeps stay
-byte-identical (the same argument as the proxy's seeded kernels).
+whether the run happens inline or in a process-pool worker, so
+cached profiles and pooled sweeps stay byte-identical (the same
+argument as the proxy's seeded kernels).
 """
 
 from __future__ import annotations

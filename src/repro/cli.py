@@ -16,12 +16,8 @@ Subcommands:
 * ``sweep`` — measure a slack response surface on a custom grid
   (``--faults SPEC`` degrades the fabric, see docs/faults.md;
   ``--adaptive [--tol PEN]`` measures a seed and refines only where
-  log-linear interpolation exceeds the tolerance; ``--shard I/N
-  --shard-out PATH`` runs one shard of the grid's deterministic
-  partition as a scale-out worker, ``--merge-shards PATH...``
-  reassembles worker artifacts into the full surface, and
-  ``--shard-workers N`` does both locally over N subprocesses — see
-  docs/performance.md);
+  log-linear interpolation exceeds the tolerance; ``--workers N``
+  fans the grid out over a process pool — see docs/performance.md);
 * ``fleet`` — fleet-scale CDI simulation: generate a seeded
   multi-tenant job stream and run it through the vectorized fleet
   engine (``--mode both`` compares traditional vs CDI; ``--parity``
@@ -137,22 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="target_compute", metavar="SECONDS",
                          help="auto-calibration compute budget per point "
                               "(default 30.0; only with --iterations 0)")
-    sweep_p.add_argument("--shard", metavar="I/N", dest="shard",
-                         help="run only shard I of the grid's "
-                              "deterministic N-way partition and write "
-                              "its artifact to --shard-out (scale-out "
-                              "worker mode; see docs/performance.md)")
-    sweep_p.add_argument("--shard-out", metavar="PATH", dest="shard_out",
-                         help="shard artifact output path (required "
-                              "with --shard)")
-    sweep_p.add_argument("--merge-shards", nargs="+", metavar="PATH",
-                         dest="merge_shards",
-                         help="merge shard artifacts into the full "
-                              "surface instead of running a sweep")
-    sweep_p.add_argument("--shard-workers", type=int, default=0,
-                         dest="shard_workers", metavar="N",
-                         help="execute the grid as N local shard "
-                              "subprocesses and merge (0 = off)")
     sweep_p.add_argument("--faults", metavar="SPEC", dest="faults",
                          help="degrade the fabric with a fault plan "
                               "(spec DSL or JSON; see 'faults' "
@@ -810,19 +790,9 @@ def _sweep_options(args: argparse.Namespace) -> "SweepOptions":
     )
 
 
-def _parse_shard_arg(spec: str):
-    """Parse ``--shard I/N`` into an ``(index, count)`` pair."""
-    try:
-        index_s, count_s = spec.split("/")
-        return int(index_s), int(count_s)
-    except ValueError:
-        raise SystemExit(
-            f"invalid --shard {spec!r} (want INDEX/COUNT, e.g. 0/4)"
-        )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run a custom proxy sweep and print the surface."""
+    from .proxy.response import SlackResponseSurface
     from .proxy.sweep import (
         PAPER_MATRIX_SIZES,
         PAPER_SLACK_VALUES_S,
@@ -834,105 +804,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     slacks = sorted(args.slacks or PAPER_SLACK_VALUES_S)
     threads = args.threads or [1]
     iterations = args.iterations if args.iterations > 0 else None
-    if args.shard and args.merge_shards:
-        print("--shard and --merge-shards are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.shard_out and not args.shard:
-        print("--shard-out requires --shard", file=sys.stderr)
-        return 2
-    # Every shard flag puts a shard on the options, so validate()
-    # refuses --adaptive with any of them.
-    if args.shard:
-        assignment = _parse_shard_arg(args.shard)
-    elif args.shard_workers:
-        assignment = (0, args.shard_workers)
-    elif args.merge_shards:
-        assignment = (0, len(args.merge_shards))
-    else:
-        assignment = None
     try:
-        options = _sweep_options(args).replace(shard=assignment).validate()
+        options = _sweep_options(args).validate()
     except ValueError as exc:
-        print(f"cannot run shard: {exc}" if args.shard else exc,
-              file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     metrics_out = _maybe_enable_metrics(args)
-
-    if args.shard:
-        from .parallel.shards import GridSpec, run_sweep_shard, write_shard
-
-        if not args.shard_out:
-            print("--shard requires --shard-out PATH", file=sys.stderr)
-            return 2
-        index, count = assignment
-        grid = GridSpec(
-            matrix_sizes=matrix_sizes,
-            slack_values_s=slacks,
-            threads=threads,
-            iterations=iterations,
-            target_compute_s=args.target_compute,
-        )
-        shard = run_sweep_shard(grid, options=options)
-        path = write_shard(shard, args.shard_out)
-        s = shard.stats
-        print(
-            f"[shard {index}/{count}: {len(shard.index)} of "
-            f"{grid.task_count} grid points "
-            f"({int(s.get('cached', 0))} cached) in "
-            f"{s.get('wall_s', 0.0):.2f}s -> {path}]",
-            file=sys.stderr,
-        )
-        _write_metrics_report(
-            metrics_out, kind="sweep-shard", report=shard.report
-        )
-        return 0
-
-    if args.merge_shards:
-        from .parallel.shards import ShardMergeError, load_shard, merge_shards
-
-        try:
-            grid = load_shard(args.merge_shards[0]).grid
-            sweep = merge_shards(args.merge_shards)
-        except ShardMergeError as exc:
-            print(f"cannot merge shards: {exc}", file=sys.stderr)
-            return 2
-        slacks = sorted(grid.slack_values_s)
-        m = sweep.merge
-        print(
-            f"[merged {len(m.shards)} shard(s): {m.grid_points} grid "
-            f"points, slowest shard {m.shard_wall_s:.2f}s, merge "
-            f"{m.merge_wall_s:.3f}s]",
-            file=sys.stderr,
-        )
-        return _print_sweep_surface(args, sweep, slacks, metrics_out)
-
-    if args.shard_workers:
-        from .parallel.shards import GridSpec, ShardCoordinator
-
-        grid = GridSpec(
-            matrix_sizes=matrix_sizes,
-            slack_values_s=slacks,
-            threads=threads,
-            iterations=iterations,
-            target_compute_s=args.target_compute,
-        )
-        coordinator = ShardCoordinator(
-            grid, args.shard_workers, options=options
-        )
-        try:
-            sweep = coordinator.run()
-        except RuntimeError as exc:
-            print(f"sharded sweep failed: {exc}", file=sys.stderr)
-            return 1
-        m = sweep.merge
-        print(
-            f"[{args.shard_workers} shard worker(s): coordinator wall "
-            f"{m.coordinator_wall_s:.2f}s, slowest shard "
-            f"{m.shard_wall_s:.2f}s, merge {m.merge_wall_s:.3f}s]",
-            file=sys.stderr,
-        )
-        return _print_sweep_surface(args, sweep, slacks, metrics_out)
 
     common = dict(
         matrix_sizes=matrix_sizes,
@@ -958,17 +835,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         sweep = run_slack_sweep(**common)
-    return _print_sweep_surface(args, sweep, slacks, metrics_out)
-
-
-def _print_sweep_surface(
-    args: argparse.Namespace,
-    sweep,
-    slacks,
-    metrics_out: Optional[str],
-) -> int:
-    """Shared sweep-output tail: timing, report, skips, surface table."""
-    from .proxy.response import SlackResponseSurface
 
     if sweep.timing is not None:
         t = sweep.timing

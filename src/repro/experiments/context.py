@@ -28,6 +28,7 @@ from ..obs.publish import publish_trace_store
 from ..proxy.options import SweepOptions
 from ..proxy.response import SlackResponseSurface
 from ..proxy.sweep import (
+    POINT_CACHE_VERSION,
     PAPER_MATRIX_SIZES,
     PAPER_SLACK_VALUES_S,
     PAPER_THREAD_COUNTS,
@@ -146,8 +147,14 @@ class ExperimentContext:
             return self._surface
         cache = self._surface_cache_path()
         if cache is not None and cache.exists():
-            self._surface = SlackResponseSurface.from_json(cache)
-            return self._surface
+            try:
+                self._surface = SlackResponseSurface.from_json(cache)
+                return self._surface
+            except (OSError, ValueError, TypeError):
+                # A torn or damaged file is a miss: the sweep below
+                # re-assembles the surface (from the point cache) and
+                # rewrites the file.
+                pass
         sweep = run_slack_sweep(
             matrix_sizes=PAPER_MATRIX_SIZES,
             slack_values_s=PAPER_SLACK_VALUES_S,
@@ -191,10 +198,13 @@ class ExperimentContext:
             "threads": PAPER_THREAD_COUNTS,
             "iterations": self.sweep_iterations,
             "version": 1,
+            # The surface is assembled from point entries: a new point
+            # keyspace must not keep serving the old surface file.
+            "points": POINT_CACHE_VERSION,
         }
         if opts.faults is not None:
             # Only degraded surfaces extend the key: healthy surface
-            # files keep their historical digests (and stay warm).
+            # files keep their digests (and stay warm).
             key_doc["faults"] = opts.faults.to_doc()
         if opts.adaptive:
             # Adaptive surfaces contain predicted points — never alias

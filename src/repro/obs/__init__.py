@@ -49,8 +49,6 @@ __all__ = [
     "publish_link",
     "publish_nic",
     "publish_service",
-    "publish_shard",
-    "publish_shard_merge",
     "publish_trace_store",
     "RunReport",
     "RUN_REPORT_SCHEMA_VERSION",
@@ -81,8 +79,6 @@ __getattr__, __dir__ = lazy_exports(
             "publish_link",
             "publish_nic",
             "publish_service",
-            "publish_shard",
-            "publish_shard_merge",
             "publish_trace_store",
         ),
         ".report": ("RunReport", "RUN_REPORT_SCHEMA_VERSION"),

@@ -44,8 +44,6 @@ __all__ = [
     "publish_link",
     "publish_nic",
     "publish_service",
-    "publish_shard",
-    "publish_shard_merge",
     "publish_trace_store",
 ]
 
@@ -295,67 +293,6 @@ def publish_service(
             gauge.set(max(gauge.value, value))
         else:
             reg.counter(f"serve.{name}").inc(value)
-
-
-#: Shard-stats keys that describe the shard rather than accumulate:
-#: published as gauges (last/max write wins), everything else sums.
-_SHARD_GAUGE_KEYS = frozenset({"workers", "mode_process"})
-
-
-def publish_shard(
-    shard_index: int,
-    shard_count: int,
-    stats: Dict[str, float],
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Publish one shard worker's run under ``sweep.shard.*``.
-
-    ``stats`` is the roll-up :func:`repro.parallel.run_sweep_shard`
-    builds (executor wall/split, cache deltas, fast-forward counts).
-    Additive numbers accumulate into counters so a process hosting
-    several shard runs (tests, in-process merges) reports totals;
-    ``sweep.shard.index`` / ``sweep.shard.count`` are gauges recording
-    the most recent assignment — the one-worker-one-shard case every
-    subprocess worker is.
-    """
-    reg: Any = registry if registry is not None else get_registry()
-    if not reg.enabled:
-        return
-    reg.counter("sweep.shard.runs").inc()
-    reg.gauge("sweep.shard.index").set(shard_index)
-    reg.gauge("sweep.shard.count").set(shard_count)
-    for name, value in stats.items():
-        if name in _SHARD_GAUGE_KEYS:
-            reg.gauge(f"sweep.shard.{name}").set(value)
-        else:
-            reg.counter(f"sweep.shard.{name}").inc(value)
-
-
-def publish_shard_merge(
-    merge: Any,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Publish one merge under ``sweep.shard.merge.*``.
-
-    ``merge`` is a :class:`repro.parallel.ShardMergeStats`. Counters
-    accumulate shards/points/overlaps and the merge wall;
-    ``sweep.shard.merge.overhead`` observes the merge-wall over
-    slowest-shard-wall ratio (the <5% budget the bench asserts).
-    """
-    reg: Any = registry if registry is not None else get_registry()
-    if not reg.enabled:
-        return
-    reg.counter("sweep.shard.merge.runs").inc()
-    reg.counter("sweep.shard.merge.shards").inc(len(merge.shards))
-    reg.counter("sweep.shard.merge.points").inc(merge.grid_points)
-    reg.counter("sweep.shard.merge.overlap_points").inc(
-        merge.overlap_points
-    )
-    reg.counter("sweep.shard.merge.wall_s").inc(merge.merge_wall_s)
-    if merge.merge_overhead is not None:
-        reg.histogram("sweep.shard.merge.overhead").observe(
-            merge.merge_overhead
-        )
 
 
 def publish_link(

@@ -13,13 +13,7 @@ giving up reproducibility:
   twice, even across partial grids, grid extensions, and interrupted
   sweeps;
 * :func:`measure_point` — the picklable worker function reducing one
-  proxy run to scalar measurements;
-* :mod:`repro.parallel.shards` — the scale-out layer: partition a
-  grid deterministically into shards (:func:`shard_of_task`), run one
-  shard per host/process (:func:`run_sweep_shard`, the ``sweep
-  --shard I/N`` CLI), and reassemble the artifacts into a result
-  byte-identical to the single-host run (:func:`merge_shards`,
-  :class:`ShardCoordinator`).
+  proxy run to scalar measurements.
 """
 
 from .._lazy import lazy_exports
@@ -34,19 +28,6 @@ __all__ = [
     "PointCache",
     "point_key",
     "POINT_CACHE_VERSION",
-    "GridSpec",
-    "SHARD_SCHEMA_VERSION",
-    "ShardCoordinator",
-    "ShardMergeError",
-    "ShardMergeStats",
-    "SweepShard",
-    "faults_digest",
-    "load_shard",
-    "merge_shards",
-    "options_digest",
-    "run_sweep_shard",
-    "shard_of_task",
-    "write_shard",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -55,20 +36,5 @@ __getattr__, __dir__ = lazy_exports(
         ".executor": ("SweepExecutor", "fork_available", "merge_stats"),
         ".point": ("PointTask", "PointMeasurement", "measure_point"),
         ".pointcache": ("PointCache", "point_key", "POINT_CACHE_VERSION"),
-        ".shards": (
-            "GridSpec",
-            "SHARD_SCHEMA_VERSION",
-            "ShardCoordinator",
-            "ShardMergeError",
-            "ShardMergeStats",
-            "SweepShard",
-            "faults_digest",
-            "load_shard",
-            "merge_shards",
-            "options_digest",
-            "run_sweep_shard",
-            "shard_of_task",
-            "write_shard",
-        ),
     },
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..faults.runtime import FabricTimeoutError
 from ..hw.memory import OutOfMemoryError
@@ -119,27 +119,58 @@ class PointMeasurement:
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "PointMeasurement":
-        """Rebuild a measurement from its cached dict form."""
+        """Rebuild a measurement from its cached dict form.
+
+        Every key :meth:`to_doc` writes must be there with its JSON
+        type (an int passes for a float, a bool for nothing else): an
+        entry with a dropped or renamed key, or ``"ok": "false"``,
+        raises :class:`ValueError`/:class:`KeyError` instead of reading
+        as a measurement of zeros, so the point cache counts it as a
+        miss and re-measures the point.
+        """
+        for key, types in _DOC_TYPES.items():
+            if type(doc[key]) not in types:
+                raise ValueError(
+                    f"point entry field {key!r} is a "
+                    f"{type(doc[key]).__name__}"
+                )
         return cls(
-            ok=bool(doc["ok"]),
-            error=str(doc.get("error", "")),
-            loop_runtime_s=float(doc.get("loop_runtime_s", 0.0)),
-            corrected_runtime_s=float(doc.get("corrected_runtime_s", 0.0)),
-            iterations=int(doc.get("iterations", 0)),
-            kernel_time_s=float(doc.get("kernel_time_s", 0.0)),
-            injected_slack_s=float(doc.get("injected_slack_s", 0.0)),
-            starvation_cost_s=float(doc.get("starvation_cost_s", 0.0)),
-            elapsed_s=float(doc.get("elapsed_s", 0.0)),
-            sim={
-                str(k): float(v) for k, v in doc.get("sim", {}).items()
-            },
-            fastforward_hit=bool(doc.get("fastforward_hit", False)),
-            fastforward_events_skipped=int(
-                doc.get("fastforward_events_skipped", 0)
-            ),
-            fastforward_reason=str(doc.get("fastforward_reason", "")),
-            core_fallback=doc.get("core_fallback"),
+            ok=doc["ok"],
+            error=doc["error"],
+            loop_runtime_s=float(doc["loop_runtime_s"]),
+            corrected_runtime_s=float(doc["corrected_runtime_s"]),
+            iterations=doc["iterations"],
+            kernel_time_s=float(doc["kernel_time_s"]),
+            injected_slack_s=float(doc["injected_slack_s"]),
+            starvation_cost_s=float(doc["starvation_cost_s"]),
+            elapsed_s=float(doc["elapsed_s"]),
+            sim={str(k): float(v) for k, v in doc["sim"].items()},
+            fastforward_hit=doc["fastforward_hit"],
+            fastforward_events_skipped=doc["fastforward_events_skipped"],
+            fastforward_reason=doc["fastforward_reason"],
+            core_fallback=doc["core_fallback"],
         )
+
+
+_NUMBER = (float, int)
+
+#: The JSON type(s) of every key :meth:`PointMeasurement.to_doc` writes.
+_DOC_TYPES: Dict[str, Tuple[type, ...]] = {
+    "ok": (bool,),
+    "error": (str,),
+    "loop_runtime_s": _NUMBER,
+    "corrected_runtime_s": _NUMBER,
+    "iterations": (int,),
+    "kernel_time_s": _NUMBER,
+    "injected_slack_s": _NUMBER,
+    "starvation_cost_s": _NUMBER,
+    "elapsed_s": _NUMBER,
+    "sim": (dict,),
+    "fastforward_hit": (bool,),
+    "fastforward_events_skipped": (int,),
+    "fastforward_reason": (str,),
+    "core_fallback": (str, type(None)),
+}
 
 
 def measure_point(task: PointTask) -> PointMeasurement:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from ..obs.metrics import get_registry
 from ..proxy.matmul import ProxyConfig
+from ..proxy.sweep import POINT_CACHE_VERSION
 from .point import PointMeasurement, PointTask
 
 if TYPE_CHECKING:
@@ -35,16 +36,9 @@ if TYPE_CHECKING:
 
 __all__ = ["POINT_CACHE_VERSION", "PointCache", "point_key"]
 
-#: Bump whenever simulator changes alter what a (config, slack) point
-#: measures — stale entries must not survive a behavioral change.
-#: 2026.08-4: points are additionally keyed on the fault plan (the
-#: degraded-fabric knob); pre-fault entries must not be mistaken for
-#: healthy measurements of the new keyspace.
-POINT_CACHE_VERSION = "2026.08-4"
-
 #: Per-process temp-name sequence: combined with the pid it makes
 #: every writer's temp file unique, so concurrent writers of the same
-#: entry (worker pools, shard subprocesses, other hosts on a shared
+#: entry (worker pools, concurrent sweeps, other hosts on a shared
 #: filesystem) never clobber each other's half-written temp.
 _TMP_SEQ = itertools.count()
 
@@ -100,7 +94,7 @@ class PointCache:
         self.writes = 0
         #: Writes lost to a concurrent writer of the same entry (see
         #: :meth:`put`) — harmless by construction, counted so shared
-        #: caches under multi-shard load stay observable.
+        #: caches under concurrent load stay observable.
         self.write_races = 0
         #: Entry path of each missed point, keyed by the identities of
         #: its (config, slack, faults) objects, until its :meth:`put`:
@@ -166,7 +160,7 @@ class PointCache:
 
         Writes via a temporary file + atomic rename so a crashed or
         interrupted sweep never leaves a torn entry behind. The cache
-        is shared across processes — and, for sharded sweeps, across
+        is shared across processes — pool workers, concurrent sweeps,
         hosts on a network filesystem — so the write path must survive
         concurrent writers of the *same* entry: the temp name is
         unique per writer, and any race on the mkdir/rename

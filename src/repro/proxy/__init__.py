@@ -26,7 +26,6 @@ __all__ = [
     "grid_series",
     "assemble_sweep_result",
     "SweepOptions",
-    "ShardingUnsupportedError",
     "slack_bucket",
     "slack_tolerance",
     "same_slack",
@@ -72,7 +71,7 @@ __getattr__, __dir__ = lazy_exports(
             "PAPER_SLACK_VALUES_S",
             "PAPER_THREAD_COUNTS",
         ),
-        ".options": ("SweepOptions", "ShardingUnsupportedError"),
+        ".options": ("SweepOptions",),
         ".quantize": (
             "slack_bucket",
             "slack_tolerance",

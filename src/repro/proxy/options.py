@@ -8,9 +8,9 @@ keyword-by-keyword. :class:`SweepOptions` is the single carrier and
 the only spelling: build one and pass it as ``options=`` to
 :func:`~repro.proxy.run_slack_sweep`,
 :func:`~repro.model.adaptive.adaptive_slack_sweep`,
-:func:`~repro.faults.run_degraded_sweep`,
-:class:`~repro.experiments.ExperimentContext` or the shard entry
-points; derive a variant with :meth:`SweepOptions.replace`.
+:func:`~repro.faults.run_degraded_sweep`
+or :class:`~repro.experiments.ExperimentContext`; derive a variant
+with :meth:`SweepOptions.replace`.
 
 The dataclass is frozen and keyword-only (the ``repro.api``
 constructor contract) and hashable. Every sweep entry point checks
@@ -26,30 +26,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple, TYPE_CHECKING, Union
+from typing import Any, Optional, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.plan import FaultPlan
     from ..parallel.pointcache import PointCache
 
-__all__ = [
-    "ShardingUnsupportedError",
-    "SweepOptions",
-]
-
-
-class ShardingUnsupportedError(ValueError):
-    """A sweep was asked to shard in a mode that cannot shard.
-
-    Raised for knob combinations the shard engine explicitly refuses —
-    today ``adaptive=True`` with a ``shard`` assignment (adaptive
-    refinement is a sequential decision process over the whole grid;
-    partitioning it by point hash would change which points get
-    measured) — and by entry points that cannot return a partial
-    surface (:func:`repro.proxy.run_slack_sweep` with ``shard`` set;
-    use :func:`repro.parallel.run_sweep_shard` +
-    :func:`repro.parallel.merge_shards` instead).
-    """
+__all__ = ["SweepOptions"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -74,13 +57,6 @@ class SweepOptions:
         ``tol`` (positive, ``None`` =
         :data:`~repro.model.adaptive.DEFAULT_TOL`) requires
         ``adaptive=True``.
-    ``shard``
-        ``(index, count)`` assigning this execution one shard of the
-        grid's deterministic hash partition (see
-        :mod:`repro.parallel.shards`). Only the shard entry points
-        (``run_sweep_shard``, the ``sweep --shard I/N`` CLI) consume
-        it; :func:`~repro.proxy.run_slack_sweep` refuses it because a
-        shard is not a full surface.
     """
 
     workers: Optional[int] = 1
@@ -89,15 +65,12 @@ class SweepOptions:
     faults: Optional["FaultPlan"] = None
     adaptive: bool = False
     tol: Optional[float] = None
-    shard: Optional[Tuple[int, int]] = None
 
     def validate(self) -> "SweepOptions":
         """Check the knob combination; returns the options to run with.
 
         An empty fault plan comes back as ``None`` and a non-empty one
-        is validated. Raises :class:`ValueError` for an invalid knob
-        and :class:`ShardingUnsupportedError` for ``adaptive`` with a
-        ``shard``.
+        is validated. Raises :class:`ValueError` for an invalid knob.
         """
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
@@ -106,21 +79,6 @@ class SweepOptions:
                 raise ValueError("tol is only meaningful with adaptive=True")
             if self.tol <= 0:
                 raise ValueError("tol must be positive")
-        if self.shard is not None:
-            index, count = self.shard
-            if count < 1:
-                raise ValueError("shard count must be >= 1")
-            if not 0 <= index < count:
-                raise ValueError(
-                    f"shard index {index} outside 0..{count - 1}"
-                )
-            if self.adaptive:
-                raise ShardingUnsupportedError(
-                    "sharding unsupported: adaptive sweeps cannot be "
-                    "sharded (refinement is a sequential decision "
-                    "process over the whole grid); run the adaptive "
-                    "sweep on one host, or shard the dense grid"
-                )
         if self.faults is None:
             return self
         if self.faults.is_empty:

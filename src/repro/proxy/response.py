@@ -19,7 +19,9 @@ so the two lookups can no longer disagree at bucket boundaries.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -29,6 +31,9 @@ from .quantize import same_slack, slack_bucket
 from .sweep import SweepPoint, SweepResult
 
 __all__ = ["SlackResponseSurface"]
+
+#: Per-process temp-name sequence of :meth:`SlackResponseSurface.to_json`.
+_TMP_SEQ = itertools.count()
 
 
 class SlackResponseSurface:
@@ -131,7 +136,14 @@ class SlackResponseSurface:
 
     # -- persistence --------------------------------------------------------------
     def to_json(self, path: Union[str, Path]) -> None:
-        """Cache the surface to a JSON file."""
+        """Cache the surface to a JSON file.
+
+        Writes a temporary file beside ``path`` and renames it into
+        place, so a killed writer never leaves a torn file behind; the
+        temp name is unique per process and call, so concurrent writers
+        of one path never share it.
+        """
+        path = Path(path)
         doc = [
             {
                 "matrix_size": p.matrix_size,
@@ -146,7 +158,13 @@ class SlackResponseSurface:
             for series in self._series.values()
             for p in series
         ]
-        Path(path).write_text(json.dumps(doc, indent=1))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc, indent=1))
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "SlackResponseSurface":

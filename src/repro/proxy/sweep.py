@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..obs.report import RunReport
 from ..obs.metrics import get_registry
-from .options import ShardingUnsupportedError, SweepOptions
+from .options import SweepOptions
 from .quantize import slack_bucket, slack_tolerance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,6 +54,17 @@ PAPER_SLACK_VALUES_S: Tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 #: OpenMP thread counts tested (4 collected but unplotted in the paper).
 PAPER_THREAD_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
+
+#: Version tag of the per-point measurement store
+#: (:class:`repro.parallel.PointCache`), and of the surface files
+#: assembled from it. Bump whenever simulator changes alter what a
+#: (config, slack) point measures — stale entries must not survive a
+#: behavioral change. It lives here, not beside the store, so that
+#: reading a cached surface does not import the simulator.
+#: 2026.08-4: points are additionally keyed on the fault plan (the
+#: degraded-fabric knob); pre-fault entries must not be mistaken for
+#: healthy measurements of the new keyspace.
+POINT_CACHE_VERSION = "2026.08-4"
 
 
 #: Rounded-slack secondary-index key — the shared quantization rule of
@@ -97,7 +108,7 @@ class SweepTiming:
     :attr:`repro.parallel.SweepExecutor.stats` holds one per
     :meth:`~repro.parallel.SweepExecutor.run`; a sweep's
     ``SweepResult.timing`` is that of its executor run, or the
-    roll-up of several (adaptive rounds, merged shards).
+    roll-up of several (adaptive rounds).
     """
 
     #: End-to-end wall time (includes cache resolution).
@@ -110,8 +121,7 @@ class SweepTiming:
     cached: int
     #: Worker processes used ("inline" mode always reports 1).
     workers: int
-    #: "process" (pool), "inline" (deterministic in-process loop) or
-    #: "sharded" (merged shard artifacts).
+    #: "process" (pool) or "inline" (deterministic in-process loop).
     mode: str
     #: Summed wall time of the fresh measurements (the
     #: sequential-equivalent cost; cached points count 0).
@@ -162,11 +172,6 @@ class SweepResult:
     #: Telemetry snapshot of the sweep (None unless metrics were
     #: enabled via repro.obs when the sweep ran).
     report: Optional[RunReport] = field(default=None, compare=False)
-    #: Shard-merge roll-up (a :class:`repro.parallel.ShardMergeStats`;
-    #: None unless this result came out of
-    #: :func:`repro.parallel.merge_shards`). Excluded from equality:
-    #: a merged result *is* the dense result, telemetry aside.
-    merge: Optional[Any] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         # O(1) exact-lookup index plus a rounded-slack secondary index
@@ -233,7 +238,7 @@ def grid_series(
     """``(matrix_size, threads)`` series keys in canonical grid order.
 
     Threads-major, then matrix size — the historical sequential loop
-    nesting every sweep (dense, adaptive, sharded) must reproduce.
+    nesting every sweep (dense and adaptive) must reproduce.
     """
     return [(n, t) for t in threads for n in matrix_sizes]
 
@@ -255,10 +260,7 @@ def plan_grid_tasks(
     per matrix size here, and every point of that size (all thread
     counts, all slacks) shares them via its task. The resulting
     iteration count is identical to what per-point calibration would
-    choose (same inputs, same function), and — because the whole
-    derivation is a deterministic mini-simulation — identical on every
-    host, which is what lets shard workers plan the same task list
-    independently (:mod:`repro.parallel.shards`).
+    choose (same inputs, same function).
 
     Task order is the grid contract: per :func:`grid_series` entry,
     the zero-slack baseline followed by the slack values in the order
@@ -309,11 +311,6 @@ def assemble_sweep_result(
 
     ``measurements`` must follow the task order of
     :func:`plan_grid_tasks` (per series: baseline, then each slack).
-    This is the one assembly path shared by the dense sweep and the
-    shard merge (:func:`repro.parallel.merge_shards`), which is what
-    makes a merged result byte-identical to the single-host run: both
-    consume identical measurements in identical order through
-    identical code.
     """
     result = SweepResult()
     i = 0
@@ -401,7 +398,6 @@ def run_slack_sweep(
       share its per-point cache. Call ``adaptive_slack_sweep``
       directly to also get the measured-only view and per-point
       error bounds.
-    * ``shard`` is refused: a shard is not a full surface.
 
     ``executor`` substitutes a fully custom
     :class:`~repro.parallel.SweepExecutor` (its ``workers``/``cache``
@@ -434,13 +430,6 @@ def run_slack_sweep(
             options=opts,
             executor=executor,
         ).dense
-
-    if opts.shard is not None:
-        raise ShardingUnsupportedError(
-            "run_slack_sweep returns a full surface and cannot execute "
-            "one shard; use repro.parallel.run_sweep_shard + "
-            "merge_shards (or repro.parallel.ShardCoordinator)"
-        )
 
     tasks = plan_grid_tasks(
         matrix_sizes,
@@ -481,7 +470,7 @@ def _finish_sweep(
     faults_doc: Optional[Dict[str, Any]],
     **meta: Any,
 ) -> SweepResult:
-    """The one roll-up of a finished sweep: dense, adaptive or merged.
+    """The one roll-up of a finished sweep: dense or adaptive.
 
     Sets ``result.timing`` and, when metrics are enabled, publishes
     ``sweep.runs``/``points``/``skipped``/``wall_s`` and attaches the

@@ -102,6 +102,13 @@ class TestSweep:
         assert code == 1
         assert "skipped" in captured.err
 
+    def test_tol_without_adaptive_refused(self, capsys):
+        assert main(["sweep", "--matrix", "512", "--slack", "1e-4",
+                     "--iterations", "3", "--no-cache", "--tol", "0.5"]) == 2
+        assert "tol is only meaningful with adaptive" in (
+            capsys.readouterr().err
+        )
+
 
 class TestParallelFlags:
     def test_sweep_accepts_workers_and_no_cache(self, capsys):
@@ -126,98 +133,6 @@ class TestParallelFlags:
         from repro.cli import _resolve_workers
         import os
         assert _resolve_workers(args) == (os.cpu_count() or 1)
-
-
-class TestShardFlags:
-    """sweep --shard / --merge-shards / --shard-workers (scale-out)."""
-
-    WORKER = ["sweep", "--matrix", "512", "--slack", "1e-4",
-              "--iterations", "3", "--no-cache"]
-
-    def test_shard_worker_writes_artifact(self, tmp_path, capsys):
-        out = tmp_path / "shard.npz"
-        assert main([*self.WORKER, "--shard", "0/1",
-                     "--shard-out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert out.exists()
-        assert "[shard 0/1: 2 of 2 grid points" in err
-
-    def test_merge_shards_prints_surface(self, tmp_path, capsys):
-        out = tmp_path / "shard.npz"
-        main([*self.WORKER, "--shard", "0/1", "--shard-out", str(out)])
-        capsys.readouterr()
-        assert main(["sweep", "--merge-shards", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "[merged 1 shard(s): 2 grid points" in captured.err
-        assert "512" in captured.out
-        assert "1 thread(s)" in captured.out
-
-    def test_merge_rejects_gapped_set(self, tmp_path, capsys):
-        # For this grid the hash partition assigns every task to shard
-        # 0 of 2, so the shard-1 artifact alone cannot tile the grid.
-        out = tmp_path / "shard.npz"
-        main([*self.WORKER, "--shard", "1/2", "--shard-out", str(out)])
-        capsys.readouterr()
-        assert main(["sweep", "--merge-shards", str(out)]) == 2
-        assert "cannot merge shards" in capsys.readouterr().err
-
-    def test_adaptive_sharding_refused(self, tmp_path, capsys):
-        assert main([*self.WORKER, "--adaptive", "--shard", "0/2",
-                     "--shard-out", str(tmp_path / "s.npz")]) == 2
-        assert "sharding unsupported" in capsys.readouterr().err
-
-    def test_adaptive_shard_workers_refused(self, capsys):
-        assert main([*self.WORKER, "--adaptive",
-                     "--shard-workers", "2"]) == 2
-        assert "sharding unsupported" in capsys.readouterr().err
-
-    def test_tol_without_adaptive_refused(self, capsys):
-        assert main([*self.WORKER, "--tol", "0.5"]) == 2
-        assert "tol is only meaningful with adaptive" in (
-            capsys.readouterr().err
-        )
-
-    def test_shard_requires_shard_out(self, capsys):
-        assert main([*self.WORKER, "--shard", "0/2"]) == 2
-        assert "--shard-out" in capsys.readouterr().err
-
-    def test_shard_out_requires_shard(self, tmp_path, capsys):
-        assert main([*self.WORKER,
-                     "--shard-out", str(tmp_path / "s.npz")]) == 2
-        assert "requires --shard" in capsys.readouterr().err
-
-    def test_shard_and_merge_mutually_exclusive(self, tmp_path, capsys):
-        assert main([*self.WORKER, "--shard", "0/2",
-                     "--shard-out", str(tmp_path / "s.npz"),
-                     "--merge-shards", str(tmp_path / "s.npz")]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_malformed_shard_spec_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([*self.WORKER, "--shard", "zero-of-two",
-                  "--shard-out", str(tmp_path / "s.npz")])
-
-    def test_invalid_shard_index_rejected(self, tmp_path, capsys):
-        assert main([*self.WORKER, "--shard", "5/2",
-                     "--shard-out", str(tmp_path / "s.npz")]) == 2
-        assert "cannot run shard" in capsys.readouterr().err
-
-    def test_shard_metrics_out_reports_shard_kind(self, tmp_path, capsys):
-        import json
-
-        report = tmp_path / "report.json"
-        assert main([*self.WORKER, "--shard", "0/1",
-                     "--shard-out", str(tmp_path / "s.npz"),
-                     "--metrics-out", str(report)]) == 0
-        doc = json.loads(report.read_text())
-        assert doc["kind"] == "sweep-shard"
-        assert doc["meta"]["shard"] == {"index": 0, "count": 1}
-
-    def test_shard_workers_runs_and_merges(self, capsys):
-        assert main([*self.WORKER, "--shard-workers", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "[2 shard worker(s): coordinator wall" in captured.err
-        assert "512" in captured.out
 
 
 class TestMetrics:

@@ -116,3 +116,33 @@ class TestSurfaceCaching:
         )
         # Still just one cache file (same key).
         assert len(list(tmp_path.glob("surface-*.json"))) == 1
+
+    def test_torn_surface_file_is_a_miss(self, tmp_path):
+        # A killed writer's torn file (or any unreadable one) must not
+        # break later runs: the next context re-assembles the surface
+        # from the point cache and rewrites a valid file.
+        import json
+
+        surface1 = ExperimentContext(quick=True, cache_dir=tmp_path).surface()
+        (path,) = tmp_path.glob("surface-*.json")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+
+        ctx2 = ExperimentContext(quick=True, cache_dir=tmp_path)
+        surface2 = ctx2.surface()
+        assert ctx2.sweep_timing.measured == 0  # all from the point cache
+        assert list(surface2.iter_points()) == list(surface1.iter_points())
+        assert json.loads(path.read_text()) == json.loads(text)
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == [
+            path.name
+        ]
+
+    def test_surface_file_keyed_on_point_cache_version(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.context as context
+
+        ctx = ExperimentContext(quick=True, cache_dir=tmp_path)
+        before = ctx._surface_cache_path()
+        monkeypatch.setattr(context, "POINT_CACHE_VERSION", "next")
+        assert ctx._surface_cache_path() != before

@@ -246,11 +246,30 @@ class TestCacheStore:
         assert len(cache) == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        import json
+
         cache = PointCache(tmp_path)
         m = PointMeasurement(ok=True, loop_runtime_s=1.0)
         path = cache.put(self.CONFIG, 1e-4, m)
         path.write_text("{not json")
         assert cache.get(self.CONFIG, 1e-4) is None
+
+        # Entries that still parse but lost a field, or carry it under
+        # another name or type, are misses too — not measurements of
+        # zeros.
+        doc = m.to_doc()
+        dropped = {k: v for k, v in doc.items() if k != "loop_runtime_s"}
+        renamed = {
+            ("corrected_runtime" if k == "corrected_runtime_s" else k): v
+            for k, v in doc.items()
+        }
+        for damaged in (dropped, renamed, {**doc, "ok": "false"}):
+            path.write_text(json.dumps(damaged))
+            corrupt = cache.corrupt
+            assert cache.get(self.CONFIG, 1e-4) is None
+            assert cache.corrupt == corrupt + 1
+        path.write_text(json.dumps(doc))
+        assert cache.get(self.CONFIG, 1e-4) == m
 
     def test_clear_removes_everything(self, tmp_path):
         cache = PointCache(tmp_path)
@@ -275,7 +294,7 @@ class TestCacheStore:
 
 class TestConcurrentWrites:
     """put() must survive racing writers of the same entry (worker
-    pools, shard subprocesses, shared network filesystems)."""
+    pools, concurrent sweeps, shared network filesystems)."""
 
     CONFIG = ProxyConfig(matrix_size=512, threads=1, iterations=3)
 

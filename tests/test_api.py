@@ -142,6 +142,35 @@ def test_adaptive_slack_sweep_tol_kwarg_is_a_type_error():
         ("repro.api", "ColumnarTrace"),
         ("repro.trace", "device_gaps_reference"),
         ("repro.trace", "utilization_series_reference"),
+        ("repro.api", "GridSpec"),
+        ("repro.api", "SweepShard"),
+        ("repro.api", "run_sweep_shard"),
+        ("repro.api", "write_shard"),
+        ("repro.api", "load_shard"),
+        ("repro.api", "merge_shards"),
+        ("repro.api", "ShardCoordinator"),
+        ("repro.api", "ShardMergeStats"),
+        ("repro.api", "ShardMergeError"),
+        ("repro.api", "faults_digest"),
+        ("repro.api", "options_digest"),
+        ("repro.parallel", "GridSpec"),
+        ("repro.parallel", "SweepShard"),
+        ("repro.parallel", "run_sweep_shard"),
+        ("repro.parallel", "write_shard"),
+        ("repro.parallel", "load_shard"),
+        ("repro.parallel", "merge_shards"),
+        ("repro.parallel", "ShardCoordinator"),
+        ("repro.parallel", "ShardMergeStats"),
+        ("repro.parallel", "ShardMergeError"),
+        ("repro.parallel", "faults_digest"),
+        ("repro.parallel", "options_digest"),
+        ("repro.parallel", "shard_of_task"),
+        ("repro.parallel", "SHARD_SCHEMA_VERSION"),
+        ("repro.api", "ShardingUnsupportedError"),
+        ("repro.proxy", "ShardingUnsupportedError"),
+        ("repro.proxy.options", "ShardingUnsupportedError"),
+        ("repro.obs", "publish_shard"),
+        ("repro.obs", "publish_shard_merge"),
     ],
 )
 def test_removed_names_are_gone(module, name):

@@ -312,3 +312,41 @@ class TestEquation1Identity:
             run.injected_slack_s
             + (run.starvation_cost_s - base.starvation_cost_s)
         )
+
+
+class TestEquation23BoundOrdering:
+    """Equations 2-3 bracket every app's penalty: for each registered
+    app with kernels (penalty kind other than ``"none"``), on its
+    conformance profile and the quick surface, the lower bound never
+    exceeds the upper, at any slack up to 100 ms and any parallelism.
+
+    Penalty is *not* asserted non-decreasing in slack: the quick
+    surface is not monotone everywhere, so predictions may dip by
+    float noise between neighbouring slacks.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        from repro.apps import registered_apps
+        from repro.experiments import ExperimentContext
+        from repro.model import CDIProfiler
+
+        profiler = CDIProfiler(ExperimentContext(quick=True).surface())
+        profiles = [
+            app.profiler(app.conformance_config())
+            for app in registered_apps()
+            if app.penalty.kind != "none"
+        ]
+        assert len(profiles) == 3
+        return profiler, profiles
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slack_s=st.floats(min_value=0.0, max_value=0.1),
+        parallelism=st.integers(min_value=1, max_value=8),
+    )
+    def test_lower_never_exceeds_upper(self, cases, slack_s, parallelism):
+        profiler, profiles = cases
+        for profile in profiles:
+            pred = profiler.predict(profile, slack_s, parallelism=parallelism)
+            assert pred.lower <= pred.upper, (profile.name, pred)
